@@ -5,8 +5,10 @@ favor robustness and auditability over large-scale performance:
 
 - expm uses scaling-and-squaring with the order-(13,13) diagonal Pade
   approximant and the standard 1-norm squaring threshold.
-- the symmetric eigensolver runs cyclic Jacobi sweeps to a 1e-12
-  off-diagonal norm.
+- both expm and the largest symmetric eigenvalue take stacks, so a check
+  over many dwell lengths is one batched call, not a Python loop.
+- symmetric eigenvalues come from LAPACK; the test suite keeps a Jacobi
+  eigensolver as an independent oracle.
 - positive definiteness and SPD inversion go through Cholesky.
 """
 
@@ -35,51 +37,56 @@ _PADE13_B = (
     1.0,
 )
 
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
-
-def _as_square(M, name="matrix"):
+def _as_square(M, name="matrix", stacked=False):
     M = np.array(M, dtype=float, copy=True)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if (M.ndim < 2 or (M.ndim > 2 and not stacked)
+            or M.shape[-1] != M.shape[-2]):
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise NumericError(f"{name} contains non-finite entries")
     return M
 
 
-def _as_symmetric(S, name="matrix"):
-    S = _as_square(S, name)
-    scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > 1e-9 * scale:
+def _as_symmetric(S, name="matrix", stacked=False):
+    S = _as_square(S, name, stacked)
+    St = np.swapaxes(S, -1, -2)
+    scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(S - St).max(axis=(-2, -1), initial=0.0) > 1e-9 * scale):
         raise DimensionError(f"{name} is not symmetric")
-    return 0.5 * (S + S.T)
+    return 0.5 * (S + St)
 
 
 def sym(M):
-    """Symmetric part (M + M^T)/2."""
+    """Symmetric part (M + M^T)/2, of each matrix in a (..., n, n) stack."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def expm(M, t=1.0):
     """e^{M t} by Pade-(13,13) scaling and squaring.
 
-    Relative accuracy is at the double-precision level for the moderate
-    norms arising here (the squaring count grows with log2 of the 1-norm).
+    A scalar t gives one n x n matrix; a 1-D array of times gives the
+    (len(t), n, n) stack of e^{M t_g} from one batched evaluation.  Each
+    time gets its own squaring count from the 1-norm of M t_g, so every
+    member is computed exactly as a scalar call would compute it.  Relative
+    accuracy is at the double-precision level for the moderate norms
+    arising here.
     """
     M = _as_square(M, "expm argument")
-    if not np.isfinite(t):
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise DimensionError(f"expm times must be a scalar or 1-D, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts)):
         raise NumericError("expm time must be finite")
     n = M.shape[0]
+    W = M * ts.reshape(-1, 1, 1)
     if n == 0:
-        return np.zeros((0, 0))
-    W = M * float(t)
-    nrm = np.linalg.norm(W, 1)
-    squarings = 0
-    if nrm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(nrm / _PADE13_THETA)))
-        W = W / (2.0 ** squarings)
+        return W if ts.ndim else W[0]
+    nrm = np.abs(W).sum(axis=1).max(axis=1)
+    squarings = np.zeros(len(W), dtype=int)
+    big = nrm > _PADE13_THETA
+    squarings[big] = np.ceil(np.log2(nrm[big] / _PADE13_THETA))
+    W = W / (2.0 ** squarings)[:, None, None]
 
     b = _PADE13_B
     ident = np.eye(n)
@@ -94,66 +101,28 @@ def expm(M, t=1.0):
         E = np.linalg.solve(V - U, V + U)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"expm Pade solve failed: {exc}") from exc
-    for _ in range(squarings):
-        E = E @ E
+    # an overflow is reported by the finiteness check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(int(squarings.max(initial=0))):
+            live = squarings > s
+            E[live] = E[live] @ E[live]
     if not np.all(np.isfinite(E)):
         raise NumericError("expm overflowed; argument norm too large")
-    return E
-
-
-def _jacobi_sweeps(S):
-    A = S.copy()
-    n = A.shape[0]
-    if n < 2:
-        return A
-    scale = max(1.0, float(np.linalg.norm(A)))
-    tol = _JACOBI_OFF_TOL * scale
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(max(0.0, np.sum(A * A) - np.sum(np.diag(A) ** 2)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 0.1 * tol / (n * n):
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    tnum = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    tnum = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + tnum * tnum)
-                s = tnum * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    return A
-
-
-def sym_eigvals(S):
-    """All eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi."""
-    S = _as_symmetric(S, "eig argument")
-    if S.shape[0] == 0:
-        return np.zeros(0)
-    A = _jacobi_sweeps(S)
-    return np.sort(np.diag(A))
+    return E if ts.ndim else E[0]
 
 
 def sym_eig_max(S):
-    """Largest eigenvalue of a symmetric matrix."""
-    vals = sym_eigvals(S)
-    if vals.size == 0:
+    """Largest eigenvalue of a symmetric matrix, or of each in a (..., d, d) stack.
+
+    LAPACK's symmetric eigensolver does the work.  A single matrix gives a
+    float, a stack an array of its leading shape; one asymmetric or
+    non-finite member makes the whole call raise.
+    """
+    S = _as_symmetric(S, "eig argument", stacked=True)
+    if S.shape[-1] == 0:
         raise DimensionError("eig argument is empty")
-    return float(vals[-1])
+    top = np.linalg.eigvalsh(S)[..., -1]
+    return float(top) if top.ndim == 0 else top
 
 
 def is_pd(S, tol=0.0):

@@ -479,10 +479,10 @@ def _iterate(sc, options):
 def residuals(problem, values):
     """Recompute each block's largest eigenvalue at the given variable values.
 
-    Works from the structured block definitions (unscaled) and the Jacobi
-    eigensolver, independent of the solve() internals.  The implicit eps*I
-    on strict blocks is NOT included: for a strictly feasible solution with
-    margin eps the returned residuals sit at or below -eps.
+    Works from the structured block definitions (unscaled) and
+    linalg.sym_eig_max, independent of the solve() internals.  The implicit
+    eps*I on strict blocks is NOT included: for a strictly feasible solution
+    with margin eps the returned residuals sit at or below -eps.
     """
     out = []
     for blk in problem.blocks:

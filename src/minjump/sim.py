@@ -161,10 +161,8 @@ def _guard(chi, t, last_ok):
         )
 
 
-def _flow(rec, k, drift, t0, dt, chi, mode):
-    """March chi through one interval; returns the pre-jump state at t0+dt."""
-    step = dt / rec.substeps
-    E = linalg.expm(drift, step)
+def _flow(rec, k, E, t0, step, chi, mode):
+    """March chi through interval k in steps E = e^{A step}; returns the pre-jump state."""
     at = k * rec.substeps
     for q in range(1, rec.substeps + 1):
         chi = E @ chi
@@ -191,7 +189,8 @@ def _common(model, cert, seq, x0, u0, substeps, kind):
         )
     chi = _initial_state(model, x0, u0)
     K = len(seq.times) - 1
-    return chi, K, _Recorder(K + 1, K, model.dim, substeps)
+    steps = np.diff(seq.times) / substeps
+    return chi, K, steps, _Recorder(K + 1, K, model.dim, substeps)
 
 
 def simulate_impulsive(model, cert, seq, x0, u0=None, substeps=1):
@@ -200,7 +199,8 @@ def simulate_impulsive(model, cert, seq, x0, u0=None, substeps=1):
     The rule fires at every sampling instant including t_0 = 0.  Raises
     DivergenceError when the state norm passes DIVERGENCE_LIMIT.
     """
-    chi, K, rec = _common(model, cert, seq, x0, u0, substeps, "impulsive")
+    chi, K, steps, rec = _common(model, cert, seq, x0, u0, substeps, "impulsive")
+    flow = linalg.expm(model.drift(), steps)
     for k in range(K + 1):
         t = seq.times[k]
         _guard(chi, t, seq.times[max(k - 1, 0)])
@@ -209,8 +209,7 @@ def simulate_impulsive(model, cert, seq, x0, u0=None, substeps=1):
         post = model.jump(mode) @ chi
         rec.sample(k, mode, chi, post, value)
         if k < K:
-            chi = _flow(rec, k, model.drift(), t, seq.times[k + 1] - t,
-                        post, mode)
+            chi = _flow(rec, k, flow[k], t, steps[k], post, mode)
     return rec.finish("impulsive", model.n, seq.times)
 
 
@@ -222,9 +221,12 @@ def simulate_switched(model, cert, seq, x0, u0=None, initial_mode=0,
     post-jump form from the current mode; the winner's jump map is applied
     and its drift governs the next interval.
     """
-    chi, K, rec = _common(model, cert, seq, x0, u0, substeps, "switched")
+    chi, K, steps, rec = _common(model, cert, seq, x0, u0, substeps, "switched")
     if not 0 <= initial_mode < model.modes:
         raise ModelError(f"initial mode {initial_mode} out of range")
+    # each mode's exponentials for every interval, made on the mode's first
+    # visit so that a mode the rule never selects costs nothing
+    flows = {}
     current = initial_mode
     for k in range(K + 1):
         t = seq.times[k]
@@ -234,8 +236,9 @@ def simulate_switched(model, cert, seq, x0, u0=None, initial_mode=0,
         value = float(post @ cert.P[mode] @ post)
         rec.sample(k, mode, chi, post, value)
         if k < K:
-            chi = _flow(rec, k, model.drift(mode), t, seq.times[k + 1] - t,
-                        post, mode)
+            if mode not in flows:
+                flows[mode] = linalg.expm(model.drift(mode), steps)
+            chi = _flow(rec, k, flows[mode][k], t, steps[k], post, mode)
         current = mode
     return rec.finish("switched", model.n, seq.times)
 

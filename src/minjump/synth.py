@@ -48,13 +48,11 @@ _NODE_SNAP = 1e-12
 class SynthesisOptions:
     """Knobs for the piecewise-affine synthesis pipeline.
 
-    clock_nodes counts the uniform nodes on [0, t_max]; theta_policy exists
-    for config compatibility and only supports node-restricted evaluation.
+    clock_nodes counts the uniform nodes on [0, t_max].
     """
 
     clock_nodes: int = 6
     delta_pd: float = 1e-6
-    theta_policy: str = "nodes"
     post_verify_grid: int = 200
     bound: float = 1e6
     ptilde_cap: float = 1e3
@@ -67,8 +65,6 @@ class SynthesisOptions:
             raise ConfigError("need at least two clock nodes")
         if self.delta_pd < 0:
             raise ConfigError("delta_pd must be nonnegative")
-        if self.theta_policy != "nodes":
-            raise ConfigError(f"unsupported theta policy {self.theta_policy!r}")
         if self.bound <= self.delta_pd:
             raise ConfigError("bound must exceed delta_pd")
         if self.ptilde_cap <= self.delta_pd:
@@ -298,8 +294,7 @@ def recover_design(model, weights, dwell, solution, nodes, opts=None):
     opts = opts or SynthesisOptions()
     weights = _weights(model, weights)
     if solution.status != "optimal":
-        status = solution.status if solution.status != "max_iterations" else "max_iterations"
-        return _failure(status, solution)
+        return _failure(solution.status, solution)
     if solution.eps <= 0.0:
         return _failure("infeasible", solution)
 
@@ -373,7 +368,8 @@ def synthesize(model, weights, dwell, opts=None):
 def scan_weights(model, candidates, dwell, opts=None):
     """Synthesize over a finite list of weight matrices; keep the best margin.
 
-    Returns (best result or None, list of (weights, status, eps)).
+    Returns (best result or None, its weights or None, list of
+    (weights, status, eps)).
     """
     best = None
     best_pi = None

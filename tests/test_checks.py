@@ -21,9 +21,11 @@ from minjump import (
     check_switched,
     exact_clock_family,
 )
+from minjump import checks
 from minjump.checks import DwellGrid
 
-from conftest import EX2_WORST_MARGIN
+import oracles
+from conftest import EX2_WORST_MARGIN, random_contractive_impulsive
 
 
 def _scalar_model(a, j=1.0):
@@ -76,6 +78,42 @@ def test_reference_design_three_passes(ex3_reference_model, ex3_reference_cert, 
     report = check_switched(ex3_reference_model, ex3_reference_cert, ex3_dwell)
     assert report.passed
     assert -1e-3 < report.worst_margin < -1e-7
+
+
+def _assert_grid_check_matches_oracle(model, cert, dwell, monkeypatch):
+    """Every margin of the batched check equals the per-theta oracle to 1e-12.
+
+    Single-point grids expose each (mode, theta) margin through the public
+    report; the full grid is also re-run in slices of 7 points, which must
+    not change the report.
+    """
+    check = check_impulsive if model.kind == "impulsive" else check_switched
+    grid = DwellGrid.uniform(dwell, 41)
+    ref = oracles.grid_margins(model, cert, grid.points)
+    for k, theta in enumerate(grid.points):
+        point = check(model, cert, dwell, grid=DwellGrid((theta,)))
+        np.testing.assert_allclose(point.mode_margins, ref[:, k], rtol=0, atol=1e-12)
+    report = check(model, cert, dwell, grid=grid)
+    np.testing.assert_allclose(report.mode_margins, ref.max(axis=1), rtol=0, atol=1e-12)
+    monkeypatch.setattr(checks, "_THETA_SLICE", 7)
+    sliced = check(model, cert, dwell, grid=grid)
+    assert sliced.to_dict() == report.to_dict()
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex3"])
+def test_grid_check_matches_oracle_on_reference_designs(case, request, monkeypatch):
+    model = request.getfixturevalue(f"{case}_reference_model")
+    cert = request.getfixturevalue(f"{case}_reference_cert")
+    dwell = request.getfixturevalue(f"{case}_dwell")
+    _assert_grid_check_matches_oracle(model, cert, dwell, monkeypatch)
+
+
+def test_grid_check_matches_oracle_on_random_systems(monkeypatch):
+    rng = np.random.default_rng(2017)
+    for _ in range(6):
+        model, cert = random_contractive_impulsive(rng)
+        _assert_grid_check_matches_oracle(model, cert, DwellRange(0.01, 0.05),
+                                          monkeypatch)
 
 
 def test_broken_certificate_fails(ex2_model, ex2_cert, ex2_dwell):

@@ -1,5 +1,7 @@
 """Co-design pipeline: assembly, solving, recovery, post-verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,16 @@ def test_unstabilizable_loop_is_refused():
     assert not result.success
     assert result.status in ("infeasible", "relaxation_gap", "numerical_failure")
     assert result.cert is None
+
+
+def test_vanishing_dwell_is_infeasible_without_warnings(ex1_open_model):
+    # dwell 1e-300 puts 1/h terms near 5e300 into the flow blocks; the
+    # residual eigenvalues must not overflow on the way to the verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = synthesize(ex1_open_model, ModeWeights(EX1_PI),
+                            DwellRange(1e-300, 1e-300))
+    assert result.status == "infeasible"
 
 
 def test_scan_weights_prefers_wider_margin(ex1_open_model, ex1_dwell):
