@@ -425,129 +425,3 @@ def exact_clock_family(cert, model, nodes):
         Q = linalg.sym(sum(pi[j, i] * cert.P[j] for j in range(model.modes)))
         values.append(linalg.sym(Et @ Q @ E))
     return ClockFamily(nodes, values)
-
-
-def _design_jump_factor(model, i, u_i, ptilde_i):
-    """Off-diagonal factor Jbar0 Ptilde + Jbar1 U, honoring fixed gains."""
-    if u_i is not None:
-        return model.jbar0[i] @ ptilde_i + model.jbar1 @ u_i
-    return model.jump(i) @ ptilde_i
-
-
-def check_design_impulsive(model, ptilde, u, weights, clock, dwell, eps=None,
-                           strict_tol=STRICT_TOL, tol=SLACK_TOL):
-    """Synthesis-form (congruence-transformed) conditions, impulsive loop.
-
-    flow        Sdot_i + S_i(tau) Abar' + Abar S_i(tau) <= 0
-    jump_block  [[-Ptilde_i, X'], [X, -S_i(theta)]] < 0 strictly,
-                with X = Jbar0_i Ptilde_i + Jbar1 U_i
-    coupling    -diag_j(Ptilde_j) + V_i S_i(0) V_i' <= 0,
-                with V_i stacking sqrt(pi_ji) I
-
-    ptilde and the S family must be positive definite; u entries may be None
-    for modes whose gain is fixed in the model.
-    """
-    _require_kind(model, "impulsive", "check_design_impulsive")
-    pi = _design_inputs(model, ptilde, weights, clock)
-    d = model.dim
-    A = model.drift()
-    coll = _Collector(model.modes, strict_tol, tol)
-    if eps is not None:
-        coll.flag("eps_positive", eps > 0.0, eps)
-    for i in range(model.modes):
-        Pt = np.asarray(ptilde[i], dtype=float)
-        for k in range(len(clock.nodes) - 1):
-            Sdot = clock.slope(i, k)
-            for tau in (clock.nodes[k], clock.nodes[k + 1]):
-                S = clock.value(i, tau)
-                margin = linalg.sym_eig_max(linalg.sym(Sdot + S @ A.T + A @ S))
-                coll.add("flow", i, tau, margin, strict=False)
-        X = _design_jump_factor(model, i, None if u is None else u[i], Pt)
-        for theta in _theta_nodes(clock, dwell):
-            S = clock.value(i, theta)
-            block = np.block([[-Pt, X.T], [X, -S]])
-            coll.add("jump_block", i, theta,
-                     linalg.sym_eig_max(linalg.sym(block)), strict=True)
-        V = np.vstack([np.sqrt(pi[j, i]) * np.eye(d) for j in range(model.modes)])
-        big = -_block_diag([np.asarray(ptilde[j], dtype=float) for j in range(model.modes)])
-        big = big + V @ clock.value(i, 0.0) @ V.T
-        coll.add("coupling", i, 0.0, linalg.sym_eig_max(linalg.sym(big)), strict=False)
-    return coll.report(_theta_nodes(clock, dwell))
-
-
-def check_design_switched(model, ptilde, u, weights, clock, dwell, eps=0.0,
-                          strict_tol=STRICT_TOL, tol=SLACK_TOL):
-    """Synthesis-form conditions, switched loop.
-
-    flow         Sdot_i + S_i(tau) Abar_i' + Abar_i S_i(tau) <= 0
-    clock_bound  Ptilde_i - S_i(theta) + eps I <= 0 on the range
-    coupling     [[-S_i(0), V_i'], [V_i, -diag_j(Ptilde_j)]] <= 0,
-                 with V_i stacking sqrt(pi_ji) (Jbar0_ji S_i(0) + Jbar1 U_ji)
-    """
-    _require_kind(model, "switched", "check_design_switched")
-    pi = _design_inputs(model, ptilde, weights, clock)
-    d = model.dim
-    coll = _Collector(model.modes, strict_tol, tol)
-    coll.flag("eps_positive", eps > 0.0, eps)
-    for i in range(model.modes):
-        A = model.drift(i)
-        Pt = np.asarray(ptilde[i], dtype=float)
-        for k in range(len(clock.nodes) - 1):
-            Sdot = clock.slope(i, k)
-            for tau in (clock.nodes[k], clock.nodes[k + 1]):
-                S = clock.value(i, tau)
-                margin = linalg.sym_eig_max(linalg.sym(Sdot + S @ A.T + A @ S))
-                coll.add("flow", i, tau, margin, strict=False)
-        for theta in _theta_nodes(clock, dwell):
-            S = clock.value(i, theta)
-            margin = linalg.sym_eig_max(linalg.sym(Pt - S) + eps * np.eye(d))
-            coll.add("clock_bound", i, theta, margin, strict=False)
-        S0 = clock.value(i, 0.0)
-        rows = []
-        for j in range(model.modes):
-            u_ji = None if u is None else u[j][i]
-            if u_ji is not None:
-                F = model.jbar0[j][i] @ S0 + model.injection(j) @ u_ji
-            else:
-                F = model.jump(j, i) @ S0
-            rows.append(np.sqrt(pi[j, i]) * F)
-        V = np.vstack(rows)
-        big = np.block([
-            [-S0, V.T],
-            [V, -_block_diag([np.asarray(ptilde[j], dtype=float) for j in range(model.modes)])],
-        ])
-        coll.add("coupling", i, 0.0, linalg.sym_eig_max(linalg.sym(big)), strict=False)
-    return coll.report(_theta_nodes(clock, dwell))
-
-
-def _design_inputs(model, ptilde, weights, clock):
-    from .model import ModeWeights, validate_weights
-
-    if not isinstance(weights, ModeWeights):
-        weights = ModeWeights(weights)
-    diag = validate_weights(weights)
-    if not diag:
-        raise CertificateError(f"invalid mode weights: {diag.message}")
-    if weights.pi.shape[0] != model.modes:
-        raise CertificateError("mode weights do not match the model")
-    if len(ptilde) != model.modes:
-        raise CertificateError(f"expected {model.modes} Ptilde matrices")
-    if clock.modes != model.modes or clock.dim != model.dim:
-        raise CertificateError("clock family does not match the model")
-    for i, Pt in enumerate(ptilde):
-        if not linalg.is_pd(np.asarray(Pt, dtype=float), 0.0):
-            raise CertificateError(f"Ptilde[{i}] is not positive definite")
-        if not linalg.is_pd(clock.values[i][0], 0.0):
-            raise CertificateError(f"S[{i}](0) is not positive definite")
-    return weights.pi
-
-
-def _block_diag(mats):
-    d = sum(M.shape[0] for M in mats)
-    out = np.zeros((d, d))
-    at = 0
-    for M in mats:
-        k = M.shape[0]
-        out[at:at + k, at:at + k] = M
-        at += k
-    return out

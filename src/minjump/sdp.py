@@ -11,9 +11,16 @@ extracted.
 
 The algorithm is a standard infeasible-start primal-dual interior-point
 method with the HKM search direction and a Mehrotra predictor-corrector
-step, operating on dense per-block matrices.  Problem sizes here are tiny
-(blocks up to ~12x12, a few hundred scalar unknowns), so everything is
-dense and the Schur complement is formed explicitly.
+step.  Problem sizes here are tiny (blocks up to ~12x12, a few hundred
+scalar unknowns), so everything is dense and the Schur complement is formed
+explicitly.  Blocks of equal dimension and equal number of active unknowns
+are stacked, and each iteration works on whole stacks: batched inverses,
+Cholesky factors, step-length eigenvalues and einsum contractions.  Every
+sum and scatter over blocks still runs in the problem's block order, so the
+stacked iteration reproduces the arithmetic of a loop over single blocks
+bit for bit; the test suite keeps that loop as its reference.  Each
+iteration's mu, residuals, gap, eps, step lengths and centering parameter
+are kept in SdpSolution.history.
 
 eps is always bounded above by options.eps_cap through an internally added
 1x1 block; without it the margin objective is unbounded whenever the
@@ -21,7 +28,8 @@ remaining constraints are homogeneous.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,10 +213,58 @@ class SdpSolution:
     gap: float
     primal_infeas: float
     dual_infeas: float
+    history: tuple = ()
+
+
+class IterationRecord(NamedTuple):
+    """One solver iteration: the residuals it started from, then its step.
+
+    The step fields stay nan on the iteration that ends the loop before
+    taking a step.
+    """
+
+    mu: float
+    pinf: float
+    dinf: float
+    gap: float
+    eps: float
+    alpha_p: float = np.nan
+    alpha_d: float = np.nan
+    sigma: float = np.nan
+
+
+class _Stack:
+    """Scaled blocks of one shape: dimension d with k active unknowns.
+
+    G (n, k, d, d) holds the constraint matrices, idx (n, k) the unknowns
+    they belong to, Chat (n, d, d) the negated constants, and blocks (n,)
+    each member's position in the problem's block order.
+    """
+
+    def __init__(self, blocks, G, idx, C):
+        self.blocks = np.array(blocks, dtype=int)
+        self.G = np.array(G)
+        self.idx = np.array(idx, dtype=int)
+        self.Chat = -np.array(C)
+
+    def adjoint(self, v):
+        """sum_k v[idx_k] G_k for every member."""
+        n, k, d, _ = self.G.shape
+        return (v[self.idx][:, None, :] @ self.G.reshape(n, k, d * d)).reshape(n, d, d)
+
+    def apply(self, A):
+        """<G_k, A> for every member and active unknown: an (n, k) array."""
+        return np.einsum("nkab,nab->nk", self.G, A)
 
 
 class _Scalarized:
-    """Flat view: per-block stacks of constraint matrices over active unknowns."""
+    """Flat view: constraint matrices over active unknowns, stacked by shape.
+
+    Blocks with the same dimension and number of active unknowns share one
+    _Stack.  Every sum or scatter over blocks goes through block_sum or
+    scatter, which visit the members in the problem's block order, so the
+    stacked iteration rounds exactly as a loop over single blocks would.
+    """
 
     def __init__(self, problem, options):
         self.var_offset = {}
@@ -225,12 +281,8 @@ class _Scalarized:
         byname = {v.name: v for v in problem.variables}
 
         blocks = list(problem.blocks) + [_cap_block(problem.eps_name, options.eps_cap)]
-        self.dims = []
-        self.C = []        # scaled constants
-        self.scales = []
-        self.idxs = []     # active scalar indices per block
-        self.G = []        # scaled constraint stacks, aligned with idxs
-        for blk in blocks:
+        shapes = {}        # (dim, active unknowns) -> members (position, G, idx, C)
+        for l, blk in enumerate(blocks):
             contrib = {}
             for t in blk.terms:
                 v = byname[t.var]
@@ -257,12 +309,42 @@ class _Scalarized:
                 float(np.linalg.norm(blk.constant)),
                 float(np.abs(stack).max()) if len(idxs) else 0.0,
             )
-            self.dims.append(blk.dim)
-            self.scales.append(scale)
-            self.C.append(scale * 0.5 * (blk.constant + blk.constant.T))
-            self.idxs.append(np.array(idxs, dtype=int))
-            self.G.append(scale * stack)
-        self.total_dim = sum(self.dims)
+            shapes.setdefault((blk.dim, len(idxs)), []).append(
+                (l, scale * stack, idxs, scale * 0.5 * (blk.constant + blk.constant.T)))
+        self.stacks = [_Stack(*zip(*members)) for members in shapes.values()]
+        self.total_dim = sum(blk.dim for blk in blocks)
+
+        # Where each block's outputs sit once the stacks' per-member outputs
+        # (1, k or k*k values each) are flattened and concatenated.
+        self._block_order = self._order(lambda s: 1)
+        self._vector_order = self._order(lambda s: s.idx.shape[1])
+        self._matrix_order = self._order(lambda s: s.idx.shape[1] ** 2)
+        self._vector_at = self._ordered([s.idx for s in self.stacks], self._vector_order)
+        self._matrix_at = self._ordered(
+            [s.idx[:, :, None] * self.K + s.idx[:, None, :] for s in self.stacks],
+            self._matrix_order)
+
+    def _order(self, width):
+        owner = np.concatenate([np.repeat(s.blocks, width(s)) for s in self.stacks])
+        return np.argsort(owner, kind="stable")
+
+    @staticmethod
+    def _ordered(parts, order):
+        return np.concatenate([np.ravel(p) for p in parts])[order]
+
+    def block_sum(self, parts):
+        """Sum of per-member scalars (one (n,) array per stack) in block order."""
+        return sum(self._ordered(parts, self._block_order))
+
+    def scatter(self, ufunc, out, parts):
+        """ufunc.at per-member (n, k) vectors into out (K,), or (n, k, k)
+        matrices into out (K, K), visiting the blocks in order."""
+        if out.ndim == 1:
+            ufunc.at(out, self._vector_at, self._ordered(parts, self._vector_order))
+        else:
+            ufunc.at(out.reshape(-1), self._matrix_at,
+                     self._ordered(parts, self._matrix_order))
+        return out
 
     def b(self):
         out = np.zeros(self.K)
@@ -290,13 +372,52 @@ def _chol_with_jitter(M):
     raise np.linalg.LinAlgError("matrix not positive definite")
 
 
+def _chol_stack(A):
+    """Cholesky factors of a (n, d, d) stack; only failing members get jitter."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        L = np.empty_like(A)
+        for j, a in enumerate(A):
+            try:
+                L[j] = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                L[j] = _chol_with_jitter(a)
+        return L
+
+
 def _max_step(L, D):
-    """Largest alpha with X + alpha*D >= 0, given X = L L'."""
-    Y = np.linalg.solve(L, np.linalg.solve(L, D).T)
-    lam = float(np.linalg.eigvalsh(0.5 * (Y + Y.T)).min())
-    if lam >= -1e-16:
-        return np.inf
-    return -1.0 / lam
+    """Per member, the largest alpha with X + alpha*D >= 0, given X = L L'."""
+    Y = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, D), -1, -2))
+    lam = np.linalg.eigvalsh(_sym(Y)).min(axis=-1)
+    steps = np.full(len(lam), np.inf)
+    neg = lam < -1e-16
+    steps[neg] = -1.0 / lam[neg]
+    return steps
+
+
+def _steps(Lxs, dX, dS):
+    """Largest primal and dual steps keeping every member semidefinite.
+
+    Lxs[s] holds the Cholesky factors of stack s's X members, then its S
+    members.
+    """
+    steps = [_max_step(L, np.concatenate([dx, ds])) for L, dx, ds in zip(Lxs, dX, dS)]
+    return (min(st[:len(dx)].min() for st, dx in zip(steps, dX)),
+            min(st[len(dx):].min() for st, dx in zip(steps, dX)))
+
+
+def _sym(A):
+    # linalg.sym's arithmetic, kept private: the loop calls it dozens of
+    # times an iteration, and linalg's public functions are what a trace
+    # of the package records.
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _inner(A, B):
+    """Per-member Frobenius inner products of two (n, d, d) stacks."""
+    n = len(A)
+    return (A.reshape(n, 1, -1) @ B.reshape(n, -1, 1)).reshape(n)
 
 
 def solve(problem, options=None):
@@ -308,10 +429,10 @@ def solve(problem, options=None):
     options = options or SdpOptions()
     sc = _Scalarized(problem, options)
     try:
-        status, y, iters, gap, pinf, dinf = _iterate(sc, options)
+        status, y, iters, gap, pinf, dinf, history = _iterate(sc, options)
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
         status, y = "numerical_failure", np.zeros(sc.K)
-        iters, gap, pinf, dinf = 0, np.inf, np.inf, np.inf
+        iters, gap, pinf, dinf, history = 0, np.inf, np.inf, np.inf, ()
     values = _unflatten(problem, y)
     eps = float(y[sc.eps_index])
     res = residuals(problem, values)
@@ -325,6 +446,7 @@ def solve(problem, options=None):
         gap=gap,
         primal_infeas=pinf,
         dual_infeas=dinf,
+        history=history,
     )
 
 
@@ -338,40 +460,37 @@ def _unflatten(problem, y):
 
 
 def _iterate(sc, options):
-    nblk = len(sc.dims)
+    stacks = sc.stacks
     b = sc.b()
-    Chat = [-C for C in sc.C]
+    Chat = [s.Chat for s in stacks]
+    norms = [np.sqrt(_inner(Ch, Ch)) for Ch in Chat]
 
-    X = [np.eye(d) * (1.0 + np.linalg.norm(Ch)) for d, Ch in zip(sc.dims, Chat)]
-    S = [np.eye(d) * (1.0 + np.linalg.norm(Ch)) for d, Ch in zip(sc.dims, Chat)]
+    X = [np.eye(s.G.shape[-1]) * (1.0 + nrm)[:, None, None] for s, nrm in zip(stacks, norms)]
+    S = [x.copy() for x in X]
     y = np.zeros(sc.K)
 
     bnorm = 1.0 + np.linalg.norm(b)
-    cnorm = 1.0 + max(np.linalg.norm(Ch) for Ch in Chat)
+    cnorm = 1.0 + max(nrm.max() for nrm in norms)
     status = "max_iterations"
     it = 0
     slow = 0
     hist = []
+    history = []
     gap = pinf = dinf = np.inf
     best = None
     best_worst = np.inf
 
     for it in range(1, options.max_iter + 1):
         # residuals of the stationarity system
-        rp = b.copy()
-        for l in range(nblk):
-            rp[sc.idxs[l]] -= np.einsum("kab,ab->k", sc.G[l], X[l])
-        Rd = []
-        for l in range(nblk):
-            M = Chat[l] - S[l] - np.tensordot(y[sc.idxs[l]], sc.G[l], axes=(0, 0))
-            Rd.append(0.5 * (M + M.T))
-        mu = sum(np.tensordot(X[l], S[l]) for l in range(nblk)) / sc.total_dim
+        rp = sc.scatter(np.subtract, b.copy(), [s.apply(x) for s, x in zip(stacks, X)])
+        Rd = [_sym(Ch - Sl - s.adjoint(y)) for s, Ch, Sl in zip(stacks, Chat, S)]
+        mu = sc.block_sum([_inner(x, Sl) for x, Sl in zip(X, S)]) / sc.total_dim
         pinf = float(np.linalg.norm(rp)) / bnorm
-        dinf = max(float(np.linalg.norm(R)) for R in Rd) / cnorm
-        ip_cx = sum(np.tensordot(Chat[l], X[l]) for l in range(nblk))
+        dinf = max(float(np.sqrt(_inner(R, R)).max()) for R in Rd) / cnorm
+        ip_cx = sc.block_sum([_inner(Ch, x) for Ch, x in zip(Chat, X)])
         gap = abs(mu * sc.total_dim) / (1.0 + abs(b @ y) + abs(ip_cx))
-        log.debug("it %d mu=%.3e pinf=%.3e dinf=%.3e gap=%.3e eps=%.6e",
-                  it, mu, pinf, dinf, gap, y[sc.eps_index])
+        history.append(IterationRecord(*map(float, (mu, pinf, dinf, gap, y[sc.eps_index]))))
+        log.debug("it %d mu=%.3e pinf=%.3e dinf=%.3e gap=%.3e eps=%.6e", it, *history[-1][:5])
         if pinf <= options.tol and dinf <= options.tol and gap <= options.tol:
             status = "converged"
             break
@@ -386,21 +505,17 @@ def _iterate(sc, options):
             break
 
         try:
-            Sinv = [np.linalg.inv(S[l]) for l in range(nblk)]
-            Sinv = [0.5 * (Si + Si.T) for Si in Sinv]
-            M = np.zeros((sc.K, sc.K))
-            for l in range(nblk):
-                T2 = np.einsum("ab,kbc,cd->kad", X[l], sc.G[l], Sinv[l])
-                M[np.ix_(sc.idxs[l], sc.idxs[l])] += np.einsum("kab,jab->kj", T2, sc.G[l])
+            Sinv = [_sym(np.linalg.inv(Sl)) for Sl in S]
+            M = sc.scatter(np.add, np.zeros((sc.K, sc.K)), [
+                np.einsum("nkab,njab->nkj",
+                          np.einsum("nab,nkbc,ncd->nkad", x, s.G, Si), s.G)
+                for s, x, Si in zip(stacks, X, Sinv)])
             M = 0.5 * (M + M.T)
             L = _chol_with_jitter(M)
 
-            t1 = np.zeros(sc.K)
-            t3 = np.zeros(sc.K)
-            for l in range(nblk):
-                t1[sc.idxs[l]] += np.einsum("kab,ab->k", sc.G[l], Sinv[l])
-                W = Sinv[l] @ Rd[l] @ X[l]
-                t3[sc.idxs[l]] += np.einsum("kab,ab->k", sc.G[l], 0.5 * (W + W.T))
+            t1 = sc.scatter(np.add, np.zeros(sc.K), [s.apply(Si) for s, Si in zip(stacks, Sinv)])
+            t3 = sc.scatter(np.add, np.zeros(sc.K), [
+                s.apply(_sym(Si @ R @ x)) for s, Si, R, x in zip(stacks, Sinv, Rd, X)])
 
             def solve_dy(rhs):
                 dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
@@ -408,16 +523,13 @@ def _iterate(sc, options):
                 return dy + np.linalg.solve(L.T, np.linalg.solve(L, r))
 
             def directions(dy, sigmu, corr=None):
-                dS = []
+                dS = [_sym(R - s.adjoint(dy)) for s, R in zip(stacks, Rd)]
                 dX = []
-                for l in range(nblk):
-                    dSl = Rd[l] - np.tensordot(dy[sc.idxs[l]], sc.G[l], axes=(0, 0))
-                    dSl = 0.5 * (dSl + dSl.T)
-                    A = sigmu * Sinv[l] - X[l] - Sinv[l] @ dSl @ X[l]
+                for l, (Si, dSl, x) in enumerate(zip(Sinv, dS, X)):
+                    A = sigmu * Si - x - Si @ dSl @ x
                     if corr is not None:
-                        A = A - Sinv[l] @ corr[1][l] @ corr[0][l]
-                    dX.append(0.5 * (A + A.T))
-                    dS.append(dSl)
+                        A = A - Si @ corr[1][l] @ corr[0][l]
+                    dX.append(_sym(A))
                 return dX, dS
 
             # predictor (affine scaling)
@@ -425,38 +537,34 @@ def _iterate(sc, options):
             dX_aff, dS_aff = directions(dy_aff, 0.0)
 
             # Iterates can round to marginally indefinite near the boundary.
-            Lx = [_chol_with_jitter(0.5 * (X[l] + X[l].T)) for l in range(nblk)]
-            Ls = [_chol_with_jitter(0.5 * (S[l] + S[l].T)) for l in range(nblk)]
-            ap = min([1.0] + [_max_step(Lx[l], dX_aff[l]) for l in range(nblk)])
-            ad = min([1.0] + [_max_step(Ls[l], dS_aff[l]) for l in range(nblk)])
-            mu_aff = sum(
-                np.tensordot(X[l] + ap * dX_aff[l], S[l] + ad * dS_aff[l])
-                for l in range(nblk)
-            ) / sc.total_dim
+            Lxs = [_chol_stack(_sym(np.concatenate([x, Sl]))) for x, Sl in zip(X, S)]
+            ap, ad = (min(1.0, a) for a in _steps(Lxs, dX_aff, dS_aff))
+            mu_aff = sc.block_sum([
+                _inner(x + ap * dx, Sl + ad * ds)
+                for x, dx, Sl, ds in zip(X, dX_aff, S, dS_aff)]) / sc.total_dim
             sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
 
             # corrector
-            t4 = np.zeros(sc.K)
-            for l in range(nblk):
-                W = Sinv[l] @ dS_aff[l] @ dX_aff[l]
-                t4[sc.idxs[l]] += np.einsum("kab,ab->k", sc.G[l], 0.5 * (W + W.T))
+            t4 = sc.scatter(np.add, np.zeros(sc.K), [
+                s.apply(_sym(Si @ ds @ dx))
+                for s, Si, ds, dx in zip(stacks, Sinv, dS_aff, dX_aff)])
             dy = solve_dy(b - sigma * mu * t1 + t3 + t4)
             dX, dS = directions(dy, sigma * mu, corr=(dX_aff, dS_aff))
 
-            ap = min(1.0, options.step_frac * min(_max_step(Lx[l], dX[l]) for l in range(nblk)))
-            ad = min(1.0, options.step_frac * min(_max_step(Ls[l], dS[l]) for l in range(nblk)))
+            ap, ad = (min(1.0, options.step_frac * a) for a in _steps(Lxs, dX, dS))
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
+        history[-1] = history[-1]._replace(
+            alpha_p=float(ap), alpha_d=float(ad), sigma=float(sigma))
         if ap < 1e-10 and ad < 1e-10:
             slow += 1
             if slow >= 3:
                 break
         else:
             slow = 0
-        for l in range(nblk):
-            X[l] = X[l] + ap * dX[l]
-            S[l] = S[l] + ad * dS[l]
+        X = [x + ap * dx for x, dx in zip(X, dX)]
+        S = [Sl + ad * ds for Sl, ds in zip(S, dS)]
         y = y + ad * dy
         if not np.isfinite(y).all():
             status = "breakdown"
@@ -473,21 +581,27 @@ def _iterate(sc, options):
         status = "numerical_failure"
     else:
         status = "max_iterations"
-    return status, y, it, gap, pinf, dinf
+    return status, y, it, gap, pinf, dinf, tuple(history)
 
 
 def residuals(problem, values):
     """Recompute each block's largest eigenvalue at the given variable values.
 
-    Works from the structured block definitions (unscaled) and
-    linalg.sym_eig_max, independent of the solve() internals.  The implicit
-    eps*I on strict blocks is NOT included: for a strictly feasible solution
-    with margin eps the returned residuals sit at or below -eps.
+    Works from the structured block definitions (unscaled), independent of
+    the solve() internals; the blocks of each dimension go through one
+    stacked linalg.sym_eig_max call.  The implicit eps*I on strict blocks is
+    NOT included: for a strictly feasible solution with margin eps the
+    returned residuals sit at or below -eps.
     """
-    out = []
-    for blk in problem.blocks:
+    by_dim = {}
+    for l, blk in enumerate(problem.blocks):
         M = np.array(blk.constant, dtype=float)
         for t in blk.terms:
             M = M + t.value(values[t.var])
-        out.append(linalg.sym_eig_max(0.5 * (M + M.T)))
+        by_dim.setdefault(blk.dim, []).append((l, 0.5 * (M + M.T)))
+    out = [None] * len(problem.blocks)
+    for members in by_dim.values():
+        positions, stack = zip(*members)
+        for l, top in zip(positions, linalg.sym_eig_max(np.array(stack))):
+            out[l] = float(top)
     return out

@@ -3,10 +3,15 @@
 Everything here is deliberately written with different algorithms than the
 package under test (Taylor series instead of a rational approximant, power
 iteration and cyclic Jacobi sweeps instead of LAPACK, one dwell point at a
-time instead of stacked evaluation) so agreement is meaningful.
+time instead of stacked evaluation) so agreement is meaningful.  The one
+exception is blockwise_iterate: the interior-point loop of minjump.sdp
+written one constraint block at a time, whose floating-point results the
+shape-stacked solver must reproduce exactly.
 """
 
 import numpy as np
+
+from minjump import sdp
 
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
@@ -158,3 +163,167 @@ def brute_min_mode(P_list, v):
         if vals[i] < vals[best]:
             best = i
     return best, vals
+
+
+def _blockwise_view(sc):
+    """Per-block dims, negated constants, active indices and G stacks."""
+    members = sorted((l, s, j) for s in sc.stacks for j, l in enumerate(s.blocks))
+    dims = [s.G.shape[-1] for _, s, _ in members]
+    Chat = [s.Chat[j] for _, s, j in members]
+    idxs = [s.idx[j] for _, s, j in members]
+    G = [s.G[j] for _, s, j in members]
+    return dims, Chat, idxs, G
+
+
+def _blockwise_max_step(L, D):
+    """Largest alpha with X + alpha*D >= 0, given X = L L'."""
+    Y = np.linalg.solve(L, np.linalg.solve(L, D).T)
+    lam = float(np.linalg.eigvalsh(0.5 * (Y + Y.T)).min())
+    if lam >= -1e-16:
+        return np.inf
+    return -1.0 / lam
+
+
+def blockwise_iterate(sc, options):
+    """The interior-point iteration of minjump.sdp, one block at a time.
+
+    sc is the solver's scalarized problem; its shape stacks are split back
+    into per-block lists in the problem's block order.  Returns (status, y,
+    iterations, gap, pinf, dinf).  The stacked solver must reproduce every
+    one of these bit for bit.
+    """
+    dims, Chat, idxs, G = _blockwise_view(sc)
+    total_dim = sum(dims)
+    nblk = len(dims)
+    b = sc.b()
+
+    X = [np.eye(d) * (1.0 + np.linalg.norm(Ch)) for d, Ch in zip(dims, Chat)]
+    S = [np.eye(d) * (1.0 + np.linalg.norm(Ch)) for d, Ch in zip(dims, Chat)]
+    y = np.zeros(sc.K)
+
+    bnorm = 1.0 + np.linalg.norm(b)
+    cnorm = 1.0 + max(np.linalg.norm(Ch) for Ch in Chat)
+    status = "max_iterations"
+    it = 0
+    slow = 0
+    hist = []
+    gap = pinf = dinf = np.inf
+    best = None
+    best_worst = np.inf
+
+    for it in range(1, options.max_iter + 1):
+        # residuals of the stationarity system
+        rp = b.copy()
+        for l in range(nblk):
+            rp[idxs[l]] -= np.einsum("kab,ab->k", G[l], X[l])
+        Rd = []
+        for l in range(nblk):
+            M = Chat[l] - S[l] - np.tensordot(y[idxs[l]], G[l], axes=(0, 0))
+            Rd.append(0.5 * (M + M.T))
+        mu = sum(np.tensordot(X[l], S[l]) for l in range(nblk)) / total_dim
+        pinf = float(np.linalg.norm(rp)) / bnorm
+        dinf = max(float(np.linalg.norm(R)) for R in Rd) / cnorm
+        ip_cx = sum(np.tensordot(Chat[l], X[l]) for l in range(nblk))
+        gap = abs(mu * total_dim) / (1.0 + abs(b @ y) + abs(ip_cx))
+        if pinf <= options.tol and dinf <= options.tol and gap <= options.tol:
+            status = "converged"
+            break
+        worst = max(pinf, dinf, gap)
+        if worst < best_worst:
+            best_worst, best = worst, (y.copy(), gap, pinf, dinf)
+        hist.append(worst)
+        # rounding floor: already acceptably accurate, and the last 8 sweeps
+        # failed to improve on the earlier best, so more polishing is futile
+        if (best_worst <= 1e-7 and len(hist) > 8
+                and min(hist[-8:]) > 0.9 * min(hist[:-8])):
+            break
+
+        try:
+            Sinv = [np.linalg.inv(S[l]) for l in range(nblk)]
+            Sinv = [0.5 * (Si + Si.T) for Si in Sinv]
+            M = np.zeros((sc.K, sc.K))
+            for l in range(nblk):
+                T2 = np.einsum("ab,kbc,cd->kad", X[l], G[l], Sinv[l])
+                M[np.ix_(idxs[l], idxs[l])] += np.einsum("kab,jab->kj", T2, G[l])
+            M = 0.5 * (M + M.T)
+            L = sdp._chol_with_jitter(M)
+
+            t1 = np.zeros(sc.K)
+            t3 = np.zeros(sc.K)
+            for l in range(nblk):
+                t1[idxs[l]] += np.einsum("kab,ab->k", G[l], Sinv[l])
+                W = Sinv[l] @ Rd[l] @ X[l]
+                t3[idxs[l]] += np.einsum("kab,ab->k", G[l], 0.5 * (W + W.T))
+
+            def solve_dy(rhs):
+                dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+                r = rhs - M @ dy  # one refinement pass; M gets badly conditioned
+                return dy + np.linalg.solve(L.T, np.linalg.solve(L, r))
+
+            def directions(dy, sigmu, corr=None):
+                dS = []
+                dX = []
+                for l in range(nblk):
+                    dSl = Rd[l] - np.tensordot(dy[idxs[l]], G[l], axes=(0, 0))
+                    dSl = 0.5 * (dSl + dSl.T)
+                    A = sigmu * Sinv[l] - X[l] - Sinv[l] @ dSl @ X[l]
+                    if corr is not None:
+                        A = A - Sinv[l] @ corr[1][l] @ corr[0][l]
+                    dX.append(0.5 * (A + A.T))
+                    dS.append(dSl)
+                return dX, dS
+
+            # predictor (affine scaling)
+            dy_aff = solve_dy(b + t3)
+            dX_aff, dS_aff = directions(dy_aff, 0.0)
+
+            # Iterates can round to marginally indefinite near the boundary.
+            Lx = [sdp._chol_with_jitter(0.5 * (X[l] + X[l].T)) for l in range(nblk)]
+            Ls = [sdp._chol_with_jitter(0.5 * (S[l] + S[l].T)) for l in range(nblk)]
+            ap = min([1.0] + [_blockwise_max_step(Lx[l], dX_aff[l]) for l in range(nblk)])
+            ad = min([1.0] + [_blockwise_max_step(Ls[l], dS_aff[l]) for l in range(nblk)])
+            mu_aff = sum(
+                np.tensordot(X[l] + ap * dX_aff[l], S[l] + ad * dS_aff[l])
+                for l in range(nblk)
+            ) / total_dim
+            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
+
+            # corrector
+            t4 = np.zeros(sc.K)
+            for l in range(nblk):
+                W = Sinv[l] @ dS_aff[l] @ dX_aff[l]
+                t4[idxs[l]] += np.einsum("kab,ab->k", G[l], 0.5 * (W + W.T))
+            dy = solve_dy(b - sigma * mu * t1 + t3 + t4)
+            dX, dS = directions(dy, sigma * mu, corr=(dX_aff, dS_aff))
+
+            ap = min(1.0, options.step_frac * min(_blockwise_max_step(Lx[l], dX[l]) for l in range(nblk)))
+            ad = min(1.0, options.step_frac * min(_blockwise_max_step(Ls[l], dS[l]) for l in range(nblk)))
+        except np.linalg.LinAlgError:
+            status = "breakdown"
+            break
+        if ap < 1e-10 and ad < 1e-10:
+            slow += 1
+            if slow >= 3:
+                break
+        else:
+            slow = 0
+        for l in range(nblk):
+            X[l] = X[l] + ap * dX[l]
+            S[l] = S[l] + ad * dS[l]
+        y = y + ad * dy
+        if not np.isfinite(y).all():
+            status = "breakdown"
+            y = best[0] if best is not None else np.zeros(sc.K)
+            break
+
+    if status != "converged" and best is not None and best_worst < max(pinf, dinf, gap):
+        y, gap, pinf, dinf = best
+    eps = float(y[sc.eps_index])
+    loose = 1e-7
+    if status == "converged" or (pinf <= loose and dinf <= loose and gap <= loose):
+        status = "infeasible" if eps < -options.tol else "optimal"
+    elif status == "breakdown":
+        status = "numerical_failure"
+    else:
+        status = "max_iterations"
+    return status, y, it, gap, pinf, dinf
