@@ -348,24 +348,17 @@ def cmd_simulate(args):
         raise ConfigError("run block needs x0 for simulation")
     x0 = _vec(run["x0"], "run.x0")
     u0 = _vec(run.get("u0"), "run.u0")
-    kind = run.get("kind", "uniform_random")
     seq = sim.gen_sequence(
-        dwell, kind,
+        dwell, run.get("kind", "uniform_random"),
         count=_num(_run_value(cfg, args, "steps", 100), "run.steps", int),
         seed=_num(_run_value(cfg, args, "seed"), "run.seed", int),
         period=run.get("period"),
     )
     substeps = _num(_run_value(cfg, args, "substeps", 1), "run.substeps", int)
+    initial_mode = _num(run.get("initial_mode", 0), "run.initial_mode", int)
     try:
-        if model.kind == "impulsive":
-            traj = sim.simulate_impulsive(model, cert, seq, x0, u0=u0,
-                                          substeps=substeps)
-        else:
-            traj = sim.simulate_switched(
-                model, cert, seq, x0, u0=u0,
-                initial_mode=_num(run.get("initial_mode", 0),
-                                  "run.initial_mode", int),
-                substeps=substeps)
+        traj = sim.simulate(model, cert, seq, x0, u0=u0, initial_mode=initial_mode,
+                            substeps=substeps)
     except DivergenceError as exc:
         _emit({"status": "diverged", "last_time": exc.last_time,
                "message": str(exc)})
@@ -499,12 +492,7 @@ def cmd_example(args):
                                count=int(run.get("steps", 100)),
                                seed=run.get("seed"), period=run.get("period"))
         try:
-            if model.kind == "impulsive":
-                traj = sim.simulate_impulsive(model, cert, seq, run["x0"],
-                                              u0=run.get("u0"))
-            else:
-                traj = sim.simulate_switched(model, cert, seq, run["x0"],
-                                             u0=run.get("u0"))
+            traj = sim.simulate(model, cert, seq, run["x0"], u0=run.get("u0"))
         except DivergenceError as exc:
             _print_table("simulation", [("status", f"diverged at t = {exc.last_time}")])
             failures += 1

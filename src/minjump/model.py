@@ -12,7 +12,8 @@ The switched variant carries one drift per mode and one jump map per
 ordered mode pair (new mode j, previous mode i).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -278,6 +279,16 @@ class AugmentedModel:
         return self._assemble(
             self.jbar0[j][i], self.jbar1[j], self.gains[j][i], f"modes ({j}, {i})"
         )
+
+    @cached_property
+    def jump_table(self):
+        """Every jump map in one read-only (modes, sources, dim, dim) array:
+        [j, i] = jump(j, i) when switched, [j, 0] = jump(j) when impulsive."""
+        N = self.modes
+        table = np.array([[self.jump(j)] if self.kind == "impulsive" else
+                          [self.jump(j, i) for i in range(N)] for j in range(N)])
+        table.setflags(write=False)
+        return table
 
     def with_gains(self, gains):
         rows = self.jbar1.shape[1] if self.kind == "impulsive" else [

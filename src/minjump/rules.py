@@ -4,10 +4,12 @@ At each sample the controller measures chi = (x, u) and picks the next mode
 as the argmin of mode-indexed quadratic forms.  For the impulsive loop the
 forms are chi' P_i chi; for the switched loop each candidate's jump map is
 folded in first, chi' Jbar_{j,i}' P_j Jbar_{j,i} chi, so the score is the
-post-jump value of the candidate's own storage function.
+post-jump value of the candidate's own storage function.  All candidates
+are scored in one stacked evaluation, and ties go to the lowest index.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +64,13 @@ class MinJumpCertificate:
     def dim(self):
         return self.P[0].shape[0]
 
+    @cached_property
+    def stacked(self):
+        """The P_i as one read-only (modes, dim, dim) array."""
+        S = np.stack(self.P)
+        S.setflags(write=False)
+        return S
+
     def scaled(self, alpha):
         """Same rule with every P_i multiplied by alpha > 0."""
         if alpha <= 0.0:
@@ -73,20 +82,24 @@ def _check_state(chi, dim):
     chi = np.asarray(chi, dtype=float).reshape(-1)
     if chi.shape[0] != dim:
         raise ModelError(f"state has length {chi.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(chi)):
+    if not np.isfinite(chi).all():
         raise NumericError("state contains non-finite entries")
     return chi
 
 
+def _forms(W, P):
+    """w' P_k w for stacked P (..., d, d); W is one state (d,) or a row per P_k."""
+    return np.einsum("...d,...de,...e->...", W, P, W)
+
+
+def _argmin_forms(W, P):
+    """Index of the smallest form _forms(W, P); ties go to the lowest index."""
+    return int(_forms(W, P).argmin())
+
+
 def select_impulsive(chi, cert):
     """argmin_i chi' P_i chi, smallest index on ties."""
-    chi = _check_state(chi, cert.dim)
-    best, best_val = 0, float(chi @ cert.P[0] @ chi)
-    for i in range(1, cert.modes):
-        val = float(chi @ cert.P[i] @ chi)
-        if val < best_val:
-            best, best_val = i, val
-    return best
+    return _argmin_forms(_check_state(chi, cert.dim), cert.stacked)
 
 
 def select_switched(chi, current_mode, cert, model):
@@ -96,10 +109,4 @@ def select_switched(chi, current_mode, cert, model):
     if not 0 <= current_mode < model.modes:
         raise ModelError(f"current mode {current_mode} out of range")
     chi = _check_state(chi, cert.dim)
-    best, best_val = 0, None
-    for j in range(model.modes):
-        w = model.jump(j, current_mode) @ chi
-        val = float(w @ cert.P[j] @ w)
-        if best_val is None or val < best_val:
-            best, best_val = j, val
-    return best
+    return _argmin_forms(model.jump_table[:, current_mode] @ chi, cert.stacked)

@@ -1,9 +1,14 @@
 """Closed-loop simulation under the min-jumping rules.
 
 Flows are computed with the matrix exponential only (no ODE integrator),
-so dense samples are exact up to rounding.  Trajectories are recorded with
-both the pre-jump and the post-jump state at every sampling instant; the
-state stored at t_k in the dense arrays is the pre-jump limit.
+so dense samples are exact up to rounding.  Both loops run through one
+sample kernel.  Per run it takes the certificate's stacked P_i, the
+model's jump table (assembled once per model) and one expm stack per drift
+over the distinct dwells only, so periodic sampling costs one exponential.
+Per sample it fires the rule, jumps, flows and guards each new state once.
+Trajectories are recorded with both the pre-jump and the post-jump state
+at every sampling instant; the state stored at t_k in the dense arrays is
+the pre-jump limit.
 
 V(k) is the value the jump rule minimized at sample k: the selected mode's
 quadratic form at chi(t_k) for the impulsive rule, and at chi(t_k+) for
@@ -17,39 +22,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DivergenceError, ModelError
-from .rules import select_impulsive, select_switched
+from .errors import ConfigError, DivergenceError, ModelError, NumericError
+from .rules import _forms, select_impulsive, select_switched
 
 DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class SamplingSequence:
-    """Jump instants t_0 = 0 < t_1 < ... < t_K."""
+    """Jump instants t_0 = 0 < t_1 < ... < t_K and the dwells between them.
+
+    Given times, the dwells are their differences.  Given dwells, the times
+    are their running sums and the flows use the dwells as given, so a
+    periodic sequence keeps a single dwell value.
+    """
 
     times: tuple
+    dwells: tuple
 
-    def __init__(self, times, dwell=None):
+    def __init__(self, times=None, dwell=None, dwells=None):
+        if dwells is not None:
+            dwells = tuple(float(h) for h in dwells)
+            times = np.concatenate([[0.0], np.cumsum(dwells)])
         times = tuple(float(t) for t in times)
         if not times or times[0] != 0.0:
             raise ConfigError("sampling sequence must start at t = 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError("sampling times must be strictly increasing")
+        if any(not a < b for a, b in zip(times, times[1:])) or not np.isfinite(times[-1]):
+            raise ConfigError("sampling times must be finite and strictly increasing")
+        if dwells is None:
+            dwells = tuple(b - a for a, b in zip(times, times[1:]))
         if dwell is not None:
             tol = 1e-12 * max(1.0, dwell.t_max)
-            for a, b in zip(times, times[1:]):
-                if not (dwell.t_min - tol <= b - a <= dwell.t_max + tol):
+            for h in dwells:
+                if not (dwell.t_min - tol <= h <= dwell.t_max + tol):
                     raise ConfigError(
-                        f"dwell {b - a!r} outside [{dwell.t_min}, {dwell.t_max}]"
+                        f"dwell {h!r} outside [{dwell.t_min}, {dwell.t_max}]"
                     )
         object.__setattr__(self, "times", times)
-
-    @property
-    def dwells(self):
-        return tuple(b - a for a, b in zip(self.times, self.times[1:]))
-
-    def __len__(self):
-        return len(self.times)
+        object.__setattr__(self, "dwells", dwells)
 
 
 def gen_sequence(dwell, kind, count, seed=None, period=None):
@@ -77,8 +87,7 @@ def gen_sequence(dwell, kind, count, seed=None, period=None):
         dwells = rng.uniform(dwell.t_min, dwell.t_max, size=count)
     else:
         raise ConfigError(f"unknown sequence kind {kind!r}")
-    times = np.concatenate([[0.0], np.cumsum(dwells)])
-    return SamplingSequence(times, dwell)
+    return SamplingSequence(dwell=dwell, dwells=dwells)
 
 
 @dataclass(frozen=True)
@@ -112,85 +121,93 @@ class Trajectory:
         return self.pre_states.shape[1] - self.n
 
 
-class _Recorder:
-    def __init__(self, samples, intervals, dim, substeps):
-        self.modes = np.zeros(samples, dtype=int)
-        self.pre = np.zeros((samples, dim))
-        self.post = np.zeros((samples, dim))
-        self.V = np.zeros(samples)
-        self.dense_t = np.zeros(intervals * substeps)
-        self.dense_x = np.zeros((intervals * substeps, dim))
-        self.dense_m = np.zeros(intervals * substeps, dtype=int)
-        self.substeps = substeps
-
-    def sample(self, k, mode, pre, post, value):
-        self.modes[k] = mode
-        self.pre[k] = pre
-        self.post[k] = post
-        self.V[k] = value
-
-    def finish(self, kind, n, times):
-        times = np.asarray(times, dtype=float)
-        arrays = (times, self.modes, self.pre, self.post, self.V,
-                  self.dense_t, self.dense_x, self.dense_m)
-        for a in arrays:
-            a.setflags(write=False)
-        return Trajectory(kind, n, times, self.modes, self.pre, self.post,
-                          self.V, self.dense_t, self.dense_x, self.dense_m,
-                          self.substeps)
-
-
 def _initial_state(model, x0, u0):
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != model.n:
-        raise ModelError(f"x0 has length {x0.shape[0]}, expected {model.n}")
-    if u0 is None:
-        u0 = np.zeros(model.m)
-    u0 = np.asarray(u0, dtype=float).reshape(-1)
-    if u0.shape[0] != model.m:
-        raise ModelError(f"u0 has length {u0.shape[0]}, expected {model.m}")
+    u0 = np.zeros(model.m) if u0 is None else np.asarray(u0, dtype=float).reshape(-1)
+    for v, size, name in ((x0, model.n, "x0"), (u0, model.m, "u0")):
+        if v.shape[0] != size:
+            raise ModelError(f"{name} has length {v.shape[0]}, expected {size}")
     return np.concatenate([x0, u0])
 
 
-def _guard(chi, t, last_ok):
-    if not np.all(np.isfinite(chi)) or np.linalg.norm(chi) > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"state norm exceeded {DIVERGENCE_LIMIT:g} at t = {t:g}"
-            f" (last finite time {last_ok:g})",
-            last_time=last_ok,
-        )
+def _exponentials(A, steps):
+    """e^{A h} for each step h.  A member that overflows is nan, so it is an
+    error only once the march reaches it, after any earlier divergence."""
+    try:
+        return linalg.expm(A, steps)
+    except NumericError:  # bisect down to the members that overflow
+        if len(steps) == 1:
+            return np.full((1,) + A.shape, np.nan)
+        half = len(steps) // 2
+        return np.concatenate([_exponentials(A, steps[:half]),
+                               _exponentials(A, steps[half:])])
 
 
-def _flow(rec, k, E, t0, step, chi, mode):
-    """March chi through interval k in steps E = e^{A step}; returns the pre-jump state."""
-    at = k * rec.substeps
-    for q in range(1, rec.substeps + 1):
-        chi = E @ chi
-        t = t0 + q * step
-        _guard(chi, t, t0 + (q - 1) * step)
-        rec.dense_t[at + q - 1] = t
-        rec.dense_x[at + q - 1] = chi
-        rec.dense_m[at + q - 1] = mode
-    return chi
+def _diverged(t, last_ok, E=None):
+    if E is not None and not np.all(np.isfinite(E)):
+        raise NumericError(f"expm overflowed on the flow ending at t = {t:g}")
+    raise DivergenceError(f"state norm exceeded {DIVERGENCE_LIMIT:g} at t = {t:g}"
+                          f" (last finite time {last_ok:g})", last_time=last_ok)
 
 
-def _common(model, cert, seq, x0, u0, substeps, kind):
+def _march(model, cert, seq, x0, u0, substeps, kind, select, current=0):
+    """The sample loop both simulators share: fire the rule, jump, flow.
+
+    select(chi, current) returns the new mode; current is the jump table's
+    source column and the drift of the interval that follows, so it stays
+    0 for an impulsive model and follows the selected mode for a switched
+    one.  Every new state passes one guard, chi' chi <= DIVERGENCE_LIMIT^2,
+    which also rejects inf and nan.
+    """
     if model.kind != kind:
         raise ModelError(f"simulate_{kind} requires a {kind} model")
     if substeps < 1:
         raise ConfigError("substeps must be at least 1")
-    if cert.dim != model.dim:
-        raise ModelError(
-            f"certificate dimension {cert.dim} does not match model {model.dim}"
-        )
-    if cert.modes != model.modes:
-        raise ModelError(
-            f"certificate has {cert.modes} modes, model has {model.modes}"
-        )
+    if (cert.modes, cert.dim) != (model.modes, model.dim):
+        raise ModelError(f"certificate has {cert.modes} modes of dimension {cert.dim},"
+                         f" model {model.modes} of dimension {model.dim}")
+    if not 0 <= current < model.modes:
+        raise ModelError(f"initial mode {current} out of range")
     chi = _initial_state(model, x0, u0)
-    K = len(seq.times) - 1
-    steps = np.diff(seq.times) / substeps
-    return chi, K, steps, _Recorder(K + 1, K, model.dim, substeps)
+    times = np.asarray(seq.times)
+    K = len(times) - 1
+    steps = np.asarray(seq.dwells) / substeps
+    # one exponential per distinct step, made on the drift's first use
+    distinct, where = np.unique(steps, return_inverse=True)
+    flows = {}
+    table = model.jump_table
+    switched = kind == "switched"
+    limit = DIVERGENCE_LIMIT ** 2
+    modes = np.zeros(K + 1, dtype=int)
+    pre, post = np.zeros((2, K + 1, model.dim))
+    dense = np.zeros((K, substeps, model.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not chi @ chi <= limit:
+            _diverged(0.0, 0.0)
+        for k in range(K + 1):
+            mode = select(chi, current)
+            modes[k] = mode
+            pre[k] = chi
+            post[k] = chi = table[mode, current] @ chi
+            if k == K:
+                break
+            current = mode if switched else 0
+            if current not in flows:
+                flows[current] = _exponentials(model.drift(current), distinct)
+            E = flows[current][where[k]]
+            for q in range(substeps):
+                chi = E @ chi
+                if not chi @ chi <= limit:
+                    _diverged(times[k] + (q + 1) * steps[k], times[k] + q * steps[k], E)
+                dense[k, q] = chi
+    dense_t = times[:-1, None] + np.arange(1, substeps + 1) * steps[:, None]
+    arrays = (times, modes, pre, post,
+              _forms(post if switched else pre, cert.stacked[modes]),
+              dense_t.ravel(), dense.reshape(K * substeps, model.dim),
+              np.repeat(modes[:-1], substeps))
+    for a in arrays:
+        a.setflags(write=False)
+    return Trajectory(kind, model.n, *arrays, substeps)
 
 
 def simulate_impulsive(model, cert, seq, x0, u0=None, substeps=1):
@@ -199,18 +216,8 @@ def simulate_impulsive(model, cert, seq, x0, u0=None, substeps=1):
     The rule fires at every sampling instant including t_0 = 0.  Raises
     DivergenceError when the state norm passes DIVERGENCE_LIMIT.
     """
-    chi, K, steps, rec = _common(model, cert, seq, x0, u0, substeps, "impulsive")
-    flow = linalg.expm(model.drift(), steps)
-    for k in range(K + 1):
-        t = seq.times[k]
-        _guard(chi, t, seq.times[max(k - 1, 0)])
-        mode = select_impulsive(chi, cert)
-        value = float(chi @ cert.P[mode] @ chi)
-        post = model.jump(mode) @ chi
-        rec.sample(k, mode, chi, post, value)
-        if k < K:
-            chi = _flow(rec, k, flow[k], t, steps[k], post, mode)
-    return rec.finish("impulsive", model.n, seq.times)
+    return _march(model, cert, seq, x0, u0, substeps, "impulsive",
+                  lambda chi, i: select_impulsive(chi, cert))
 
 
 def simulate_switched(model, cert, seq, x0, u0=None, initial_mode=0,
@@ -221,35 +228,22 @@ def simulate_switched(model, cert, seq, x0, u0=None, initial_mode=0,
     post-jump form from the current mode; the winner's jump map is applied
     and its drift governs the next interval.
     """
-    chi, K, steps, rec = _common(model, cert, seq, x0, u0, substeps, "switched")
-    if not 0 <= initial_mode < model.modes:
-        raise ModelError(f"initial mode {initial_mode} out of range")
-    # each mode's exponentials for every interval, made on the mode's first
-    # visit so that a mode the rule never selects costs nothing
-    flows = {}
-    current = initial_mode
-    for k in range(K + 1):
-        t = seq.times[k]
-        _guard(chi, t, seq.times[max(k - 1, 0)])
-        mode = select_switched(chi, current, cert, model)
-        post = model.jump(mode, current) @ chi
-        value = float(post @ cert.P[mode] @ post)
-        rec.sample(k, mode, chi, post, value)
-        if k < K:
-            if mode not in flows:
-                flows[mode] = linalg.expm(model.drift(mode), steps)
-            chi = _flow(rec, k, flows[mode][k], t, steps[k], post, mode)
-        current = mode
-    return rec.finish("switched", model.n, seq.times)
+    return _march(model, cert, seq, x0, u0, substeps, "switched",
+                  lambda chi, i: select_switched(chi, i, cert, model),
+                  initial_mode)
+
+
+def simulate(model, cert, seq, x0, u0=None, initial_mode=0, substeps=1):
+    """Run the loop of the model's kind; initial_mode applies to switched models."""
+    if model.kind == "impulsive":
+        return simulate_impulsive(model, cert, seq, x0, u0, substeps)
+    return simulate_switched(model, cert, seq, x0, u0, initial_mode, substeps)
 
 
 def lyapunov_trace(traj, cert):
     """Recompute V(k) from the recorded states and selected modes."""
     states = traj.pre_states if traj.kind == "impulsive" else traj.post_states
-    return np.array([
-        float(states[k] @ cert.P[traj.modes[k]] @ states[k])
-        for k in range(traj.samples)
-    ])
+    return _forms(states, cert.stacked[traj.modes])
 
 
 def write_csv(traj, path):

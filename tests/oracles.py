@@ -3,15 +3,22 @@
 Everything here is deliberately written with different algorithms than the
 package under test (Taylor series instead of a rational approximant, power
 iteration and cyclic Jacobi sweeps instead of LAPACK, one dwell point at a
-time instead of stacked evaluation) so agreement is meaningful.  The one
-exception is blockwise_iterate: the interior-point loop of minjump.sdp
+time instead of stacked evaluation) so agreement is meaningful.  Two are
+the package's earlier loops, kept as references for their stacked
+replacements: blockwise_iterate, the interior-point loop of minjump.sdp
 written one constraint block at a time, whose floating-point results the
-shape-stacked solver must reproduce exactly.
+shape-stacked solver must reproduce exactly; and loop_simulate, the
+per-sample simulator that scores one mode and assembles one jump map at a
+time.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from minjump import sdp
+from minjump import linalg, sdp
+from minjump.errors import DivergenceError
+from minjump.sim import DIVERGENCE_LIMIT
 
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
@@ -157,12 +164,78 @@ def quad_form(P, v):
 
 def brute_min_mode(P_list, v):
     """Argmin of the quadratic forms, smallest index on ties."""
-    vals = [quad_form(P, v) for P in P_list]
+    return brute_min_mode_each(P_list, [v] * len(P_list))
+
+
+def brute_min_mode_each(P_list, vs):
+    """Argmin over i of vs[i]' P_i vs[i], smallest index on ties."""
+    vals = [quad_form(P, v) for P, v in zip(P_list, vs)]
     best = 0
     for i in range(1, len(vals)):
         if vals[i] < vals[best]:
             best = i
     return best, vals
+
+
+def _loop_guard(chi, t, last_ok):
+    if not np.all(np.isfinite(chi)) or np.linalg.norm(chi) > DIVERGENCE_LIMIT:
+        raise DivergenceError(
+            f"state norm exceeded {DIVERGENCE_LIMIT:g} at t = {t:g}"
+            f" (last finite time {last_ok:g})",
+            last_time=last_ok,
+        )
+
+
+def loop_simulate(model, cert, seq, x0, u0=None, initial_mode=0, substeps=1):
+    """Closed loop of either kind, one sample, one mode and one step at a time.
+
+    At each sample the state is guarded, every candidate mode is scored by
+    its own form (pre-jump chi for the impulsive rule, the candidate's
+    post-jump state for the switched rule) with ties to the lowest index,
+    the winner's jump map is assembled and applied, and the interval is
+    marched in substeps with that drift's exponential from one stacked
+    call over every interval.  Returns the per-sample modes, pre- and
+    post-jump states, values V and the dense times and states; raises
+    DivergenceError as the package's simulators do.
+    """
+    switched = model.kind == "switched"
+    u0 = np.zeros(model.m) if u0 is None else u0
+    chi = np.concatenate([np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)])
+    times = seq.times
+    K = len(times) - 1
+    steps = np.asarray(seq.dwells) / substeps
+    out = SimpleNamespace(modes=[], pre=[], post=[], V=[], dense_t=[], dense=[])
+    flows = {}
+    current = initial_mode
+    for k in range(K + 1):
+        t = times[k]
+        _loop_guard(chi, t, times[max(k - 1, 0)])
+        if switched:
+            cands = [model.jump(j, current) @ chi for j in range(model.modes)]
+        else:
+            cands = [chi] * model.modes
+        mode, _ = brute_min_mode_each(cert.P, cands)
+        post = model.jump(mode, current) @ chi if switched else model.jump(mode) @ chi
+        scored = post if switched else chi
+        out.modes.append(mode)
+        out.pre.append(chi)
+        out.post.append(post)
+        out.V.append(float(scored @ cert.P[mode] @ scored))
+        if k < K:
+            drift = mode if switched else 0
+            if drift not in flows:
+                flows[drift] = linalg.expm(model.drift(drift), steps)
+            chi = post
+            for q in range(1, substeps + 1):
+                chi = flows[drift][k] @ chi
+                _loop_guard(chi, t + q * steps[k], t + (q - 1) * steps[k])
+                out.dense_t.append(t + q * steps[k])
+                out.dense.append(chi)
+        current = mode
+    return SimpleNamespace(modes=np.array(out.modes), pre=np.array(out.pre),
+                           post=np.array(out.post), V=np.array(out.V),
+                           dense_t=np.array(out.dense_t),
+                           dense=np.array(out.dense).reshape(-1, model.dim))
 
 
 def _blockwise_view(sc):

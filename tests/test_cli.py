@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from minjump import DwellRange, gen_sequence
 from minjump.cli import main
 
 from conftest import EX1_A, EX1_B, EX1_J, EX1_PI, EX1_P, EX2_A, EX2_J, EX2_PI, EX2_P
@@ -160,6 +161,23 @@ def test_simulate_divergence_exits_one(tmp_path, capsys):
     assert main(["simulate", _write(tmp_path, "div.json", cfg)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "diverged"
+
+
+def test_simulate_divergence_before_overflow_exits_one(tmp_path, capsys):
+    # the first dwell drives the state past 1e12; a later one overflows expm
+    cfg = {
+        "system": {"type": "impulsive", "A": [[30.0]], "J": [[[1.0]]]},
+        "dwell": {"t_min": 1.0, "t_max": 30.0},
+        "weights": {"pi": [[1.0]]},
+        "rule": {"P": [[[1.0]]]},
+        "run": {"kind": "uniform_random", "seed": 1, "steps": 3, "x0": [1.0]},
+    }
+    dwells = gen_sequence(DwellRange(1.0, 30.0), "uniform_random", count=3, seed=1).dwells
+    assert 30.0 * dwells[0] < 700.0 and 30.0 * max(dwells) > 710.0
+    assert main(["simulate", _write(tmp_path, "late.json", cfg)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "diverged"
+    assert payload["last_time"] == 0.0
 
 
 def test_simulate_without_x0_exits_two(tmp_path, capsys):

@@ -103,3 +103,44 @@ def test_select_switched_depends_on_current_mode():
     # from mode 0, staying costs 1.0 but jumping to 1 costs 0.01
     assert select_switched(chi, 0, cert, model) == 1
     assert select_switched(chi, 1, cert, model) == 0
+
+
+def _three_mode_switched(rng, n=2, same=False):
+    """Three modes, one input; same=True gives every target the same jump data."""
+    def mat(rows, cols):
+        return rng.standard_normal((rows, cols)).tolist()
+
+    J = [[mat(n, n) for i in range(3)] for j in range(3)]
+    K = [[mat(1, n + 1) for i in range(3)] for j in range(3)]
+    if same:
+        J, K = [J[0]] * 3, [K[0]] * 3
+    spec = SwitchedSpec([mat(n, n)] * 3, [mat(n, 1)] * 3, J)
+    return augment_switched(spec, gains=K)
+
+
+def test_select_switched_three_modes_matches_brute_force():
+    rng = np.random.default_rng(31)
+    model = _three_mode_switched(rng)
+    P = []
+    for _ in range(3):
+        W = rng.standard_normal((3, 3))
+        P.append(W @ W.T + np.eye(3))
+    cert = _cert(P)
+    hits = set()
+    for _ in range(300):
+        chi = rng.standard_normal(3)
+        i = int(rng.integers(0, 3))
+        want, _ = oracles.brute_min_mode_each(P, [model.jump(j, i) @ chi for j in range(3)])
+        assert select_switched(chi, i, cert, model) == want
+        hits.add(want)
+    assert hits == {0, 1, 2}
+
+
+def test_select_switched_three_way_tie_goes_low():
+    rng = np.random.default_rng(37)
+    model = _three_mode_switched(rng, same=True)
+    W = rng.standard_normal((3, 3))
+    cert = _cert([W @ W.T + np.eye(3)] * 3)
+    for i in range(3):
+        for chi in rng.standard_normal((20, 3)):
+            assert select_switched(chi, i, cert, model) == 0

@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minjump import (
     DwellRange,
@@ -19,10 +20,12 @@ from minjump import (
     simulate_switched,
     write_csv,
 )
-from minjump.errors import ConfigError, DivergenceError
+from minjump import linalg, sim
+from minjump.errors import ConfigError, DivergenceError, NumericError
 from minjump.linalg import expm
 from minjump.sim import SamplingSequence
 
+import oracles
 from conftest import EX2_PERIOD
 
 
@@ -66,6 +69,9 @@ def test_sampling_sequence_validation():
         SamplingSequence(times=(0.5, 1.0))  # must start at zero
     with pytest.raises(ConfigError):
         SamplingSequence(times=(0.0, 0.2, 0.2))  # not strictly increasing
+    for bad in ((0.0, float("nan"), 1.0), (0.0, float("inf"))):
+        with pytest.raises(ConfigError):
+            SamplingSequence(times=bad)
     with pytest.raises(ConfigError):
         SamplingSequence(times=(0.0, 0.2, 0.3), dwell=DwellRange(0.15, 0.18))
 
@@ -189,3 +195,137 @@ def test_csv_round_trip(tmp_path, ex2_loop):
     assert rows[1][5] == "0" and rows[2][5] == "1"
     # modes are written 1-based
     assert rows[2][3] == str(traj.modes[0] + 1)
+
+
+def test_periodic_sequence_keeps_one_dwell():
+    seq = gen_sequence(DwellRange(0.02, 0.02), "periodic", count=100, period=0.02)
+    assert set(seq.dwells) == {0.02}
+    assert seq.times == SamplingSequence(seq.times).times
+    assert SamplingSequence((0.0, 0.5, 1.5)).dwells == (0.5, 1.0)
+
+
+def test_periodic_run_makes_one_exponential(ex2_loop, monkeypatch):
+    model, cert, seq = ex2_loop
+    calls = []
+    real = linalg.expm
+
+    def spy(M, t=1.0):
+        calls.append(np.size(t))
+        return real(M, t)
+
+    monkeypatch.setattr(linalg, "expm", spy)
+    simulate_impulsive(model, cert, seq, [1.0, 1.0], substeps=4)
+    assert calls == [1]
+
+
+def test_distinct_dwell_exponentials_match_full_stack(ex1_reference_model,
+                                                      ex3_reference_model):
+    """Members of the stack over distinct dwells equal the per-interval stack bitwise."""
+    rng = np.random.default_rng(11)
+    # dwells on both sides of the first squaring threshold, with repeats
+    pool = np.concatenate([rng.uniform(0.01, 0.05, 4), rng.uniform(0.5, 3.0, 4)])
+    steps = rng.choice(pool, size=80)
+    distinct, where = np.unique(steps, return_inverse=True)
+    drifts = [ex1_reference_model.drift(), 3.0 * ex1_reference_model.drift()]
+    drifts += [ex3_reference_model.drift(i) for i in range(2)]
+    for A in drifts:
+        assert np.array_equal(sim._exponentials(A, distinct)[where],
+                              linalg.expm(A, steps))
+
+
+def test_overflowing_members_are_nan_and_the_rest_exact():
+    A = np.array([[30.0]])
+    steps = np.array([1.0, 30.0, 2.0, 25.0, 3.0])
+    stack = sim._exponentials(A, steps)
+    assert np.isnan(stack[[1, 3]]).all()
+    for g in (0, 2, 4):
+        assert np.array_equal(stack[g], linalg.expm(A, steps[g]))
+
+
+def _fast_scalar_loop():
+    model = augment_impulsive(ImpulsiveSpec([[30.0]], J=[[[1.0]]]))
+    return model, MinJumpCertificate([np.eye(1)], ModeWeights([[1.0]]))
+
+
+def test_divergence_before_an_overflowing_dwell_is_divergence():
+    # the state passes 1e12 at t = 1; e^{30 * 30} overflows on the next interval
+    model, cert = _fast_scalar_loop()
+    seq = SamplingSequence((0.0, 1.0, 31.0), DwellRange(1.0, 30.0))
+    with pytest.raises(DivergenceError) as err:
+        simulate_impulsive(model, cert, seq, [1.0])
+    assert err.value.last_time == 0.0
+
+
+def test_overflowing_dwell_reached_first_is_numeric():
+    model, cert = _fast_scalar_loop()
+    seq = SamplingSequence((0.0, 30.0, 31.0), DwellRange(1.0, 30.0))
+    with pytest.raises(NumericError):
+        simulate_impulsive(model, cert, seq, [1.0])
+
+
+def _random_loop(seed, kind, modes, n, m):
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([0.3, 8.0])  # the larger drifts often diverge
+
+    def mat(rows, cols, s=1.0):
+        return (s * rng.standard_normal((rows, cols))).tolist()
+
+    if kind == "impulsive":
+        spec = ImpulsiveSpec(mat(n, n, scale), mat(n, m),
+                             [mat(n, n, 0.7) for _ in range(modes)])
+        model = augment_impulsive(spec, gains=[mat(m, n + m, 0.5) if m else None
+                                               for _ in range(modes)])
+    else:
+        spec = SwitchedSpec([mat(n, n, scale) for _ in range(modes)],
+                            [mat(n, m) for _ in range(modes)],
+                            [[mat(n, n, 0.7) for _ in range(modes)]
+                             for _ in range(modes)])
+        model = augment_switched(spec, gains=[[mat(m, n + m, 0.5) if m else None
+                                               for _ in range(modes)]
+                                              for _ in range(modes)])
+    P = []
+    for _ in range(modes):
+        W = rng.standard_normal((n + m, n + m))
+        P.append(W @ W.T + 0.1 * np.eye(n + m))
+    cert = MinJumpCertificate(P, ModeWeights(np.full((modes, modes), 1.0 / modes)))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    u0 = rng.uniform(-1.0, 1.0, m) if m else None
+    return model, cert, x0, u0, int(rng.integers(2**31))
+
+
+def _rows_close(a, b, rtol=1e-12):
+    """Each sample's row of a within rtol of b's, relative to b's row norm."""
+    assert a.shape == b.shape
+    gap = np.linalg.norm((a - b).reshape(len(b), -1), axis=1)
+    assert (gap <= rtol * np.linalg.norm(b.reshape(len(b), -1), axis=1)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["impulsive", "switched"]),
+       modes=st.integers(1, 3), n=st.integers(1, 3), m=st.integers(0, 1),
+       substeps=st.integers(1, 4), periodic=st.booleans(),
+       count=st.integers(1, 40), data=st.data())
+def test_kernel_matches_loop_oracle(seed, kind, modes, n, m, substeps, periodic,
+                                    count, data):
+    model, cert, x0, u0, seq_seed = _random_loop(seed, kind, modes, n, m)
+    dwell = DwellRange(0.05, 0.4)
+    seq = gen_sequence(dwell, "periodic" if periodic else "uniform_random",
+                       count=count, seed=seq_seed, period=0.13)
+    initial_mode = data.draw(st.integers(0, modes - 1)) if kind == "switched" else 0
+    args = (model, cert, seq, x0, u0, initial_mode, substeps)
+    try:
+        want = oracles.loop_simulate(*args)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as got:
+            sim.simulate(*args)
+        assert got.value.last_time == exc.last_time
+        return
+    traj = sim.simulate(*args)
+    assert np.array_equal(traj.modes, want.modes)
+    assert np.array_equal(traj.dense_modes, np.repeat(want.modes[:-1], substeps))
+    assert np.array_equal(traj.dense_times, want.dense_t)
+    _rows_close(traj.pre_states, want.pre)
+    _rows_close(traj.post_states, want.post)
+    _rows_close(traj.dense_states, want.dense)
+    _rows_close(traj.lyapunov, want.V)
