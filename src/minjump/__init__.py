@@ -12,8 +12,8 @@ from .checks import (
     ClockFamily,
     DwellGrid,
     VerificationReport,
-    check_clock_impulsive,
-    check_clock_switched,
+    check,
+    check_clock,
     check_impulsive,
     check_switched,
     exact_clock_family,
@@ -86,8 +86,8 @@ __all__ = [
     "VerificationReport",
     "augment_impulsive",
     "augment_switched",
-    "check_clock_impulsive",
-    "check_clock_switched",
+    "check",
+    "check_clock",
     "check_impulsive",
     "check_switched",
     "exact_clock_family",

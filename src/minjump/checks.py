@@ -1,14 +1,19 @@
 """Numerical verification of min-jumping stability certificates.
 
-Two families of conditions are checked:
+The impulsive and the switched loop differ only in two per-mode
+quantities, which one adapter (_loop_data) supplies to every condition:
 
-- direct contraction tests: for every admissible dwell length theta the
-  weighted post-jump storage must contract, e.g.
-  Jbar_i' e^{Abar' theta} (sum_j pi_ji P_j) e^{Abar theta} Jbar_i - P_i < 0
-  for the impulsive loop (the switched variant folds the jump maps into the
-  weighted sum instead).  These are evaluated on a dwell grid whose density
-  is recorded in the report; the grid is a sampled relaxation of the
-  all-theta condition.
+  impulsive  F0_i = Jbar_i   W_i = sum_j pi_ji P_j
+  switched   F0_i = I        W_i = sum_j pi_ji Jbar_ji' P_j Jbar_ji
+
+F0_i is the map applied before the flow and W_i the weighted storage the
+flow carries.  Two families of conditions are checked on them:
+
+- direct contraction tests: for every admissible dwell length theta,
+  F_i(theta)' W_i F_i(theta) - P_i < 0 with F_i(theta) = e^{Abar_i theta} F0_i.
+  These are evaluated on a dwell grid inside [t_min, t_max] whose density is
+  recorded in the report; the grid is a sampled relaxation of the all-theta
+  condition.
 
 - clock-function tests: a piecewise-affine matrix family S_i(tau) on
   [0, t_max] replaces the explicit exponentials.  The differential condition
@@ -161,10 +166,6 @@ class VerificationReport:
     slack_tol: float
     flags: dict = field(default_factory=dict)
 
-    @property
-    def worst_point(self):
-        return (self.worst_mode, self.worst_theta)
-
     def to_dict(self):
         """JSON-ready form; mode indices are reported 1-based."""
         return {
@@ -240,7 +241,9 @@ def _require_kind(model, kind, what):
         raise ModelError(f"{what} requires a {kind} model")
 
 
-def _require_cert(model, cert):
+def _loop_data(model, cert):
+    """(F0, W): per mode, the map applied before the flow and the weighted
+    storage; the only place where the system kind enters a condition."""
     if cert.dim != model.dim:
         raise CertificateError(
             f"certificate dimension {cert.dim} does not match model dimension {model.dim}"
@@ -249,24 +252,42 @@ def _require_cert(model, cert):
         raise CertificateError(
             f"certificate has {cert.modes} modes, model has {model.modes}"
         )
+    pi, N = cert.weights.pi, range(model.modes)
+    if model.kind == "impulsive":
+        return ([model.jump(i) for i in N],
+                [sum(pi[j, i] * cert.P[j] for j in N) for i in N])
+    return ([np.eye(model.dim)] * model.modes,
+            [linalg.sym(sum(pi[j, i] * (model.jump(j, i).T @ cert.P[j] @ model.jump(j, i))
+                            for j in N)) for i in N])
 
 
-def _contraction_report(model, cert, dwell, grid, strict_tol, weighted, flows,
-                        theta_major):
+def _flows(model, times):
+    """Per mode i, the (len(times), d, d) stack of e^{Abar_i t}: one expm per drift."""
+    stacks = [linalg.expm(A, times) for A in model.abar]
+    return [stacks[i if model.kind == "switched" else 0] for i in range(model.modes)]
+
+
+def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
     """lambda_max(F_i(theta)' W_i F_i(theta) - P_i) at every grid point.
 
-    flows(thetas) returns, per mode, the (len(thetas), d, d) stack of
-    F_i(theta).  The record order, theta-major or mode-major, fixes how
-    ties in the worst point resolve.
+    The record order, theta-major or mode-major, fixes how ties in the
+    worst point resolve.
     """
+    F0, W = _loop_data(model, cert)
     if grid is None:
         grid = DwellGrid.uniform(dwell)
     thetas = np.asarray(grid.points)
+    if thetas[0] < dwell.t_min - _COVER_TOL or thetas[-1] > dwell.t_max + _COVER_TOL:
+        raise ConfigError(
+            f"dwell grid [{thetas[0]}, {thetas[-1]}] leaves the dwell range "
+            f"[{dwell.t_min}, {dwell.t_max}]"
+        )
     margins = np.empty((model.modes, len(thetas)))
     for lo in range(0, len(thetas), _THETA_SLICE):
         hi = lo + _THETA_SLICE
-        for i, F in enumerate(flows(thetas[lo:hi])):
-            M = linalg.sym(np.swapaxes(F, -1, -2) @ weighted[i] @ F) - cert.P[i]
+        for i, E in enumerate(_flows(model, thetas[lo:hi])):
+            F = E @ F0[i]
+            M = linalg.sym(np.swapaxes(F, -1, -2) @ W[i] @ F) - cert.P[i]
             margins[i, lo:hi] = linalg.sym_eig_max(M)
     modes, points = range(model.modes), range(len(thetas))
     if theta_major:
@@ -280,46 +301,26 @@ def _contraction_report(model, cert, dwell, grid, strict_tol, weighted, flows,
 
 
 def check_impulsive(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
-    """Dwell-grid contraction test for the impulsive min-jumping loop.
-
-    F_i(theta) = e^{Abar theta} Jbar_i and W_i = sum_j pi_ji P_j.
-    """
+    """Dwell-grid contraction test for the impulsive loop; records run theta-major."""
     _require_kind(model, "impulsive", "check_impulsive")
-    _require_cert(model, cert)
-    pi = cert.weights.pi
-    weighted = [
-        sum(pi[j, i] * cert.P[j] for j in range(model.modes))
-        for i in range(model.modes)
-    ]
-    jumps = [model.jump(i) for i in range(model.modes)]
-
-    def flows(thetas):
-        E = linalg.expm(model.drift(), thetas)
-        return [E @ J for J in jumps]
-
-    return _contraction_report(model, cert, dwell, grid, strict_tol, weighted,
-                               flows, theta_major=True)
+    return _contraction_report(model, cert, dwell, grid, strict_tol, theta_major=True)
 
 
 def check_switched(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
-    """Dwell-grid contraction test for the switched min-jumping loop.
-
-    F_i(theta) = e^{Abar_i theta} and W_i = sum_j pi_ji Jbar_ji' P_j Jbar_ji.
-    """
+    """Dwell-grid contraction test for the switched loop; records run mode-major."""
     _require_kind(model, "switched", "check_switched")
-    _require_cert(model, cert)
-    pi = cert.weights.pi
-    weighted = [
-        linalg.sym(sum(pi[j, i] * (model.jump(j, i).T @ cert.P[j] @ model.jump(j, i))
-                       for j in range(model.modes)))
-        for i in range(model.modes)
-    ]
+    return _contraction_report(model, cert, dwell, grid, strict_tol, theta_major=False)
 
-    def flows(thetas):
-        return [linalg.expm(model.drift(i), thetas) for i in range(model.modes)]
 
-    return _contraction_report(model, cert, dwell, grid, strict_tol, weighted,
-                               flows, theta_major=False)
+def check(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
+    """Dwell-grid contraction test of the model's kind.
+
+    A grid point outside [t_min, t_max] raises ConfigError; a grid inside
+    the range need not reach its endpoints.
+    """
+    if model.kind == "impulsive":
+        return check_impulsive(model, cert, dwell, grid, strict_tol)
+    return check_switched(model, cert, dwell, grid, strict_tol)
 
 
 def _theta_nodes(clock, dwell):
@@ -334,55 +335,18 @@ def _theta_nodes(clock, dwell):
     return sorted(thetas)
 
 
-def check_clock_impulsive(model, clock, cert, eps, dwell, tol=SLACK_TOL):
-    """Clock-function certificate test for the impulsive loop.
+def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
+    """Clock-function certificate test for either kind.
 
     Conditions, all non-strict up to tol:
-      flow      -Sdot_i + Abar' S_i(tau) + S_i(tau) Abar <= 0 on [0, t_max]
-      jump      -P_i + Jbar_i' S_i(theta) Jbar_i + eps I <= 0 on the range
-      coupling  sum_j pi_ji P_j - S_i(0) <= 0
+      flow      -Sdot_i + Abar_i' S_i(tau) + S_i(tau) Abar_i <= 0 on [0, t_max]
+      jump      -P_i + F0_i' S_i(theta) F0_i + eps I <= 0 on the range
+      coupling  W_i - S_i(0) <= 0
     A positive eps is required for the certificate to count as passing.
     """
-    _require_kind(model, "impulsive", "check_clock_impulsive")
-    _require_cert(model, cert)
+    F0, W = _loop_data(model, cert)
     thetas = _theta_nodes(clock, dwell)
-    A = model.drift()
-    pi = cert.weights.pi
-    d = model.dim
-    coll = _Collector(model.modes, STRICT_TOL, tol)
-    coll.flag("eps_positive", eps > 0.0, eps)
-    for i in range(model.modes):
-        for k in range(len(clock.nodes) - 1):
-            Sdot = clock.slope(i, k)
-            for tau in (clock.nodes[k], clock.nodes[k + 1]):
-                S = clock.value(i, tau)
-                margin = linalg.sym_eig_max(linalg.sym(-Sdot + A.T @ S + S @ A))
-                coll.add("flow", i, tau, margin, strict=False)
-        Ji = model.jump(i)
-        for theta in thetas:
-            S = clock.value(i, theta)
-            margin = linalg.sym_eig_max(
-                linalg.sym(-cert.P[i] + Ji.T @ S @ Ji) + eps * np.eye(d)
-            )
-            coll.add("jump", i, theta, margin, strict=False)
-        Q = sum(pi[j, i] * cert.P[j] for j in range(model.modes))
-        margin = linalg.sym_eig_max(linalg.sym(Q) - clock.value(i, 0.0))
-        coll.add("coupling", i, 0.0, margin, strict=False)
-    return coll.report(thetas)
-
-
-def check_clock_switched(model, clock, cert, eps, dwell, tol=SLACK_TOL):
-    """Clock-function certificate test for the switched loop.
-
-    flow      -Sdot_i + Abar_i' S_i(tau) + S_i(tau) Abar_i <= 0
-    jump      -P_i + S_i(theta) + eps I <= 0 on the range
-    coupling  sum_j pi_ji Jbar_ji' P_j Jbar_ji - S_i(0) <= 0
-    """
-    _require_kind(model, "switched", "check_clock_switched")
-    _require_cert(model, cert)
-    thetas = _theta_nodes(clock, dwell)
-    pi = cert.weights.pi
-    d = model.dim
+    eps_I = eps * np.eye(model.dim)
     coll = _Collector(model.modes, STRICT_TOL, tol)
     coll.flag("eps_positive", eps > 0.0, eps)
     for i in range(model.modes):
@@ -395,33 +359,20 @@ def check_clock_switched(model, clock, cert, eps, dwell, tol=SLACK_TOL):
                 coll.add("flow", i, tau, margin, strict=False)
         for theta in thetas:
             S = clock.value(i, theta)
-            margin = linalg.sym_eig_max(
-                linalg.sym(-cert.P[i] + S) + eps * np.eye(d)
-            )
+            margin = linalg.sym_eig_max(linalg.sym(-cert.P[i] + F0[i].T @ S @ F0[i]) + eps_I)
             coll.add("jump", i, theta, margin, strict=False)
-        Q = np.zeros((d, d))
-        for j in range(model.modes):
-            Jji = model.jump(j, i)
-            Q = Q + pi[j, i] * (Jji.T @ cert.P[j] @ Jji)
-        margin = linalg.sym_eig_max(linalg.sym(Q) - clock.value(i, 0.0))
+        margin = linalg.sym_eig_max(linalg.sym(W[i]) - clock.value(i, 0.0))
         coll.add("coupling", i, 0.0, margin, strict=False)
     return coll.report(thetas)
 
 
 def exact_clock_family(cert, model, nodes):
-    """Closed-form clock functions S_i(tau) = e^{A' tau} (sum_j pi_ji P_j) e^{A tau}.
+    """Closed-form clock functions S_i(tau) = e^{Abar_i' tau} W_i e^{Abar_i tau}.
 
     Sampled exactly at the nodes; between nodes the family interpolates
     affinely, so downstream checks see the interpolant, not the exact curve.
     """
-    _require_kind(model, "impulsive", "exact_clock_family")
-    _require_cert(model, cert)
-    A = model.drift()
-    pi = cert.weights.pi
-    E = linalg.expm(A, np.asarray(nodes, dtype=float))
-    Et = np.swapaxes(E, -1, -2)
-    values = []
-    for i in range(model.modes):
-        Q = linalg.sym(sum(pi[j, i] * cert.P[j] for j in range(model.modes)))
-        values.append(linalg.sym(Et @ Q @ E))
-    return ClockFamily(nodes, values)
+    _, W = _loop_data(model, cert)
+    flows = _flows(model, np.asarray(nodes, dtype=float))
+    return ClockFamily(nodes, [linalg.sym(np.swapaxes(E, -1, -2) @ linalg.sym(Wi) @ E)
+                               for E, Wi in zip(flows, W)])

@@ -219,11 +219,8 @@ def cmd_verify(args):
     points = _num(_run_value(cfg, args, "grid", checks.DEFAULT_GRID_POINTS),
                   "run.grid", int)
     tol = _num(_run_value(cfg, args, "tol", checks.STRICT_TOL), "run.tol")
-    grid = checks.DwellGrid.uniform(dwell, points)
-    if model.kind == "impulsive":
-        report = checks.check_impulsive(model, cert, dwell, grid=grid, strict_tol=tol)
-    else:
-        report = checks.check_switched(model, cert, dwell, grid=grid, strict_tol=tol)
+    report = checks.check(model, cert, dwell, grid=checks.DwellGrid.uniform(dwell, points),
+                          strict_tol=tol)
     _emit(report.to_dict(), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -237,13 +234,7 @@ def _full_input_maps(model):
     """
     if model.m == 0:
         return None
-    n = model.n
-    if model.kind == "impulsive":
-        return [model.jump(i)[n:, :] for i in range(model.modes)]
-    return [
-        [model.jump(j, i)[n:, :] for i in range(model.modes)]
-        for j in range(model.modes)
-    ]
+    return model.nest([model.jump(*idx)[model.n:, :] for idx in model.gain_slots])
 
 
 def _closed_model(model, result):
@@ -323,12 +314,10 @@ def _load_result_design(cfg, path):
         raise ConfigError(f"cannot read result file {path}: {exc}") from exc
     if res.get("status") != "success" or "P" not in res:
         raise ConfigError(f"result file {path} does not hold a successful design")
-    spec = build_spec(cfg)
     gains = res.get("gains")
-    if isinstance(spec, SwitchedSpec) and gains is not None:
-        spec = SwitchedSpec(A=spec.A, B=spec.B, J=spec.J)
-    model = (augment_impulsive if isinstance(spec, ImpulsiveSpec)
-             else augment_switched)(spec, gains=gains)
+    if gains is not None and "system" in cfg:
+        cfg = dict(cfg, system={k: v for k, v in cfg["system"].items() if k != "updates"})
+    model = build_model(cfg, gains=gains)
     weights = ModeWeights(res["weights"])
     cert = MinJumpCertificate(res["P"], weights, eps=float(res.get("eps", 0.0)))
     return model, cert
@@ -442,14 +431,9 @@ def cmd_example(args):
     # leg 1: check the reference design on a dwell grid
     ref_cert = _reference_cert(cfg, weights) or (
         build_cert(cfg, weights) if "rule" in cfg else None)
-    ref_report = None
     if ref_cert is not None:
-        fixed = cfg.get("gains", {}).get("K")
-        gains = _reference_gains(cfg, fixed)
-        model = build_model(cfg, gains=gains)
-        check = checks.check_impulsive if model.kind == "impulsive" else checks.check_switched
-        ref_report = check(model, ref_cert, dwell,
-                           grid=checks.DwellGrid.uniform(dwell))
+        ref_model = build_model(cfg, gains=_reference_gains(cfg, cfg.get("gains", {}).get("K")))
+        ref_report = checks.check(ref_model, ref_cert, dwell)
         _print_table("reference design", [
             ("check", "pass" if ref_report.passed else "FAIL"),
             ("worst margin", f"{ref_report.worst_margin:.6e}"),
@@ -483,9 +467,7 @@ def cmd_example(args):
     if result is not None and result.success:
         sim_design = (_closed_model(free_model, result), result.cert)
     elif ref_cert is not None:
-        fixed = cfg.get("gains", {}).get("K")
-        gains = _reference_gains(cfg, fixed)
-        sim_design = (build_model(cfg, gains=gains), ref_cert)
+        sim_design = (ref_model, ref_cert)
     if sim_design is not None and "x0" in run:
         model, cert = sim_design
         seq = sim.gen_sequence(dwell, run.get("kind", "uniform_random"),
@@ -516,10 +498,8 @@ def _designed_rows(model, gains):
     """Gain blocks the synthesis actually designed (skips fixed slots)."""
     if gains is None or model.m == 0:
         return []
-    if model.kind == "impulsive":
-        return [g for was, g in zip(model.gains, gains) if was is None]
-    return [gains[j][i] for j in range(model.modes) for i in range(model.modes)
-            if model.gains[j][i] is None]
+    closed = model.with_gains(gains)
+    return [closed.gain(*idx) for idx in model.gain_slots if model.gain(*idx) is None]
 
 
 def _gain_pairs(reference, fresh):

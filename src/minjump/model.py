@@ -259,6 +259,18 @@ class AugmentedModel:
             g = g[k]
         return g
 
+    @property
+    def gain_slots(self):
+        """Index of every gain in order: (i,) when impulsive, (j, i) when switched."""
+        N = range(self.modes)
+        return [(i,) for i in N] if self.kind == "impulsive" else [(j, i) for j in N for i in N]
+
+    def nest(self, flat):
+        """One value per gain slot, nested like gains: [i] or [j][i]."""
+        if self.kind == "impulsive":
+            return list(flat)
+        return [list(flat[j:j + self.modes]) for j in range(0, len(flat), self.modes)]
+
     def injection(self, j=None):
         """Input-injection matrix: columns reach the channels updated on a jump."""
         return self.jbar1 if self.kind == "impulsive" else self.jbar1[j]
@@ -284,9 +296,8 @@ class AugmentedModel:
     def jump_table(self):
         """Every jump map in one read-only (modes, sources, dim, dim) array:
         [j, i] = jump(j, i) when switched, [j, 0] = jump(j) when impulsive."""
-        N = self.modes
-        table = np.array([[self.jump(j)] if self.kind == "impulsive" else
-                          [self.jump(j, i) for i in range(N)] for j in range(N)])
+        table = np.array([self.jump(*idx) for idx in self.gain_slots])
+        table = table.reshape(self.modes, -1, self.dim, self.dim)
         table.setflags(write=False)
         return table
 

@@ -13,10 +13,10 @@ family.
 Beyond the printed conditions the assembler adds:
 - floors Ptilde_i >= delta*I and S_i(tau_k) >= delta*I so the recovery
   inverses exist,
-- box bounds S_i(tau_k) <= bound*I plus a cap on the margin variable,
-  keeping the maximization bounded (the printed conditions are
-  homogeneous),
-- a tighter box Ptilde_i <= ptilde_cap*I.  The margin variable lives in
+- box bounds S_i(tau_k) <= BOUND*I plus a cap on the margin variable
+  (sdp.SdpOptions.eps_cap), keeping the maximization bounded (the printed
+  conditions are homogeneous),
+- a tighter box Ptilde_i <= PTILDE_CAP*I.  The margin variable lives in
   the inverse coordinates; converting it to a guaranteed margin on the
   recovered rule matrices divides by the square of Ptilde's top
   eigenvalue, so letting Ptilde grow to the outer bound can leave a
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .checks import (DwellGrid, ClockFamily, check_impulsive, check_switched)
+# check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
+from .checks import ClockFamily, DwellGrid, check, check_impulsive  # noqa: F401
 from .errors import ConfigError, ModelError, RecoveryError
 from .linalg import inv_spd
 from .model import ModeWeights, validate_weights
@@ -42,33 +43,28 @@ from .rules import MinJumpCertificate
 log = logging.getLogger("minjump.synth")
 
 _NODE_SNAP = 1e-12
+BOUND = 1e6
+PTILDE_CAP = 1e3
 
 
 @dataclass(frozen=True)
 class SynthesisOptions:
     """Knobs for the piecewise-affine synthesis pipeline.
 
-    clock_nodes counts the uniform nodes on [0, t_max].
+    clock_nodes counts the uniform nodes on [0, t_max]; delta_pd is the
+    definiteness floor on Ptilde_i and S_i(tau_k).
     """
 
     clock_nodes: int = 6
     delta_pd: float = 1e-6
-    post_verify_grid: int = 200
-    bound: float = 1e6
-    ptilde_cap: float = 1e3
-    eps_cap: float = 1e3
-    max_iter: int = 100
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.clock_nodes < 2:
             raise ConfigError("need at least two clock nodes")
         if self.delta_pd < 0:
             raise ConfigError("delta_pd must be nonnegative")
-        if self.bound <= self.delta_pd:
-            raise ConfigError("bound must exceed delta_pd")
-        if self.ptilde_cap <= self.delta_pd:
-            raise ConfigError("ptilde_cap must exceed delta_pd")
+        if self.delta_pd >= min(BOUND, PTILDE_CAP):
+            raise ConfigError(f"delta_pd must stay below {min(BOUND, PTILDE_CAP):g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,21 +121,18 @@ def _weights(model, weights):
     return weights
 
 
-def _free_impulsive(model, i):
-    """True when mode i's gain is a synthesis unknown."""
-    if model.m == 0:
-        return False
-    return model.gains is None or model.gains[i] is None
+def _free(model, *idx):
+    """True when the gain at slot idx, (i,) or (j, i), is a synthesis unknown."""
+    return model.injection(*idx[:-1]).shape[1] > 0 and model.gain(*idx) is None
 
 
-def _free_switched(model, j, i):
-    if model.injection(j).shape[1] == 0:
-        return False
-    return model.gains is None or model.gains[j][i] is None
+def _gain_name(*idx):
+    return "U" + "_".join(str(k) for k in idx)
 
 
-def _common_blocks(model, nodes, opts, drift_of):
-    """Flow LMIs at interval endpoints plus floors and boxes for all S, Ptilde."""
+def _common_blocks(model, nodes, opts):
+    """Every unknown, then flow LMIs at interval endpoints plus floors and
+    boxes for all S, Ptilde."""
     d = model.dim
     I = np.eye(d)
     blocks = []
@@ -148,8 +141,11 @@ def _common_blocks(model, nodes, opts, drift_of):
         variables.append(sdp.VarSpec(f"Pt{i}", "sym", d, d))
         for k in range(len(nodes)):
             variables.append(sdp.VarSpec(f"S{i}n{k}", "sym", d, d))
+    variables += [sdp.VarSpec(_gain_name(*idx), "rect", model.injection(*idx[:-1]).shape[1], d)
+                  for idx in model.gain_slots if _free(model, *idx)]
+    variables.append(sdp.VarSpec("eps", "scalar"))
     for i in range(model.modes):
-        A = drift_of(i)
+        A = model.drift(i)
         for k in range(len(nodes) - 1):
             h = nodes[k + 1] - nodes[k]
             for v in (k, k + 1):
@@ -164,13 +160,13 @@ def _common_blocks(model, nodes, opts, drift_of):
         blocks.append(sdp.AffineBlock(
             floor, [sdp.BlockTerm(f"Pt{i}", -I, I)], label=f"floor Pt{i}"))
         blocks.append(sdp.AffineBlock(
-            -opts.ptilde_cap * I, [sdp.BlockTerm(f"Pt{i}", I, I)],
+            -PTILDE_CAP * I, [sdp.BlockTerm(f"Pt{i}", I, I)],
             label=f"box Pt{i}"))
         for k in range(len(nodes)):
             blocks.append(sdp.AffineBlock(
                 floor, [sdp.BlockTerm(f"S{i}n{k}", -I, I)], label=f"floor S{i}n{k}"))
             blocks.append(sdp.AffineBlock(
-                -opts.bound * I, [sdp.BlockTerm(f"S{i}n{k}", I, I)],
+                -BOUND * I, [sdp.BlockTerm(f"S{i}n{k}", I, I)],
                 label=f"box S{i}n{k}"))
     return variables, blocks
 
@@ -188,13 +184,9 @@ def assemble_impulsive(model, weights, dwell, opts=None):
     weights = _weights(model, weights)
     pi = weights.pi
     nodes = clock_node_grid(dwell, opts.clock_nodes)
-    d, m, N = model.dim, model.m, model.modes
+    d, N = model.dim, model.modes
 
-    variables, blocks = _common_blocks(model, nodes, opts, lambda i: model.drift())
-    for i in range(N):
-        if _free_impulsive(model, i):
-            variables.append(sdp.VarSpec(f"U{i}", "rect", m, d))
-    variables.append(sdp.VarSpec("eps", "scalar"))
+    variables, blocks = _common_blocks(model, nodes, opts)
 
     top = np.vstack([np.eye(d), np.zeros((d, d))])
     bot = np.vstack([np.zeros((d, d)), np.eye(d)])
@@ -202,11 +194,11 @@ def assemble_impulsive(model, weights, dwell, opts=None):
         for k in _range_node_indices(nodes, dwell):
             terms = [sdp.BlockTerm(f"Pt{i}", -top, top.T),
                      sdp.BlockTerm(f"S{i}n{k}", -bot, bot.T)]
-            if _free_impulsive(model, i):
+            if _free(model, i):
                 terms.append(sdp.BlockTerm(
                     f"Pt{i}", bot @ model.jbar0[i], top.T, sym_pair=True))
                 terms.append(sdp.BlockTerm(
-                    f"U{i}", bot @ model.jbar1, top.T, sym_pair=True))
+                    _gain_name(i), bot @ model.jbar1, top.T, sym_pair=True))
             else:
                 terms.append(sdp.BlockTerm(
                     f"Pt{i}", bot @ model.jump(i), top.T, sym_pair=True))
@@ -239,15 +231,9 @@ def assemble_switched(model, weights, dwell, opts=None):
     weights = _weights(model, weights)
     pi = weights.pi
     nodes = clock_node_grid(dwell, opts.clock_nodes)
-    d, m, N = model.dim, model.m, model.modes
+    d, N = model.dim, model.modes
 
-    variables, blocks = _common_blocks(model, nodes, opts, model.drift)
-    for j in range(N):
-        for i in range(N):
-            if _free_switched(model, j, i):
-                variables.append(sdp.VarSpec(
-                    f"U{j}_{i}", "rect", model.injection(j).shape[1], d))
-    variables.append(sdp.VarSpec("eps", "scalar"))
+    variables, blocks = _common_blocks(model, nodes, opts)
 
     I = np.eye(d)
     for i in range(N):
@@ -265,11 +251,11 @@ def assemble_switched(model, weights, dwell, opts=None):
             sel = np.zeros((big, d)); sel[(j + 1) * d:(j + 2) * d] = I
             terms.append(sdp.BlockTerm(f"Pt{j}", -sel, sel.T))
             w = np.sqrt(pi[j, i])
-            if _free_switched(model, j, i):
+            if _free(model, j, i):
                 terms.append(sdp.BlockTerm(
                     f"S{i}n0", sel @ (w * model.jbar0[j][i]), sel0.T, sym_pair=True))
                 terms.append(sdp.BlockTerm(
-                    f"U{j}_{i}", sel @ (w * model.injection(j)), sel0.T, sym_pair=True))
+                    _gain_name(j, i), sel @ (w * model.injection(j)), sel0.T, sym_pair=True))
             else:
                 terms.append(sdp.BlockTerm(
                     f"S{i}n0", sel @ (w * model.jump(j, i)), sel0.T, sym_pair=True))
@@ -285,48 +271,33 @@ def _failure(status, solution):
                            report=None, solution=solution)
 
 
-def recover_design(model, weights, dwell, solution, nodes, opts=None):
+def recover_design(model, weights, dwell, solution, nodes):
     """Invert the solved variables into a certificate, gains, and a report.
 
     Raises RecoveryError when an inverse does not exist (delta floor too
     small for the solver's accuracy).
     """
-    opts = opts or SynthesisOptions()
     weights = _weights(model, weights)
     if solution.status != "optimal":
         return _failure(solution.status, solution)
     if solution.eps <= 0.0:
         return _failure("infeasible", solution)
 
-    d, m, N = model.dim, model.m, model.modes
+    N = model.modes
     vals = solution.values
     ptilde = tuple(vals[f"Pt{i}"] for i in range(N))
     svals = [[vals[f"S{i}n{k}"] for k in range(len(nodes))] for i in range(N)]
     clock = ClockFamily(nodes, svals)
+    # the unknown of a gain slot is U = K X, with X = Ptilde_i (impulsive) or
+    # S_i(0) (switched) of the slot's source mode i
+    anchors = ptilde if model.kind == "impulsive" else [S[0] for S in clock.values]
+    slots = model.gain_slots
+    u = model.nest([vals.get(_gain_name(*idx)) for idx in slots])
 
     try:
         P = [inv_spd(Pt) for Pt in ptilde]
-        if model.kind == "impulsive":
-            u = tuple(vals.get(f"U{i}") for i in range(N))
-            gains = []
-            for i in range(N):
-                if _free_impulsive(model, i):
-                    gains.append(u[i] @ inv_spd(ptilde[i]))
-                else:
-                    gains.append(None if model.gains is None else model.gains[i])
-            new_gains = gains if m > 0 else None
-        else:
-            u = tuple(tuple(vals.get(f"U{j}_{i}") for i in range(N)) for j in range(N))
-            gains = []
-            for j in range(N):
-                row = []
-                for i in range(N):
-                    if _free_switched(model, j, i):
-                        row.append(u[j][i] @ inv_spd(clock.values[i][0]))
-                    else:
-                        row.append(None if model.gains is None else model.gains[j][i])
-                gains.append(row)
-            new_gains = gains if m > 0 else None
+        gains = [vals[_gain_name(*idx)] @ inv_spd(anchors[idx[-1]]) if _free(model, *idx)
+                 else model.gain(*idx) for idx in slots]
     except Exception as exc:
         raise RecoveryError(
             f"recovery inverse failed ({exc}); delta floor may be too small"
@@ -336,12 +307,9 @@ def recover_design(model, weights, dwell, solution, nodes, opts=None):
     scale = max(1.0, 1.0 / min(np.linalg.eigvalsh(Pi).min() for Pi in P))
     P = [scale * Pi for Pi in P]
     cert = MinJumpCertificate(P, weights.pi, eps=solution.eps)
-    closed = model.with_gains(new_gains) if m > 0 else model
-    grid = DwellGrid.uniform(dwell, opts.post_verify_grid)
-    if model.kind == "impulsive":
-        report = check_impulsive(closed, cert, dwell, grid=grid)
-    else:
-        report = check_switched(closed, cert, dwell, grid=grid)
+    new_gains = model.nest(gains) if model.m > 0 else None
+    closed = model.with_gains(new_gains) if model.m > 0 else model
+    report = check(closed, cert, dwell, grid=DwellGrid.uniform(dwell))
     status = "success" if report.passed else "relaxation_gap"
     if status == "relaxation_gap":
         log.info("post-verification failed at margin %.3e; consider more clock nodes",
@@ -360,9 +328,8 @@ def synthesize(model, weights, dwell, opts=None):
         problem, nodes = assemble_switched(model, weights, dwell, opts)
     log.info("assembled %d blocks over %d scalar unknowns",
              len(problem.blocks), problem.scalar_count)
-    solution = sdp.solve(problem, sdp.SdpOptions(
-        max_iter=opts.max_iter, tol=opts.tol, eps_cap=opts.eps_cap))
-    return recover_design(model, weights, dwell, solution, nodes, opts)
+    solution = sdp.solve(problem, sdp.SdpOptions())
+    return recover_design(model, weights, dwell, solution, nodes)
 
 
 def scan_weights(model, candidates, dwell, opts=None):

@@ -21,7 +21,7 @@ from minjump import (
     MinJumpCertificate,
     ModeWeights,
     augment_impulsive,
-    check_clock_impulsive,
+    check_clock,
     check_impulsive,
     check_switched,
     exact_clock_family,
@@ -141,8 +141,7 @@ def test_acceptance_4_clock_form_equivalence():
         ok = ok and grid_report.passed
         clock = exact_clock_family(cert, model, nodes)
         eps = 0.5 * abs(grid_report.worst_margin)
-        clock_report = check_clock_impulsive(model, clock, cert, eps, dwell,
-                                             tol=1e-6)
+        clock_report = check_clock(model, clock, cert, eps, dwell, tol=1e-6)
         ok = ok and clock_report.passed
         worst_clock = max(worst_clock, clock_report.worst_margin)
     _verdict(4, ok, f"20 systems, worst clock-form margin {worst_clock:.3e}")

@@ -10,19 +10,21 @@ import numpy as np
 import pytest
 
 from minjump import (
+    ConfigError,
     DwellRange,
     ImpulsiveSpec,
     MinJumpCertificate,
     ModeWeights,
     augment_impulsive,
-    check_clock_impulsive,
-    check_clock_switched,
+    check,
+    check_clock,
     check_impulsive,
     check_switched,
     exact_clock_family,
 )
 from minjump import checks
 from minjump.checks import DwellGrid
+from minjump.synth import clock_node_grid
 
 import oracles
 from conftest import EX2_WORST_MARGIN, random_contractive_impulsive
@@ -85,18 +87,19 @@ def _assert_grid_check_matches_oracle(model, cert, dwell, monkeypatch):
 
     Single-point grids expose each (mode, theta) margin through the public
     report; the full grid is also re-run in slices of 7 points, which must
-    not change the report.
+    not change the report.  check(model, ...) gives the kind's own report.
     """
-    check = check_impulsive if model.kind == "impulsive" else check_switched
+    kind_check = check_impulsive if model.kind == "impulsive" else check_switched
     grid = DwellGrid.uniform(dwell, 41)
     ref = oracles.grid_margins(model, cert, grid.points)
     for k, theta in enumerate(grid.points):
-        point = check(model, cert, dwell, grid=DwellGrid((theta,)))
+        point = kind_check(model, cert, dwell, grid=DwellGrid((theta,)))
         np.testing.assert_allclose(point.mode_margins, ref[:, k], rtol=0, atol=1e-12)
-    report = check(model, cert, dwell, grid=grid)
+    report = kind_check(model, cert, dwell, grid=grid)
     np.testing.assert_allclose(report.mode_margins, ref.max(axis=1), rtol=0, atol=1e-12)
+    assert check(model, cert, dwell, grid=grid).to_dict() == report.to_dict()
     monkeypatch.setattr(checks, "_THETA_SLICE", 7)
-    sliced = check(model, cert, dwell, grid=grid)
+    sliced = kind_check(model, cert, dwell, grid=grid)
     assert sliced.to_dict() == report.to_dict()
 
 
@@ -138,9 +141,18 @@ def test_worst_margin_monotone_under_grid_refinement(
         assert fine >= coarse - 1e-15
 
 
-def test_grid_requires_coverage(ex1_dwell):
-    with pytest.raises(Exception):
-        DwellGrid((0.02, 0.03), ex1_dwell)  # does not reach the endpoints
+def test_grid_requires_coverage():
+    # a = 0.5, J = 0.9 fails on [0.3, 0.4] (margin 0.81 e^{0.4} - 1 = +0.208)
+    # but contracts at theta = 0.1: a grid outside the range must not pass it
+    model, dwell = _scalar_model(0.5, j=0.9), DwellRange(0.3, 0.4)
+    assert check_impulsive(model, _scalar_cert(), dwell).worst_margin == pytest.approx(
+        0.81 * np.exp(0.4) - 1.0, abs=1e-12)
+    for points in ((0.1,), (0.35, 0.5), (0.1, 0.35)):
+        with pytest.raises(ConfigError, match="leaves the dwell range"):
+            check(model, _scalar_cert(), dwell, grid=DwellGrid(points))
+    # a partial grid inside the range stays allowed
+    inside = check(model, _scalar_cert(), dwell, grid=DwellGrid((0.32, 0.33)))
+    assert inside.worst_margin == pytest.approx(0.81 * np.exp(0.33) - 1.0, abs=1e-12)
 
 
 def test_report_dict_shape(ex2_model, ex2_cert, ex2_dwell):
@@ -166,8 +178,25 @@ def test_exact_clock_family_matches_grid_margins(contractive_factory):
     nodes = tuple(np.linspace(0.0, dwell.t_max, 64))
     clock = exact_clock_family(cert, model, nodes)
     eps = 0.5 * abs(report.worst_margin)
-    clock_report = check_clock_impulsive(model, clock, cert, eps, dwell, tol=1e-6)
+    clock_report = check_clock(model, clock, cert, eps, dwell, tol=1e-6)
     assert clock_report.passed
+
+
+def test_exact_clock_family_replays_the_switched_grid(
+        ex3_reference_model, ex3_reference_cert, ex3_dwell):
+    """On the switched loop S_i(theta) = e^{Abar_i' theta} W_i e^{Abar_i theta}:
+    the jump condition is the grid margin plus eps and coupling is zero.
+
+    The flow condition is left unasserted: ex3's fast drift makes the secant
+    error of 1024 nodes exceed the slack tolerance.
+    """
+    model, cert, eps = ex3_reference_model, ex3_reference_cert, 1e-3
+    clock = exact_clock_family(cert, model, clock_node_grid(ex3_dwell, 1024))
+    report = check_clock(model, clock, cert, eps, ex3_dwell)
+    grid = check_switched(model, cert, ex3_dwell, grid=DwellGrid(report.grid))
+    assert len(report.grid) > 200
+    assert report.per_condition["jump"] == pytest.approx(grid.worst_margin + eps, abs=1e-9)
+    assert abs(report.per_condition["coupling"]) < 1e-12
 
 
 def test_exact_clock_family_integrates_the_flow(
@@ -190,7 +219,7 @@ def test_clock_check_flags_nonpositive_eps(
         ex1_reference_model, ex1_reference_cert, ex1_dwell):
     nodes = tuple(np.linspace(0.0, ex1_dwell.t_max, 16))
     clock = exact_clock_family(ex1_reference_cert, ex1_reference_model, nodes)
-    report = check_clock_impulsive(
+    report = check_clock(
         ex1_reference_model, clock, ex1_reference_cert, 0.0, ex1_dwell)
     assert not report.passed
     assert not report.flags["eps_positive"]["ok"]
@@ -210,6 +239,6 @@ def test_clock_check_switched_identity_case(ex3_reference_model):
         ModeWeights([[0.5, 0.5], [0.5, 0.5]]))
     # coupling: sum_j pi_ji J'(2I)J - I <= 0 requires small jump maps; the
     # reference gains are not small, so this one must fail at coupling
-    report = check_clock_switched(model, clock, cert, 0.5, DwellRange(0.5, 1.0))
+    report = check_clock(model, clock, cert, 0.5, DwellRange(0.5, 1.0))
     assert "coupling" in report.per_condition
     assert not report.passed

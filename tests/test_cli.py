@@ -142,6 +142,25 @@ def test_synth_result_drives_simulation(tmp_path, capsys):
     assert header == "t,x1,x2,u1,sigma,V,post"
 
 
+def test_switched_synth_result_replays_in_simulation(tmp_path, capsys):
+    # the stored gains are full input maps, so the replay re-lifts the plant
+    # without its update lists; two replays must agree byte for byte
+    result_path = str(tmp_path / "design.json")
+    assert main(["synth", _fixture_path("example3"), "--out", result_path]) == 0
+    cfg = json.loads(open(_fixture_path("example3")).read())
+    cfg["run"]["result"] = result_path
+    config = _write(tmp_path, "sim.json", cfg)
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        capsys.readouterr()
+        assert main(["simulate", config, "--out", str(tmp_path / name)]) == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / name).read_text()))
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0][0])
+    assert summary["status"] == "completed"
+    assert summary["value_decay"] > 1e3
+
+
 def test_synth_result_file_idempotent(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["synth", _fixture_path("example1"), "--out", a]) == 0

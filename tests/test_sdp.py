@@ -212,7 +212,7 @@ def _design(fixture):
     opts = synth.SynthesisOptions(clock_nodes=int(cfg.get("run", {}).get("nodes", 6)))
     assemble = synth.assemble_impulsive if model.kind == "impulsive" else synth.assemble_switched
     problem, _ = assemble(model, cli.build_weights(cfg), cli.build_dwell(cfg), opts)
-    return problem, sdp.SdpOptions(max_iter=opts.max_iter, tol=opts.tol, eps_cap=opts.eps_cap)
+    return problem, sdp.SdpOptions()
 
 
 _ORACLE_CASES = {

@@ -1,11 +1,13 @@
 """Co-design pipeline: assembly, solving, recovery, post-verification."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from minjump import (
+    ConfigError,
     DwellRange,
     ImpulsiveSpec,
     ModeWeights,
@@ -16,7 +18,7 @@ from minjump import (
     synthesize,
 )
 from minjump.checks import DwellGrid
-from minjump.synth import SynthesisOptions, clock_node_grid
+from minjump.synth import PTILDE_CAP, SynthesisOptions, clock_node_grid
 
 from conftest import EX1_PI, EX3_PI
 
@@ -25,6 +27,13 @@ def test_clock_node_grid_contains_dwell_floor():
     nodes = clock_node_grid(DwellRange(0.013, 0.05), 6)
     assert nodes[0] == 0.0 and nodes[-1] == 0.05
     assert any(abs(t - 0.013) < 1e-12 for t in nodes)
+
+
+def test_options_hold_nodes_and_floor_only():
+    assert [f.name for f in fields(SynthesisOptions)] == ["clock_nodes", "delta_pd"]
+    for bad in ({"clock_nodes": 1}, {"delta_pd": -1e-6}, {"delta_pd": PTILDE_CAP}):
+        with pytest.raises(ConfigError):
+            SynthesisOptions(**bad)
 
 
 def test_impulsive_codesign_end_to_end(ex1_open_model, ex1_dwell):
