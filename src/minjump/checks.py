@@ -82,9 +82,10 @@ class DwellGrid:
 class ClockFamily:
     """Piecewise-affine matrix functions on a shared node grid.
 
-    nodes run from 0 to the horizon; values[i][k] is the symmetric matrix of
-    mode i at node k and evaluation interpolates affinely between nodes, so
-    the slope is piecewise constant.
+    nodes run from 0 to the horizon; values[i] is the read-only
+    (len(nodes), d, d) stack of mode i, values[i][k] its symmetric matrix
+    at node k, and evaluation interpolates affinely between nodes, so the
+    slope is piecewise constant.
     """
 
     nodes: tuple
@@ -101,7 +102,7 @@ class ClockFamily:
         vals = []
         dim = None
         for i, per_mode in enumerate(values):
-            mats = tuple(np.array(M, dtype=float) for M in per_mode)
+            mats = [np.asarray(M, dtype=float) for M in per_mode]
             if len(mats) != len(nds):
                 raise ConfigError(f"mode {i} has {len(mats)} values for {len(nds)} nodes")
             for M in mats:
@@ -109,39 +110,29 @@ class ClockFamily:
                     dim = M.shape[0]
                 if M.shape != (dim, dim):
                     raise ConfigError("clock values must share one square dimension")
-                M.setflags(write=False)
-            vals.append(mats)
+            stack = np.stack(mats)
+            stack.setflags(write=False)
+            vals.append(stack)
         object.__setattr__(self, "nodes", nds)
         object.__setattr__(self, "values", tuple(vals))
 
-    @property
-    def modes(self):
-        return len(self.values)
-
-    @property
-    def dim(self):
-        return self.values[0][0].shape[0]
-
-    @property
-    def horizon(self):
-        return self.nodes[-1]
-
-    def interval_of(self, tau):
-        """Index k with nodes[k] <= tau <= nodes[k+1]."""
-        if tau < self.nodes[0] - _COVER_TOL or tau > self.nodes[-1] + _COVER_TOL:
-            raise ConfigError(f"tau = {tau} outside clock node span")
-        k = int(np.searchsorted(self.nodes, tau, side="right")) - 1
-        return min(max(k, 0), len(self.nodes) - 2)
-
-    def value(self, mode, tau):
-        k = self.interval_of(tau)
-        a, b = self.nodes[k], self.nodes[k + 1]
-        w = (tau - a) / (b - a)
+    def at(self, mode, taus):
+        """S_mode at each tau of a 1-D array: the (len(taus), d, d) stack."""
+        taus, nodes = np.asarray(taus, dtype=float), np.asarray(self.nodes)
+        outside = (taus < nodes[0] - _COVER_TOL) | (taus > nodes[-1] + _COVER_TOL)
+        if outside.any():
+            raise ConfigError(f"tau = {taus[outside][0]} outside clock node span")
+        k = np.clip(np.searchsorted(nodes, taus, side="right") - 1, 0, len(nodes) - 2)
+        a, b = nodes[k], nodes[k + 1]
+        w = ((taus - a) / (b - a))[:, None, None]
         return (1.0 - w) * self.values[mode][k] + w * self.values[mode][k + 1]
 
-    def slope(self, mode, k):
-        h = self.nodes[k + 1] - self.nodes[k]
-        return (self.values[mode][k + 1] - self.values[mode][k]) / h
+    def value(self, mode, tau):
+        return self.at(mode, [tau])[0]
+
+    def slopes(self, mode):
+        """The (len(nodes) - 1, d, d) stack of the slope on each interval."""
+        return np.diff(self.values[mode], axis=0) / np.diff(self.nodes)[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,43 +181,49 @@ class VerificationReport:
 
 
 class _Collector:
+    """Margins in record order, added as array blocks; the first largest
+    margin in that order is the worst point."""
+
     def __init__(self, modes, strict_tol, slack_tol):
-        self.records = []
+        self.blocks = []
         self.modes = modes
         self.strict_tol = strict_tol
         self.slack_tol = slack_tol
         self.flags = {}
 
     def add(self, condition, mode, theta, margin, strict):
-        self.records.append((condition, mode, theta, float(margin), strict))
+        """One block of records: margin is 1-D, mode and theta broadcast to it."""
+        margin = np.asarray(margin, dtype=float)
+        self.blocks.append((condition, np.broadcast_to(mode, margin.shape),
+                            np.broadcast_to(theta, margin.shape), margin, strict))
 
     def flag(self, name, ok, detail):
         self.flags[name] = {"ok": bool(ok), "value": detail}
 
     def report(self, grid):
-        ok = all(f["ok"] for f in self.flags.values())
-        per_condition = {}
-        mode_worst = [-np.inf] * self.modes
-        worst = None
-        for condition, mode, theta, margin, strict in self.records:
-            limit = -self.strict_tol if strict else self.slack_tol
-            violated = margin >= limit if strict else margin > limit
-            if violated:
-                ok = False
-            if condition not in per_condition or margin > per_condition[condition]:
-                per_condition[condition] = margin
-            if margin > mode_worst[mode]:
-                mode_worst[mode] = margin
-            if worst is None or margin > worst[3]:
-                worst = (condition, mode, theta, margin)
-        if worst is None:
+        """Reduce the blocks.  Every maximum is taken by argmax, the first
+        largest in record order, as a record-by-record scan would keep it
+        (np.max may return either zero of a -0.0/0.0 tie)."""
+        if not self.blocks:
             raise ConfigError("no conditions were evaluated")
+        ok = all(f["ok"] for f in self.flags.values()) and not any(
+            (m >= -self.strict_tol if strict else m > self.slack_tol).any()
+            for _, _, _, m, strict in self.blocks)
+        per_condition = {}
+        for condition, _, _, margin, _ in self.blocks:
+            top = float(margin[margin.argmax()])
+            per_condition[condition] = max(per_condition.get(condition, top), top)
+        modes, thetas, margins = (np.concatenate([b[j] for b in self.blocks]) for j in (1, 2, 3))
+        worst = int(margins.argmax())
+        mode_worst = [float(m[m.argmax()]) if m.size else -np.inf
+                      for m in (margins[modes == i] for i in range(self.modes))]
+        ends = np.cumsum([b[3].size for b in self.blocks])
         return VerificationReport(
             passed=ok,
-            worst_margin=worst[3],
-            worst_condition=worst[0],
-            worst_mode=worst[1],
-            worst_theta=worst[2],
+            worst_margin=float(margins[worst]),
+            worst_condition=self.blocks[int(np.searchsorted(ends, worst, side="right"))][0],
+            worst_mode=int(modes[worst]),
+            worst_theta=float(thetas[worst]),
             per_condition=per_condition,
             mode_margins=tuple(mode_worst),
             grid=tuple(grid),
@@ -267,8 +264,21 @@ def _flows(model, times):
     return [stacks[i if model.kind == "switched" else 0] for i in range(model.modes)]
 
 
+def _contraction_margins(model, cert, F0, W, thetas):
+    """(modes, len(thetas)) array of lambda_max(F_i(theta)' W_i F_i(theta) - P_i)."""
+    P = linalg.sym(cert.P)  # exactly symmetric, so every M below is too
+    margins = np.empty((model.modes, len(thetas)))
+    for lo in range(0, len(thetas), _THETA_SLICE):
+        hi = lo + _THETA_SLICE
+        for i, E in enumerate(_flows(model, thetas[lo:hi])):
+            F = E @ F0[i]
+            M = linalg.sym(np.swapaxes(F, -1, -2) @ W[i] @ F) - P[i]
+            margins[i, lo:hi] = linalg.sym_eig_max(M)
+    return margins
+
+
 def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
-    """lambda_max(F_i(theta)' W_i F_i(theta) - P_i) at every grid point.
+    """The contraction margin at every grid point, reduced in record order.
 
     The record order, theta-major or mode-major, fixes how ties in the
     worst point resolve.
@@ -282,22 +292,22 @@ def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
             f"dwell grid [{thetas[0]}, {thetas[-1]}] leaves the dwell range "
             f"[{dwell.t_min}, {dwell.t_max}]"
         )
-    margins = np.empty((model.modes, len(thetas)))
-    for lo in range(0, len(thetas), _THETA_SLICE):
-        hi = lo + _THETA_SLICE
-        for i, E in enumerate(_flows(model, thetas[lo:hi])):
-            F = E @ F0[i]
-            M = linalg.sym(np.swapaxes(F, -1, -2) @ W[i] @ F) - cert.P[i]
-            margins[i, lo:hi] = linalg.sym_eig_max(M)
-    modes, points = range(model.modes), range(len(thetas))
+    margins = _contraction_margins(model, cert, F0, W, thetas)
+    return _grid_verdict(margins, grid.points, strict_tol, theta_major)
+
+
+def _grid_verdict(margins, points, strict_tol, theta_major):
+    """Report of a (modes, len(points)) contraction-margin array whose
+    records run theta-major or mode-major."""
+    modes, thetas = np.arange(len(margins)), np.asarray(points)
+    coll = _Collector(len(margins), strict_tol, SLACK_TOL)
     if theta_major:
-        order = ((i, k) for k in points for i in modes)
+        coll.add("contraction", np.tile(modes, len(thetas)),
+                 np.repeat(thetas, len(modes)), margins.T.ravel(), strict=True)
     else:
-        order = ((i, k) for i in modes for k in points)
-    coll = _Collector(model.modes, strict_tol, SLACK_TOL)
-    for i, k in order:
-        coll.add("contraction", i, grid.points[k], margins[i, k], strict=True)
-    return coll.report(grid.points)
+        coll.add("contraction", np.repeat(modes, len(thetas)),
+                 np.tile(thetas, len(modes)), margins.ravel(), strict=True)
+    return coll.report(points)
 
 
 def check_impulsive(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
@@ -343,26 +353,28 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
       jump      -P_i + F0_i' S_i(theta) F0_i + eps I <= 0 on the range
       coupling  W_i - S_i(0) <= 0
     A positive eps is required for the certificate to count as passing.
+    Each condition is one stacked eigenvalue call over every mode; records
+    run per mode: flow at both ends of each interval, jump, coupling.
     """
     F0, W = _loop_data(model, cert)
     thetas = _theta_nodes(clock, dwell)
-    eps_I = eps * np.eye(model.dim)
+    taus = np.repeat(clock.nodes, 2)[1:-1]
+    modes = range(model.modes)
+    A = np.stack([model.drift(i) for i in modes])[:, None]
+    S = np.stack([clock.at(i, taus) for i in modes])
+    Sdot = np.stack([np.repeat(clock.slopes(i), 2, axis=0) for i in modes])
+    flow = linalg.sym_eig_max(linalg.sym(-Sdot + np.swapaxes(A, -1, -2) @ S + S @ A))
+    F, S = np.stack(F0)[:, None], np.stack([clock.at(i, thetas) for i in modes])
+    M = -np.stack(cert.P)[:, None] + np.swapaxes(F, -1, -2) @ S @ F
+    jump = linalg.sym_eig_max(linalg.sym(M) + eps * np.eye(model.dim))
+    coupling = linalg.sym_eig_max(linalg.sym(np.stack(W))
+                                  - np.stack([clock.value(i, 0.0) for i in modes]))
     coll = _Collector(model.modes, STRICT_TOL, tol)
     coll.flag("eps_positive", eps > 0.0, eps)
-    for i in range(model.modes):
-        A = model.drift(i)
-        for k in range(len(clock.nodes) - 1):
-            Sdot = clock.slope(i, k)
-            for tau in (clock.nodes[k], clock.nodes[k + 1]):
-                S = clock.value(i, tau)
-                margin = linalg.sym_eig_max(linalg.sym(-Sdot + A.T @ S + S @ A))
-                coll.add("flow", i, tau, margin, strict=False)
-        for theta in thetas:
-            S = clock.value(i, theta)
-            margin = linalg.sym_eig_max(linalg.sym(-cert.P[i] + F0[i].T @ S @ F0[i]) + eps_I)
-            coll.add("jump", i, theta, margin, strict=False)
-        margin = linalg.sym_eig_max(linalg.sym(W[i]) - clock.value(i, 0.0))
-        coll.add("coupling", i, 0.0, margin, strict=False)
+    for i in modes:
+        coll.add("flow", i, taus, flow[i], strict=False)
+        coll.add("jump", i, thetas, jump[i], strict=False)
+        coll.add("coupling", i, 0.0, coupling[i:i + 1], strict=False)
     return coll.report(thetas)
 
 

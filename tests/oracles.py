@@ -1,15 +1,17 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately written with different algorithms than the
-package under test (Taylor series instead of a rational approximant, power
-iteration and cyclic Jacobi sweeps instead of LAPACK, one dwell point at a
-time instead of stacked evaluation) so agreement is meaningful.  Two are
-the package's earlier loops, kept as references for their stacked
-replacements: blockwise_iterate, the interior-point loop of minjump.sdp
-written one constraint block at a time, whose floating-point results the
-shape-stacked solver must reproduce exactly; and loop_simulate, the
-per-sample simulator that scores one mode and assembles one jump map at a
-time.
+package under test (a plain 30-term Taylor sum instead of the package's
+degree-12 polynomial evaluated in powers of W^4, power iteration and cyclic
+Jacobi sweeps instead of LAPACK, one dwell point at a time instead of
+stacked evaluation) so agreement is meaningful.  Some are the package's
+earlier loops, kept as references for their stacked replacements, which
+must reproduce their floating-point results exactly: blockwise_iterate,
+the interior-point loop of minjump.sdp written one constraint block at a
+time; loop_simulate, the per-sample simulator that scores one mode and
+assembles one jump map at a time; record_report, the record-by-record
+reduction of a check's margins into its verdict; and loop_check_clock, the
+clock-function check one matrix at a time.
 """
 
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from minjump import linalg, sdp
+from minjump.checks import STRICT_TOL, VerificationReport
 from minjump.errors import DivergenceError
 from minjump.sim import DIVERGENCE_LIMIT
 
@@ -155,6 +158,95 @@ def grid_margins(model, cert, thetas):
                 F = series_expm(model.drift(i), theta)
             out[i, k] = jacobi_eigvals(F.T @ W @ F - cert.P[i])[-1]
     return out
+
+
+def record_report(records, modes, strict_tol, slack_tol, grid, flags=None):
+    """The check verdict from (condition, mode, theta, margin, strict) records,
+    scanned one record at a time.
+
+    This is the per-record reduction the package used before it reduced
+    array blocks: a later record replaces the worst point, a condition's or
+    a mode's maximum only when it is strictly larger.
+    """
+    flags = dict(flags or {})
+    ok = all(f["ok"] for f in flags.values())
+    per_condition = {}
+    mode_worst = [-np.inf] * modes
+    worst = None
+    for condition, mode, theta, margin, strict in records:
+        margin = float(margin)
+        violated = margin >= -strict_tol if strict else margin > slack_tol
+        if violated:
+            ok = False
+        if condition not in per_condition or margin > per_condition[condition]:
+            per_condition[condition] = margin
+        if margin > mode_worst[mode]:
+            mode_worst[mode] = margin
+        if worst is None or margin > worst[3]:
+            worst = (condition, mode, theta, margin)
+    return VerificationReport(
+        passed=ok, worst_margin=worst[3], worst_condition=worst[0],
+        worst_mode=worst[1], worst_theta=worst[2], per_condition=per_condition,
+        mode_margins=tuple(mode_worst), grid=tuple(grid), strict_tol=strict_tol,
+        slack_tol=slack_tol, flags=flags)
+
+
+def grid_records(margins, points, theta_major):
+    """Records of a (modes, len(points)) contraction-margin array, in the
+    grid check's order: theta-major for impulsive, mode-major for switched."""
+    modes, pts = range(len(margins)), range(len(points))
+    order = ([(i, k) for k in pts for i in modes] if theta_major
+             else [(i, k) for i in modes for k in pts])
+    return [("contraction", i, points[k], margins[i, k], True) for i, k in order]
+
+
+def _clock_value(clock, mode, tau):
+    k = int(np.searchsorted(clock.nodes, tau, side="right")) - 1
+    k = min(max(k, 0), len(clock.nodes) - 2)
+    a, b = clock.nodes[k], clock.nodes[k + 1]
+    w = (tau - a) / (b - a)
+    return (1.0 - w) * clock.values[mode][k] + w * clock.values[mode][k + 1]
+
+
+def loop_check_clock(model, clock, cert, eps, dwell, tol):
+    """The clock-function check one record at a time, reduced by record_report.
+
+    Per mode: flow at both ends of every node interval, jump at every dwell
+    node, coupling at 0.  The matrices are formed in the package's
+    arithmetic order, so its stacked check must agree bit for bit.
+    """
+    pi, N = cert.weights.pi, range(model.modes)
+    if model.kind == "impulsive":
+        F0 = [model.jump(i) for i in N]
+        W = [sum(pi[j, i] * cert.P[j] for j in N) for i in N]
+    else:
+        F0 = [np.eye(model.dim)] * model.modes
+        W = [linalg.sym(sum(pi[j, i] * (model.jump(j, i).T @ cert.P[j] @ model.jump(j, i))
+                            for j in N)) for i in N]
+    thetas = {dwell.t_min, dwell.t_max}
+    for t in clock.nodes:
+        if dwell.t_min - 1e-12 <= t <= dwell.t_max + 1e-12:
+            thetas.add(min(max(t, dwell.t_min), dwell.t_max))
+    thetas = sorted(thetas)
+    eps_I = eps * np.eye(model.dim)
+    records = []
+    for i in N:
+        A = model.drift(i)
+        for k in range(len(clock.nodes) - 1):
+            h = clock.nodes[k + 1] - clock.nodes[k]
+            Sdot = (clock.values[i][k + 1] - clock.values[i][k]) / h
+            for tau in (clock.nodes[k], clock.nodes[k + 1]):
+                S = _clock_value(clock, i, tau)
+                margin = linalg.sym_eig_max(linalg.sym(-Sdot + A.T @ S + S @ A))
+                records.append(("flow", i, tau, margin, False))
+        for theta in thetas:
+            S = _clock_value(clock, i, theta)
+            margin = linalg.sym_eig_max(linalg.sym(-cert.P[i] + F0[i].T @ S @ F0[i]) + eps_I)
+            records.append(("jump", i, theta, margin, False))
+        margin = linalg.sym_eig_max(linalg.sym(W[i]) - _clock_value(clock, i, 0.0))
+        records.append(("coupling", i, 0.0, margin, False))
+    flags = {"eps_positive": {"ok": bool(eps > 0.0), "value": eps}}
+    return record_report(records, model.modes, STRICT_TOL, tol, thetas, flags)
 
 
 def quad_form(P, v):

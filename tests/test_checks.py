@@ -6,6 +6,8 @@ The frozen worst margins of the reference designs guard against silent
 numeric drift anywhere in the expm / eigenvalue chain.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,74 @@ def test_grid_check_matches_oracle_on_random_systems(monkeypatch):
                                           monkeypatch)
 
 
+def _assert_same_report(got, want):
+    """Bitwise: json.dumps spells every float exactly, -0.0 included."""
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.worst_condition == want.worst_condition
+
+
+def test_array_reducer_matches_record_oracle(request):
+    """The grid check's verdict equals the record-by-record reduction of
+    the same margins: ex1, ex3 and 6 random systems."""
+    cases = [tuple(request.getfixturevalue(f"{case}_{part}")
+                   for part in ("reference_model", "reference_cert", "dwell"))
+             for case in ("ex1", "ex3")]
+    rng = np.random.default_rng(6)
+    cases += [(*random_contractive_impulsive(rng), DwellRange(0.01, 0.05)) for _ in range(6)]
+    for model, cert, dwell in cases:
+        grid = DwellGrid.uniform(dwell)
+        F0, W = checks._loop_data(model, cert)
+        margins = checks._contraction_margins(model, cert, F0, W, np.asarray(grid.points))
+        theta_major = model.kind == "impulsive"
+        want = oracles.record_report(oracles.grid_records(margins, grid.points, theta_major),
+                                     model.modes, checks.STRICT_TOL, checks.SLACK_TOL,
+                                     grid.points)
+        _assert_same_report(check(model, cert, dwell, grid=grid), want)
+
+
+def _fabricated_verdicts(margins, points, strict_tol=checks.STRICT_TOL):
+    """Array reducer and record oracle on one fabricated margin array, both orders."""
+    reports = []
+    for theta_major in (True, False):
+        got = checks._grid_verdict(margins, points, strict_tol, theta_major)
+        want = oracles.record_report(oracles.grid_records(margins, points, theta_major),
+                                     len(margins), strict_tol, checks.SLACK_TOL, points)
+        _assert_same_report(got, want)
+        reports.append(got)
+    return reports
+
+
+def test_array_reducer_ties_follow_record_order():
+    # the largest margin 0.5 sits at (mode 1, theta 0.1) and (mode 0, theta 0.2)
+    # first: theta-major meets the former first, mode-major the latter
+    margins = np.array([[0.1, 0.5, 0.5], [0.5, 0.2, 0.5]])
+    by_theta, by_mode = _fabricated_verdicts(margins, (0.1, 0.2, 0.3))
+    assert (by_theta.worst_mode, by_theta.worst_theta) == (1, 0.1)
+    assert (by_mode.worst_mode, by_mode.worst_theta) == (0, 0.2)
+    # signed zeros tie: the first one in record order is kept everywhere
+    # (np.maximum would return the later one)
+    by_theta, by_mode = _fabricated_verdicts(np.array([[-0.0, 0.0], [0.0, -0.0]]), (0.1, 0.2))
+    assert json.dumps(by_theta.mode_margins) == "[-0.0, 0.0]"
+    assert json.dumps(by_theta.worst_margin) == "-0.0"
+    assert json.dumps(by_mode.worst_margin) == "-0.0"
+    for report in _fabricated_verdicts(np.array([[0.0, -0.0]]), (0.1, 0.2)):
+        assert json.dumps(report.per_condition) == '{"contraction": 0.0}'
+    # many exact ties on random shapes
+    rng = np.random.default_rng(8)
+    for modes, points in ((1, 1), (1, 5), (3, 1), (3, 7), (4, 40)):
+        margins = rng.integers(-4, 1, (modes, points)) / 8.0
+        _fabricated_verdicts(margins, tuple(np.linspace(0.1, 0.2, points)), strict_tol=0.25)
+
+
+def test_array_reducer_margin_at_strict_tol_fails():
+    tol = checks.STRICT_TOL
+    margins = np.full((2, 3), -1.0)
+    margins[1, 2] = -tol
+    assert not any(r.passed for r in _fabricated_verdicts(margins, (0.1, 0.2, 0.3)))
+    margins[1, 2] = np.nextafter(-tol, -np.inf)
+    assert all(r.passed for r in _fabricated_verdicts(margins, (0.1, 0.2, 0.3)))
+
+
 def test_broken_certificate_fails(ex2_model, ex2_cert, ex2_dwell):
     broken = MinJumpCertificate(
         [ex2_cert.P[0], 100.0 * np.eye(2)], ex2_cert.weights)
@@ -197,6 +267,36 @@ def test_exact_clock_family_replays_the_switched_grid(
     assert len(report.grid) > 200
     assert report.per_condition["jump"] == pytest.approx(grid.worst_margin + eps, abs=1e-9)
     assert abs(report.per_condition["coupling"]) < 1e-12
+
+
+def test_clock_check_matches_record_oracle(
+        ex1_reference_model, ex1_reference_cert, ex1_dwell,
+        ex3_reference_model, ex3_reference_cert, ex3_dwell):
+    """The stacked clock check equals the one-matrix-at-a-time oracle bit
+    for bit: the acceptance-4 systems, ex3's 1024-node exact family, ex1
+    with eps = 0 and the switched identity family."""
+    rng = np.random.default_rng(1234)
+    dwell = DwellRange(0.01, 0.05)
+    cases = []
+    for _ in range(20):
+        model, cert = random_contractive_impulsive(rng)
+        eps = 0.5 * abs(check_impulsive(model, cert, dwell).worst_margin)
+        clock = exact_clock_family(cert, model, tuple(np.linspace(0.0, dwell.t_max, 64)))
+        cases.append((model, clock, cert, eps, dwell, 1e-6))
+    clock = exact_clock_family(ex3_reference_cert, ex3_reference_model,
+                               clock_node_grid(ex3_dwell, 1024))
+    cases.append((ex3_reference_model, clock, ex3_reference_cert, 1e-3, ex3_dwell,
+                  checks.SLACK_TOL))
+    clock = exact_clock_family(ex1_reference_cert, ex1_reference_model,
+                               tuple(np.linspace(0.0, ex1_dwell.t_max, 16)))
+    cases.append((ex1_reference_model, clock, ex1_reference_cert, 0.0, ex1_dwell,
+                  checks.SLACK_TOL))
+    d, modes = ex3_reference_model.dim, ex3_reference_model.modes
+    cases.append((ex3_reference_model, checks.ClockFamily((0.0, 1.0), [[np.eye(d)] * 2] * modes),
+                  MinJumpCertificate([2.0 * np.eye(d)] * modes, ModeWeights([[0.5, 0.5]] * 2)),
+                  0.5, DwellRange(0.5, 1.0), checks.SLACK_TOL))
+    for case in cases:
+        _assert_same_report(check_clock(*case), oracles.loop_check_clock(*case))
 
 
 def test_exact_clock_family_integrates_the_flow(

@@ -1,5 +1,7 @@
 """Matrix exponential and symmetric eigenvalue kernels against oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,9 +56,9 @@ def test_expm_stack_matches_scalar_calls_and_series():
     rng = np.random.default_rng(17)
     M = rng.uniform(-1.0, 1.0, (4, 4))
     M *= 3.0 / np.linalg.norm(M, 1)
-    # 1-norms of M t from 0.06 to 24: no squaring up to 5.37, then up to three
+    # 1-norms of M t from 0.06 to 24: no squaring up to 0.31, then up to seven
     thetas = np.array([0.02, 0.5, 1.7, 1.8, 2.5, 4.0, 8.0])
-    counts = np.ceil(np.log2(3.0 * thetas / linalg._PADE13_THETA)).clip(0)
+    counts = np.ceil(np.log2(3.0 * thetas / linalg._TAYLOR12_THETA)).clip(0)
     assert len(set(counts)) >= 3
     stack = linalg.expm(M, thetas)
     assert stack.shape == (len(thetas), 4, 4)
@@ -69,14 +71,52 @@ def test_expm_stack_matches_scalar_calls_and_series():
     assert linalg.expm(M, np.zeros(0)).shape == (0, 4, 4)
 
 
+def test_taylor_threshold_meets_its_remainder_bound():
+    """theta is where sum_{k>12} theta^k/k! reaches (u/2) e^{-theta}, u = 2^-53."""
+    def remainder(x):
+        return math.fsum(x ** k / math.factorial(k) for k in range(13, 60))
+
+    theta, half_u = linalg._TAYLOR12_THETA, 2.0 ** -54
+    assert remainder(theta) <= half_u * math.exp(-theta)
+    assert remainder(theta * (1 + 1e-6)) > half_u * math.exp(-theta * (1 + 1e-6))
+    assert linalg._TAYLOR12_COEF == tuple(1.0 / math.factorial(k) for k in range(13))
+
+
+def test_expm_accuracy_across_the_squaring_switch(monkeypatch):
+    """Nonnormal matrices, d = 1..12, 1-norms just below and above theta
+    (no squaring / one squaring), 5, 50 and 900 (up to 12 squarings).
+
+    The 1-norm error relative to the series oracle must stay below
+    20 u max(1, ||M||_1): rounding grows with each squaring, which the
+    norm counts.  No LAPACK solve may run.
+    """
+    def no_solve(*args, **kwargs):
+        raise AssertionError("expm ran a linear solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    theta, u = linalg._TAYLOR12_THETA, 2.0 ** -53
+    rng = np.random.default_rng(12)
+    for d in range(1, 13):
+        G = rng.standard_normal((d, d))
+        # eigenvalues moved into the left half plane so e^M does not overflow
+        G -= (np.linalg.eigvals(G).real.max() + 0.1) * np.eye(d)
+        for norm in (theta * (1 - 1e-9), theta * (1 + 1e-9), 5.0, 50.0, 900.0):
+            M = G * (norm / np.linalg.norm(G, 1))
+            got, ref = linalg.expm(M), oracles.series_expm(M)
+            assert np.linalg.norm(got - ref, 1) <= 20 * u * max(1.0, norm) * np.linalg.norm(ref, 1)
+
+
 def test_expm_rejects_bad_times():
     with pytest.raises(NumericError):
         linalg.expm(np.eye(2), np.array([0.1, np.inf]))
     with pytest.raises(DimensionError):
         linalg.expm(np.eye(2), np.ones((2, 2)))
-    # e^{1000} overflows in the squarings: an error, not a RuntimeWarning
-    with pytest.raises(NumericError):
-        linalg.expm(np.array([[1000.0]]), np.array([0.1, 1.0]))
+    # e^{1000} overflows in the squarings: an error, not a RuntimeWarning;
+    # so does a norm |t| ||M||_1 near or past the float range
+    for M, t in (([[1000.0]], np.array([0.1, 1.0])), ([[1e308]], 1.0), ([[1e200]], 1e200)):
+        with pytest.raises(NumericError):
+            linalg.expm(np.array(M), t)
+    assert linalg.expm(np.array([[-1e308]]))[0, 0] == 0.0
 
 
 def test_sym_eig_max_stack_matches_oracles():
@@ -101,6 +141,17 @@ def test_sym_eig_max_stack_rejects_one_bad_member():
     S[3, 1, 1] = np.nan
     with pytest.raises(NumericError):
         linalg.sym_eig_max(S)
+
+
+def test_sym_eig_max_symmetrizes_only_inexact_input():
+    """An exactly symmetric stack is used as given; a member that is
+    symmetric only within the tolerance is replaced by its symmetric part."""
+    rng = np.random.default_rng(29)
+    W = rng.standard_normal((6, 4, 4))
+    S = linalg.sym(W)
+    np.testing.assert_array_equal(linalg.sym_eig_max(S), np.linalg.eigvalsh(S)[:, -1])
+    S[3, 0, 2] += 1e-12
+    np.testing.assert_array_equal(linalg.sym_eig_max(S), np.linalg.eigvalsh(linalg.sym(S))[:, -1])
 
 
 def test_sym_eig_max_matches_power_iteration():

@@ -1,0 +1,30 @@
+"""Smoke tests of the scripts in scripts/: each runs to exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_run_examples_writes_every_trajectory(tmp_path):
+    done = _run(ROOT / "scripts" / "run_examples.py", tmp_path)
+    assert done.returncode == 0, done.stderr
+    for ident in (1, 2, 3):
+        assert (tmp_path / f"example{ident}_trajectory.csv").stat().st_size > 0
+
+
+def test_dwell_sweep_runs_two_steps():
+    config = ROOT / "src" / "minjump" / "fixtures" / "example1.json"
+    done = _run(ROOT / "scripts" / "dwell_sweep.py", config, "--steps", "2")
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 3  # header and one row per step
