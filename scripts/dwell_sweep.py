@@ -7,12 +7,18 @@ stops being feasible, which is the practical robustness question for
 aperiodic sampling.
 
 Usage: python3 scripts/dwell_sweep.py CONFIG [--steps N] [--max-factor F] [--nodes M]
+
+Exits like `minjump`: 2 on a config, model or certificate error, 3 on a
+numeric or recovery error, each with a one-line message on stderr.
 """
 
 import argparse
+import sys
 
 from minjump import DwellRange
-from minjump.cli import build_dwell, build_model, build_weights, load_config
+from minjump.cli import (EXIT_CONFIG, EXIT_NUMERIC, build_dwell, build_model,
+                         build_weights, load_config)
+from minjump.errors import MinjumpError, NumericError, RecoveryError
 from minjump.synth import SynthesisOptions, synthesize
 
 
@@ -24,7 +30,15 @@ def main():
                         help="largest t_max as a multiple of the config value")
     parser.add_argument("--nodes", type=int, default=6)
     args = parser.parse_args()
+    try:
+        sweep(args)
+    except MinjumpError as exc:
+        print(f"dwell_sweep: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC if isinstance(exc, (NumericError, RecoveryError)) else EXIT_CONFIG
+    return 0
 
+
+def sweep(args):
     cfg = load_config(args.config)
     model = build_model(cfg)
     weights = build_weights(cfg)
@@ -42,4 +56,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,6 +8,7 @@ favor robustness and auditability over large-scale performance:
   halved until its 1-norm is at most theta = 0.3104, the largest norm with
   remainder sum_{k>12} theta^k/k! <= (u/2) e^{-theta}, u = 2^-53 the unit
   roundoff; below it the truncation is under the rounding of the result.
+  A stack of times shares the powers of M, formed once per call.
 - both expm and the largest symmetric eigenvalue take stacks, so a check
   over many dwell lengths is one batched call, not a Python loop.
 - symmetric eigenvalues come from LAPACK; the test suite keeps a Jacobi
@@ -60,11 +61,13 @@ def expm(M, t=1.0):
     A scalar t gives one n x n matrix; a 1-D array of times gives the
     (len(t), n, n) stack of e^{M t_g} from one batched evaluation.  Each
     time gets its own squaring count s_g, the least with
-    |t_g| ||M||_1 / 2^s_g <= theta (see the module docstring), so every
-    member is computed exactly as a scalar call would compute it.  The
-    polynomial in W = M t_g / 2^s_g is evaluated Paterson-Stockmeyer style
-    in W^4: three products for W^2, W^3, W^4 and two Horner products.  An
-    argument whose exponential overflows raises NumericError.
+    |t_g| ||M||_1 / 2^s_g <= theta (see the module docstring).  Then
+    W_g = M t_g / 2^s_g = alpha_g Mhat, with Mhat = 2^-e M of 1-norm below 1
+    so that no power overflows.  Mhat^0..Mhat^12 are formed once per call;
+    member g's polynomial is the (1, 13) @ (13, n^2) product of its
+    alpha_g^k / k! with them, highest power first.  So every member equals
+    its scalar call bitwise, which one 2-D GEMM over all rows would not.
+    An argument whose exponential overflows raises NumericError.
     """
     M = _as_square(M, "expm argument")
     ts = np.asarray(t, dtype=float)
@@ -72,21 +75,28 @@ def expm(M, t=1.0):
         raise DimensionError(f"expm times must be a scalar or 1-D, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)):
         raise NumericError("expm time must be finite")
-    flat = ts.reshape(-1)
+    flat, d = ts.reshape(-1), len(M)
+    norm = np.abs(M).sum(axis=0).max(initial=0.0)
     with np.errstate(over="ignore"):
-        nrm = np.abs(flat) * np.abs(M).sum(axis=0).max(initial=0.0)
+        nrm = np.abs(flat) * norm
     if not np.all(np.isfinite(nrm)):
         raise NumericError("expm overflowed; argument norm too large")
     squarings = np.ceil(np.log2(np.maximum(nrm, _TAYLOR12_THETA))
                         - np.log2(_TAYLOR12_THETA)).astype(int)
-    W = M * np.ldexp(flat, -squarings)[:, None, None]
-
-    c, ident = _TAYLOR12_COEF, np.eye(len(M))
-    W2 = W @ W
-    W3, W4 = W2 @ W, W2 @ W2
-    E = c[0] * ident + c[1] * W + c[2] * W2 + c[3] * W3 + W4 @ (
-        c[4] * ident + c[5] * W + c[6] * W2 + c[7] * W3 + W4 @ (
-            c[8] * ident + c[9] * W + c[10] * W2 + c[11] * W3 + c[12] * W4))
+    e = np.frexp(norm)[1]
+    # highest power first (P[k] = Mhat^k), so a row product adds small terms first
+    R = np.empty((13, d, d))
+    P = R[::-1]
+    P[0], P[1] = np.eye(d), np.ldexp(M, -e)
+    P[2] = P[1] @ P[1]
+    P[3:5] = P[1:3] @ P[2]
+    P[5:9] = P[1:5] @ P[4]
+    P[9:] = P[1:5] @ P[8]
+    powers = np.ones((len(flat), 13))
+    # at M = 0 take alpha = 0: a huge t would make alpha^12 Mhat^12 = inf * 0
+    powers[:, 1:] = (np.ldexp(flat, e - squarings) if norm else 0.0 * flat)[:, None]
+    coef = np.cumprod(powers, axis=1)[:, ::-1] * _TAYLOR12_COEF[::-1]
+    E = (coef[:, None, :] @ R.reshape(13, d * d)).reshape(len(flat), d, d)
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(int(squarings.max(initial=0))):

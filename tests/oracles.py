@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately written with different algorithms than the
-package under test (a plain 30-term Taylor sum instead of the package's
-degree-12 polynomial evaluated in powers of W^4, power iteration and cyclic
+package under test (a plain 30-term Taylor sum, in floats or in exact
+rationals, instead of the package's degree-12 polynomial evaluated as one
+row product against shared powers of M, power iteration and cyclic
 Jacobi sweeps instead of LAPACK, one dwell point at a time instead of
 stacked evaluation) so agreement is meaningful.  Some are the package's
 earlier loops, kept as references for their stacked replacements, which
@@ -14,6 +15,7 @@ reduction of a check's margins into its verdict; and loop_check_clock, the
 clock-function check one matrix at a time.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +54,24 @@ def series_expm(M, t=1.0, terms=30):
     for _ in range(squarings):
         E = E @ E
     return E
+
+
+def exact_taylor_expm(M, terms=30):
+    """e^M from a Taylor sum of `terms` terms in exact rational arithmetic,
+    rounded once to floats at the end.
+
+    Meant for 1-norms below about 1, where the truncation error is far
+    below the last bit; no scaling, no squaring, no rounding on the way.
+    """
+    F = [[Fraction(float(x)) for x in row] for row in np.asarray(M, dtype=float)]
+    d = len(F)
+    term = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    total = [row[:] for row in term]
+    for k in range(1, terms + 1):
+        term = [[sum(term[i][m] * F[m][j] for m in range(d)) / k for j in range(d)]
+                for i in range(d)]
+        total = [[total[i][j] + term[i][j] for j in range(d)] for i in range(d)]
+    return np.array([[float(x) for x in row] for row in total])
 
 
 def power_iter_max(S, iters=20000, tol=1e-14, seed=7):

@@ -106,6 +106,86 @@ def test_expm_accuracy_across_the_squaring_switch(monkeypatch):
             assert np.linalg.norm(got - ref, 1) <= 20 * u * max(1.0, norm) * np.linalg.norm(ref, 1)
 
 
+def test_expm_without_squaring_is_nearly_correctly_rounded():
+    """At 1-norms up to theta no squaring runs, and the polynomial, summed
+    from its smallest terms up, is within 2u of the exact exponential for
+    every matrix and within u/2 for at least 90 % of them."""
+    theta, u = linalg._TAYLOR12_THETA, 2.0 ** -53
+    rng = np.random.default_rng(31)
+    errors = []
+    for d in range(1, 7):
+        for _ in range(3):
+            G = rng.standard_normal((d, d)) + np.triu(3.0 * rng.standard_normal((d, d)), 1)
+            for norm in (theta * (1 - 1e-9), 0.1, 0.01):
+                M = G * (norm / np.linalg.norm(G, 1))
+                ref = oracles.exact_taylor_expm(M)
+                errors.append(np.linalg.norm(linalg.expm(M) - ref, 1) / np.linalg.norm(ref, 1))
+    assert max(errors) <= 2 * u
+    assert np.mean(np.array(errors) <= u / 2) >= 0.9
+
+
+def _assert_members_are_their_scalar_calls(M, ts):
+    """Every member of expm(M, ts) equals its scalar call bitwise, and the
+    same member of the reversed stack and of two sliced stacks."""
+    stack = linalg.expm(M, ts)
+    for E, t in zip(stack, ts):
+        np.testing.assert_array_equal(E, linalg.expm(M, t))
+    np.testing.assert_array_equal(linalg.expm(M, ts[::-1]), stack[::-1])
+    np.testing.assert_array_equal(linalg.expm(M, ts[1:]), stack[1:])
+    np.testing.assert_array_equal(linalg.expm(M, ts[::2]), stack[::2])
+    return stack
+
+
+def test_expm_stack_edges_zero_negative_at_theta_and_across_a_switch():
+    """t = 0, negative t, a member at norm exactly theta, and members just
+    below and above the first and second squaring switch, in one stack."""
+    theta, u = linalg._TAYLOR12_THETA, 2.0 ** -53
+    # integer entries over a power of two: the 1-norm is exactly 1
+    M = np.array([[-3.0, 1.0, 2.0], [2.0, -1.0, -4.0], [-3.0, 0.0, 1.0]]) / 8.0
+    assert np.linalg.norm(M, 1) == 1.0
+    ts = np.array([0.0, -0.7, theta, theta * (1 - 1e-9), theta * (1 + 1e-9),
+                   -theta * (1 + 1e-9), 2 * theta * (1 - 1e-9), 2 * theta * (1 + 1e-9), 5.0])
+    counts = np.ceil(np.log2(np.maximum(np.abs(ts), theta)) - np.log2(theta))
+    assert counts[2:8].tolist() == [0, 0, 1, 1, 1, 2]
+    stack = _assert_members_are_their_scalar_calls(M, ts)
+    np.testing.assert_array_equal(stack[0], np.eye(3))
+    for E, t in zip(stack, ts):
+        ref = oracles.series_expm(M, t)
+        assert np.linalg.norm(E - ref, 1) <= 20 * u * max(1.0, abs(t)) * np.linalg.norm(ref, 1)
+
+
+def test_expm_zero_and_one_by_one_arguments():
+    ts = np.array([0.0, 1.0, -1e300, 1e300, 2.5])
+    with np.errstate(over="raise", invalid="raise"):
+        stack = _assert_members_are_their_scalar_calls(np.zeros((3, 3)), ts)
+    np.testing.assert_array_equal(stack, np.broadcast_to(np.eye(3), (5, 3, 3)))
+    ts = np.array([0.0, 0.1, -0.3, 1.5, 7.0, -20.0])
+    stack = _assert_members_are_their_scalar_calls(np.array([[-2.0]]), ts)
+    for E, t in zip(stack, ts):
+        assert abs(E[0, 0] - math.exp(-2.0 * t)) <= 20 * 2.0 ** -53 * max(1.0, abs(2.0 * t)) * math.exp(-2.0 * t)
+
+
+def test_expm_huge_norm_at_tiny_time_does_not_overflow():
+    """||M||_1 = 1.25e300 at t = 1e-300: M t has norm 1.25, and no power
+    formed on the way may overflow."""
+    M = np.array([[0.5, -1e300], [2e299, 0.25e300]])
+    ts = np.array([1e-300, 0.0, -2e-300, 1e-301])
+    with np.errstate(over="raise", invalid="raise"):
+        stack = _assert_members_are_their_scalar_calls(M, ts)
+    for E, t in zip(stack, ts):
+        ref = oracles.series_expm(M * t)
+        assert np.linalg.norm(E - ref, 1) <= 20 * 2.0 ** -53 * 2.5 * np.linalg.norm(ref, 1)
+
+
+def test_expm_subnormal_entries():
+    """e^{M t} = I + M t exactly in floating point when M t is subnormal."""
+    M = np.array([[1e-310, -2e-310], [3e-310, 5e-311]])
+    ts = np.array([1.0, -0.5, 3.0, 0.0])
+    stack = _assert_members_are_their_scalar_calls(M, ts)
+    for E, t in zip(stack, ts):
+        np.testing.assert_array_equal(E, np.eye(2) + M * t)
+
+
 def test_expm_rejects_bad_times():
     with pytest.raises(NumericError):
         linalg.expm(np.eye(2), np.array([0.1, np.inf]))

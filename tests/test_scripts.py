@@ -1,4 +1,5 @@
-"""Smoke tests of the scripts in scripts/: each runs to exit 0."""
+"""Smoke tests of the scripts in scripts/: each runs to exit 0, and a bad
+input exits the way `minjump` does."""
 
 import os
 import subprocess
@@ -28,3 +29,10 @@ def test_dwell_sweep_runs_two_steps():
     done = _run(ROOT / "scripts" / "dwell_sweep.py", config, "--steps", "2")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 3  # header and one row per step
+
+
+def test_dwell_sweep_reports_a_bad_config_without_a_traceback():
+    done = _run(ROOT / "scripts" / "dwell_sweep.py", "example1", "--steps", "2")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("dwell_sweep: ") and len(done.stderr.splitlines()) == 1
