@@ -38,7 +38,6 @@ from .model import (
     SwitchedSpec,
     augment_impulsive,
     augment_switched,
-    validate_weights,
 )
 from .rules import MinJumpCertificate, select_impulsive, select_switched
 from .sim import (
@@ -99,6 +98,5 @@ __all__ = [
     "simulate_impulsive",
     "simulate_switched",
     "synthesize",
-    "validate_weights",
     "write_csv",
 ]

@@ -185,6 +185,9 @@ class _Collector:
     margin in that order is the worst point."""
 
     def __init__(self, modes, strict_tol, slack_tol):
+        for name, tol in (("strict", strict_tol), ("slack", slack_tol)):
+            if not 0.0 <= tol < np.inf:  # a NaN or negative tol would pass failing margins
+                raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
         self.blocks = []
         self.modes = modes
         self.strict_tol = strict_tol

@@ -13,7 +13,8 @@ ordered mode pair (new mode j, previous mode i).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem
 
 import numpy as np
 
@@ -179,6 +180,8 @@ class ModeWeights:
 
     Entry pi[j, i] weighs target mode j when mode i is the candidate being
     scored, so each column is a probability vector over successor modes.
+    The constructor is the one place this is checked: entries finite and
+    >= -WEIGHT_ENTRY_TOL, column sums within WEIGHT_COLSUM_TOL of one.
     """
 
     pi: np.ndarray
@@ -190,41 +193,22 @@ class ModeWeights:
             raise ConfigError(f"weight matrix is not numeric: {exc}") from exc
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ConfigError(f"weight matrix must be square, got shape {P.shape}")
+        if not np.isfinite(P).all():
+            raise ConfigError("invalid mode weights: non-finite entry")
+        low = P.min() if P.size else 0.0
+        problems = [f"negative entry {low:.3e}"] if low < -WEIGHT_ENTRY_TOL else []
+        bad = ", ".join(f"col {i}: {s:.12f}" for i, s in enumerate(P.sum(axis=0))
+                        if abs(s - 1.0) > WEIGHT_COLSUM_TOL)
+        if bad:
+            problems.append("column sums off unity: " + bad)
+        if problems:
+            raise ConfigError("invalid mode weights: " + "; ".join(problems))
         P.setflags(write=False)
         object.__setattr__(self, "pi", P)
 
     @property
     def modes(self):
         return self.pi.shape[0]
-
-
-@dataclass(frozen=True)
-class WeightDiagnostics:
-    ok: bool
-    message: str
-    column_sums: tuple
-    min_entry: float
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_weights(weights):
-    """Check nonnegativity and unit column sums; returns truthy diagnostics."""
-    P = weights.pi if isinstance(weights, ModeWeights) else np.asarray(weights, dtype=float)
-    sums = tuple(float(s) for s in P.sum(axis=0))
-    mn = float(P.min()) if P.size else 0.0
-    problems = []
-    if mn < -WEIGHT_ENTRY_TOL:
-        problems.append(f"negative entry {mn:.3e}")
-    bad = [i for i, s in enumerate(sums) if abs(s - 1.0) > WEIGHT_COLSUM_TOL]
-    if bad:
-        problems.append(
-            "column sums off unity: " + ", ".join(f"col {i}: {sums[i]:.12f}" for i in bad)
-        )
-    ok = not problems
-    msg = "ok" if ok else "; ".join(problems)
-    return WeightDiagnostics(ok=ok, message=msg, column_sums=sums, min_entry=mn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,10 +238,12 @@ class AugmentedModel:
         return self.abar[i if self.kind == "switched" else 0]
 
     def gain(self, *idx):
-        g = self.gains
-        for k in idx:
-            g = g[k]
-        return g
+        """Gain K of slot idx, None while it is to be designed."""
+        return reduce(getitem, idx, self.gains)
+
+    def base(self, *idx):
+        """Jbar0 of gain slot idx: the jump map before its gain enters."""
+        return reduce(getitem, idx, self.jbar0)
 
     @property
     def gain_slots(self):
@@ -275,22 +261,17 @@ class AugmentedModel:
         """Input-injection matrix: columns reach the channels updated on a jump."""
         return self.jbar1 if self.kind == "impulsive" else self.jbar1[j]
 
-    def _assemble(self, jbar0, jbar1, gain, label):
-        if jbar1.shape[1] == 0:
-            return jbar0
-        if gain is None:
-            raise ModelError(f"no gain available for {label}")
-        return jbar0 + jbar1 @ gain
-
     def jump(self, *idx):
-        """Assembled jump map Jbar for mode i, or pair (j, i) when switched."""
-        if self.kind == "impulsive":
-            (i,) = idx
-            return self._assemble(self.jbar0[i], self.jbar1, self.gains[i], f"mode {i}")
-        j, i = idx
-        return self._assemble(
-            self.jbar0[j][i], self.jbar1[j], self.gains[j][i], f"modes ({j}, {i})"
-        )
+        """Assembled jump map Jbar0 + Jbar1 K of gain slot idx: (i,) when
+        impulsive, (j, i) when switched."""
+        base, inj = self.base(*idx), self.injection(*idx[:-1])
+        if inj.shape[1] == 0:
+            return base
+        gain = self.gain(*idx)
+        if gain is None:
+            where = f"mode {idx[0]}" if len(idx) == 1 else f"modes {idx}"
+            raise ModelError(f"no gain available for {where}")
+        return base + inj @ gain
 
     @cached_property
     def jump_table(self):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificateError, ModelError, NumericError
-from .model import ModeWeights, validate_weights
+from .model import ModeWeights
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,9 +33,6 @@ class MinJumpCertificate:
     def __init__(self, P, weights, eps=0.0):
         if not isinstance(weights, ModeWeights):
             weights = ModeWeights(weights)
-        diag = validate_weights(weights)
-        if not diag:
-            raise CertificateError(f"invalid mode weights: {diag.message}")
         mats = []
         for i, Pi in enumerate(P):
             Pi = np.array(Pi, dtype=float)
@@ -50,8 +47,8 @@ class MinJumpCertificate:
         dims = {M.shape[0] for M in mats}
         if len(dims) > 1:
             raise CertificateError(f"rule matrices mix dimensions {sorted(dims)}")
-        if eps < 0.0:
-            raise CertificateError("eps must be nonnegative")
+        if not 0.0 <= eps < np.inf:
+            raise CertificateError(f"eps must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "P", tuple(mats))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "eps", float(eps))

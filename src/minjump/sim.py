@@ -83,6 +83,8 @@ def gen_sequence(dwell, kind, count, seed=None, period=None):
             )
         dwells = np.full(count, period)
     elif kind == "uniform_random":
+        if isinstance(seed, (int, np.integer)) and seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
         rng = np.random.default_rng(seed)
         dwells = rng.uniform(dwell.t_min, dwell.t_max, size=count)
     else:

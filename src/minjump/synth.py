@@ -22,6 +22,12 @@ Beyond the printed conditions the assembler adds:
   eigenvalue, so letting Ptilde grow to the outer bound can leave a
   certificate that is feasible but numerically worthless.
 
+Both kinds share one assembler (_assemble) and one recovery; gains enter
+linearly through U = K X.  The kind enters only through the per-mode block
+builders (_impulsive_blocks, _switched_blocks) and _anchor, which names X:
+Ptilde_i when the jump precedes the flow (impulsive), S_i(0) when it
+follows it (switched).
+
 Recovered rule matrices are scaled so their smallest eigenvalue is at
 least one; the min-jumping rule is invariant under positive scaling and
 the verification margins only grow with it.
@@ -34,10 +40,10 @@ import numpy as np
 
 from . import sdp
 # check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
-from .checks import ClockFamily, DwellGrid, check, check_impulsive  # noqa: F401
+from .checks import DwellGrid, check, check_impulsive  # noqa: F401
 from .errors import ConfigError, ModelError, RecoveryError
 from .linalg import inv_spd
-from .model import ModeWeights, validate_weights
+from .model import ModeWeights
 from .rules import MinJumpCertificate
 
 log = logging.getLogger("minjump.synth")
@@ -61,8 +67,8 @@ class SynthesisOptions:
     def __post_init__(self):
         if self.clock_nodes < 2:
             raise ConfigError("need at least two clock nodes")
-        if self.delta_pd < 0:
-            raise ConfigError("delta_pd must be nonnegative")
+        if not self.delta_pd >= 0:  # NaN fails too
+            raise ConfigError(f"delta_pd must be nonnegative, got {self.delta_pd}")
         if self.delta_pd >= min(BOUND, PTILDE_CAP):
             raise ConfigError(f"delta_pd must stay below {min(BOUND, PTILDE_CAP):g}")
 
@@ -79,9 +85,6 @@ class SynthesisResult:
     eps: float
     cert: object
     gains: object
-    ptilde: tuple
-    u: tuple
-    clock: object
     report: object
     solution: object
 
@@ -110,12 +113,9 @@ def _range_node_indices(nodes, dwell):
 def _weights(model, weights):
     if not isinstance(weights, ModeWeights):
         weights = ModeWeights(weights)
-    diag = validate_weights(weights)
-    if not diag:
-        raise ConfigError(f"invalid mode weights: {diag.message}")
-    if weights.pi.shape[0] != model.modes:
+    if weights.modes != model.modes:
         raise ConfigError(
-            f"weights are {weights.pi.shape[0]}x{weights.pi.shape[0]} "
+            f"weights are {weights.modes}x{weights.modes} "
             f"for a model with {model.modes} modes"
         )
     return weights
@@ -128,6 +128,23 @@ def _free(model, *idx):
 
 def _gain_name(*idx):
     return "U" + "_".join(str(k) for k in idx)
+
+
+def _anchor(model, i):
+    """The unknown X in U = K X for gains out of mode i: Ptilde_i when the
+    jump comes before the flow (impulsive), S_i(0) when it comes after
+    (switched)."""
+    return f"Pt{i}" if model.kind == "impulsive" else f"S{i}n0"
+
+
+def _jump_terms(model, idx, left, right, w=1.0):
+    """left (w Jbar) X right plus its transpose for gain slot idx, X its
+    anchor: Jbar0 on X and the injection on U when the gain is free, the
+    assembled jump map on X when it is fixed."""
+    X = _anchor(model, idx[-1])
+    pairs = ([(X, model.base(*idx)), (_gain_name(*idx), model.injection(*idx[:-1]))]
+             if _free(model, *idx) else [(X, model.jump(*idx))])
+    return [sdp.BlockTerm(var, left @ (w * M), right, sym_pair=True) for var, M in pairs]
 
 
 def _common_blocks(model, nodes, opts):
@@ -171,6 +188,65 @@ def _common_blocks(model, nodes, opts):
     return variables, blocks
 
 
+def _impulsive_blocks(model, pi, i, in_range):
+    """Mode i's 2d x 2d strict jump block at every in-range node, then the
+    weighted coupling LMI."""
+    d, N = model.dim, model.modes
+    top, bot = np.eye(2 * d)[:, :d], np.eye(2 * d)[:, d:]
+    blocks = []
+    for k in in_range:
+        terms = [sdp.BlockTerm(f"Pt{i}", -top, top.T),
+                 sdp.BlockTerm(f"S{i}n{k}", -bot, bot.T)]
+        blocks.append(sdp.AffineBlock(
+            np.zeros((2 * d, 2 * d)), terms + _jump_terms(model, (i,), bot, top.T),
+            strict=True, label=f"jump i={i} node={k}"))
+
+    Vi = np.vstack([np.sqrt(pi[j, i]) * np.eye(d) for j in range(N)])
+    terms = [sdp.BlockTerm(f"S{i}n0", Vi, Vi.T)]
+    for j in range(N):
+        sel = np.eye(N * d)[:, j * d:(j + 1) * d]
+        terms.append(sdp.BlockTerm(f"Pt{j}", -sel, sel.T))
+    blocks.append(sdp.AffineBlock(
+        np.zeros((N * d, N * d)), terms, label=f"coupling i={i}"))
+    return blocks
+
+
+def _switched_blocks(model, pi, i, in_range):
+    """Mode i's plain d x d strict block Ptilde_i - S_i(theta) + eps*I at
+    every in-range node, then the (N+1)d coupling block whose rows carry
+    sqrt(pi_ji) (Jbar0_ji S_i(0) + Jbar1 U_ji)."""
+    d, N = model.dim, model.modes
+    I = np.eye(d)
+    blocks = [sdp.AffineBlock(np.zeros((d, d)),
+                              [sdp.BlockTerm(f"Pt{i}", I, I), sdp.BlockTerm(f"S{i}n{k}", -I, I)],
+                              strict=True, label=f"bound i={i} node={k}")
+              for k in in_range]
+
+    big = (N + 1) * d
+    sel0 = np.eye(big)[:, :d]
+    terms = [sdp.BlockTerm(f"S{i}n0", -sel0, sel0.T)]
+    for j in range(N):
+        sel = np.eye(big)[:, (j + 1) * d:(j + 2) * d]
+        terms.append(sdp.BlockTerm(f"Pt{j}", -sel, sel.T))
+        terms += _jump_terms(model, (j, i), sel, sel0.T, w=np.sqrt(pi[j, i]))
+    blocks.append(sdp.AffineBlock(
+        np.zeros((big, big)), terms, label=f"coupling i={i}"))
+    return blocks
+
+
+def _assemble(model, weights, dwell, opts, mode_blocks):
+    """The margin-maximization problem: the blocks both kinds share, then
+    per mode the kind's own blocks from mode_blocks."""
+    opts = opts or SynthesisOptions()
+    pi = _weights(model, weights).pi
+    nodes = clock_node_grid(dwell, opts.clock_nodes)
+    in_range = _range_node_indices(nodes, dwell)
+    variables, blocks = _common_blocks(model, nodes, opts)
+    for i in range(model.modes):
+        blocks += mode_blocks(model, pi, i, in_range)
+    return sdp.SdpProblem(variables, blocks), nodes
+
+
 def assemble_impulsive(model, weights, dwell, opts=None):
     """Build the margin-maximization problem for the impulsive co-design.
 
@@ -178,100 +254,28 @@ def assemble_impulsive(model, weights, dwell, opts=None):
     block at every in-range node, and the weighted coupling LMI.  Modes with
     fixed gains keep their jump map as data; free modes get a gain unknown.
     """
-    opts = opts or SynthesisOptions()
     if model.kind != "impulsive":
         raise ModelError("assemble_impulsive requires an impulsive model")
-    weights = _weights(model, weights)
-    pi = weights.pi
-    nodes = clock_node_grid(dwell, opts.clock_nodes)
-    d, N = model.dim, model.modes
-
-    variables, blocks = _common_blocks(model, nodes, opts)
-
-    top = np.vstack([np.eye(d), np.zeros((d, d))])
-    bot = np.vstack([np.zeros((d, d)), np.eye(d)])
-    for i in range(N):
-        for k in _range_node_indices(nodes, dwell):
-            terms = [sdp.BlockTerm(f"Pt{i}", -top, top.T),
-                     sdp.BlockTerm(f"S{i}n{k}", -bot, bot.T)]
-            if _free(model, i):
-                terms.append(sdp.BlockTerm(
-                    f"Pt{i}", bot @ model.jbar0[i], top.T, sym_pair=True))
-                terms.append(sdp.BlockTerm(
-                    _gain_name(i), bot @ model.jbar1, top.T, sym_pair=True))
-            else:
-                terms.append(sdp.BlockTerm(
-                    f"Pt{i}", bot @ model.jump(i), top.T, sym_pair=True))
-            blocks.append(sdp.AffineBlock(
-                np.zeros((2 * d, 2 * d)), terms, strict=True,
-                label=f"jump i={i} node={k}"))
-
-        Vi = np.vstack([np.sqrt(pi[j, i]) * np.eye(d) for j in range(N)])
-        terms = [sdp.BlockTerm(f"S{i}n0", Vi, Vi.T)]
-        for j in range(N):
-            sel = np.zeros((N * d, d))
-            sel[j * d:(j + 1) * d] = np.eye(d)
-            terms.append(sdp.BlockTerm(f"Pt{j}", -sel, sel.T))
-        blocks.append(sdp.AffineBlock(
-            np.zeros((N * d, N * d)), terms, label=f"coupling i={i}"))
-
-    return sdp.SdpProblem(variables, blocks), nodes
+    return _assemble(model, weights, dwell, opts, _impulsive_blocks)
 
 
 def assemble_switched(model, weights, dwell, opts=None):
     """Build the margin-maximization problem for the switched co-design.
 
     The dwell-dependent condition Ptilde_i - S_i(theta) + eps*I <= 0 is a
-    plain d x d strict block; gains enter through the coupling block rows
-    sqrt(pi_ji) (Jbar0_ji S_i(0) + Jbar1 U_ji).
+    plain d x d strict block; gains enter through the coupling block.
     """
-    opts = opts or SynthesisOptions()
     if model.kind != "switched":
         raise ModelError("assemble_switched requires a switched model")
-    weights = _weights(model, weights)
-    pi = weights.pi
-    nodes = clock_node_grid(dwell, opts.clock_nodes)
-    d, N = model.dim, model.modes
-
-    variables, blocks = _common_blocks(model, nodes, opts)
-
-    I = np.eye(d)
-    for i in range(N):
-        for k in _range_node_indices(nodes, dwell):
-            blocks.append(sdp.AffineBlock(
-                np.zeros((d, d)),
-                [sdp.BlockTerm(f"Pt{i}", I, I),
-                 sdp.BlockTerm(f"S{i}n{k}", -I, I)],
-                strict=True, label=f"bound i={i} node={k}"))
-
-        big = (N + 1) * d
-        sel0 = np.zeros((big, d)); sel0[:d] = I
-        terms = [sdp.BlockTerm(f"S{i}n0", -sel0, sel0.T)]
-        for j in range(N):
-            sel = np.zeros((big, d)); sel[(j + 1) * d:(j + 2) * d] = I
-            terms.append(sdp.BlockTerm(f"Pt{j}", -sel, sel.T))
-            w = np.sqrt(pi[j, i])
-            if _free(model, j, i):
-                terms.append(sdp.BlockTerm(
-                    f"S{i}n0", sel @ (w * model.jbar0[j][i]), sel0.T, sym_pair=True))
-                terms.append(sdp.BlockTerm(
-                    _gain_name(j, i), sel @ (w * model.injection(j)), sel0.T, sym_pair=True))
-            else:
-                terms.append(sdp.BlockTerm(
-                    f"S{i}n0", sel @ (w * model.jump(j, i)), sel0.T, sym_pair=True))
-        blocks.append(sdp.AffineBlock(
-            np.zeros((big, big)), terms, label=f"coupling i={i}"))
-
-    return sdp.SdpProblem(variables, blocks), nodes
+    return _assemble(model, weights, dwell, opts, _switched_blocks)
 
 
 def _failure(status, solution):
     return SynthesisResult(status=status, eps=solution.eps, cert=None,
-                           gains=None, ptilde=(), u=(), clock=None,
-                           report=None, solution=solution)
+                           gains=None, report=None, solution=solution)
 
 
-def recover_design(model, weights, dwell, solution, nodes):
+def recover_design(model, weights, dwell, solution):
     """Invert the solved variables into a certificate, gains, and a report.
 
     Raises RecoveryError when an inverse does not exist (delta floor too
@@ -283,21 +287,11 @@ def recover_design(model, weights, dwell, solution, nodes):
     if solution.eps <= 0.0:
         return _failure("infeasible", solution)
 
-    N = model.modes
     vals = solution.values
-    ptilde = tuple(vals[f"Pt{i}"] for i in range(N))
-    svals = [[vals[f"S{i}n{k}"] for k in range(len(nodes))] for i in range(N)]
-    clock = ClockFamily(nodes, svals)
-    # the unknown of a gain slot is U = K X, with X = Ptilde_i (impulsive) or
-    # S_i(0) (switched) of the slot's source mode i
-    anchors = ptilde if model.kind == "impulsive" else [S[0] for S in clock.values]
-    slots = model.gain_slots
-    u = model.nest([vals.get(_gain_name(*idx)) for idx in slots])
-
     try:
-        P = [inv_spd(Pt) for Pt in ptilde]
-        gains = [vals[_gain_name(*idx)] @ inv_spd(anchors[idx[-1]]) if _free(model, *idx)
-                 else model.gain(*idx) for idx in slots]
+        P = [inv_spd(vals[f"Pt{i}"]) for i in range(model.modes)]
+        gains = [vals[_gain_name(*idx)] @ inv_spd(vals[_anchor(model, idx[-1])])
+                 if _free(model, *idx) else model.gain(*idx) for idx in model.gain_slots]
     except Exception as exc:
         raise RecoveryError(
             f"recovery inverse failed ({exc}); delta floor may be too small"
@@ -315,21 +309,18 @@ def recover_design(model, weights, dwell, solution, nodes):
         log.info("post-verification failed at margin %.3e; consider more clock nodes",
                  report.worst_margin)
     return SynthesisResult(status=status, eps=solution.eps, cert=cert,
-                           gains=new_gains, ptilde=ptilde, u=u, clock=clock,
-                           report=report, solution=solution)
+                           gains=new_gains, report=report, solution=solution)
 
 
 def synthesize(model, weights, dwell, opts=None):
     """assemble -> solve -> recover -> post-verify, for either system kind."""
     opts = opts or SynthesisOptions()
-    if model.kind == "impulsive":
-        problem, nodes = assemble_impulsive(model, weights, dwell, opts)
-    else:
-        problem, nodes = assemble_switched(model, weights, dwell, opts)
+    assemble = assemble_impulsive if model.kind == "impulsive" else assemble_switched
+    problem, _ = assemble(model, weights, dwell, opts)
     log.info("assembled %d blocks over %d scalar unknowns",
              len(problem.blocks), problem.scalar_count)
     solution = sdp.solve(problem, sdp.SdpOptions())
-    return recover_design(model, weights, dwell, solution, nodes)
+    return recover_design(model, weights, dwell, solution)
 
 
 def scan_weights(model, candidates, dwell, opts=None):
@@ -338,8 +329,7 @@ def scan_weights(model, candidates, dwell, opts=None):
     Returns (best result or None, its weights or None, list of
     (weights, status, eps)).
     """
-    best = None
-    best_pi = None
+    best = best_pi = None
     summary = []
     for pi in candidates:
         result = synthesize(model, pi, dwell, opts)

@@ -342,3 +342,15 @@ def test_clock_check_switched_identity_case(ex3_reference_model):
     report = check_clock(model, clock, cert, 0.5, DwellRange(0.5, 1.0))
     assert "coupling" in report.per_condition
     assert not report.passed
+
+
+@pytest.mark.parametrize("tol", [np.nan, -5.0, np.inf])
+def test_bad_tolerance_is_rejected(tol):
+    # m >= -tol is False for NaN and a negative tol loosens the test, so
+    # either would let a failing margin pass
+    model, cert, dwell = _scalar_model(0.5), _scalar_cert(), DwellRange(0.1, 0.2)
+    with pytest.raises(ConfigError, match="tolerance"):
+        check(model, cert, dwell, strict_tol=tol)
+    clock = exact_clock_family(cert, model, clock_node_grid(dwell, 4))
+    with pytest.raises(ConfigError, match="tolerance"):
+        check_clock(model, clock, cert, 0.1, dwell, tol=tol)

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, strict config parsing, idempotence."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minjump import DwellRange, gen_sequence
 from minjump.cli import main
@@ -237,3 +243,109 @@ def test_example_two_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "reference design" in out
     assert "simulation" in out
+
+
+def _ex2_fixture():
+    with open(_fixture_path("example2")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-5", "inf"])
+def test_bad_tolerance_exits_two(tmp_path, capsys, tol):
+    # with both rule matrices at I, example 2 fails (worst margin +0.096);
+    # a NaN or negative tol must not turn that into a pass
+    cfg = _ex2_fixture()
+    cfg["rule"]["P"] = [np.eye(2).tolist()] * 2
+    path = _write(tmp_path, "identity.json", cfg)
+    assert main(["verify", path]) == 1
+    capsys.readouterr()
+    assert main(["verify", path, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert '"pass": true' not in captured.out
+    assert "tolerance" in captured.err
+
+
+def test_nan_floor_exits_two(capsys):
+    assert main(["synth", _fixture_path("example2"), "--delta", "nan"]) == 2
+    assert "delta_pd" in capsys.readouterr().err
+
+
+def test_nan_rule_eps_exits_two(tmp_path, capsys):
+    cfg = _ex2_fixture()
+    cfg["rule"]["eps"] = math.nan
+    assert main(["verify", _write(tmp_path, "eps.json", cfg)]) == 2
+    assert "eps" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_two(tmp_path, capsys):
+    cfg = _ex2_fixture()
+    cfg["run"]["kind"] = "uniform_random"
+    assert main(["simulate", _write(tmp_path, "rand.json", cfg), "--seed=-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "synth", "simulate"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_exits_two(tmp_path, capsys, command, bad):
+    cfg = _ex2_fixture()
+    cfg["weights"]["pi"][0][0] = bad
+    assert main([command, _write(tmp_path, "weights.json", cfg)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+# extreme values any fuzzed number may take instead of an ordinary one
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300])
+
+# ordinary draws per fuzzed key; a weight key redraws one column as (p, 1 - p)
+_ORDINARY = {
+    "tol": st.floats(0.0, 1.0),
+    "seed": st.integers(-3, 2**32),
+    "steps": st.integers(-3, 200),
+    "substeps": st.integers(-1, 4),
+    "grid": st.integers(-1, 2000),
+    "t_min": st.floats(1e-3, 0.02),
+    "t_max": st.floats(0.02, 0.2),
+    "pi col 0": st.floats(0.0, 1.0),
+    "pi col 1": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def _fuzzed_jobs(draw):
+    """A subcommand and example 2 with up to three keys redrawn."""
+    cfg = _ex2_fixture()
+    keys = draw(st.lists(st.sampled_from(sorted(_ORDINARY)), max_size=3, unique=True))
+    for key in keys:
+        value = draw(st.one_of(_ORDINARY[key], _EXTREMES))
+        if key.startswith("pi"):
+            i = int(key[-1])
+            cfg["weights"]["pi"][0][i] = value
+            cfg["weights"]["pi"][1][i] = 1.0 - value
+        elif key.startswith("t_"):
+            cfg["dwell"][key] = value
+        else:
+            cfg["run"][key] = value
+    cfg["run"]["kind"] = draw(st.sampled_from(["periodic", "uniform_random"]))
+    return draw(st.sampled_from(["verify", "simulate", "synth"])), cfg
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_fuzzed_jobs())
+def test_cli_contract_fuzz(job):
+    """Any drawn config ends in exit 0-3 with no traceback, and a verify
+    pass always clears its tolerance."""
+    command, cfg = job
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/job.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if command == "verify" and code in (0, 1):
+        report = json.loads(out.getvalue())
+        assert report["strict_tol"] == cfg["run"].get("tol", report["strict_tol"])
+        if report["pass"]:
+            assert report["worst_margin"] < -report["strict_tol"]

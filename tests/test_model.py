@@ -10,7 +10,6 @@ from minjump import (
     SwitchedSpec,
     augment_impulsive,
     augment_switched,
-    validate_weights,
 )
 from minjump.errors import ConfigError, ModelError
 
@@ -129,12 +128,14 @@ def test_dwell_range_validation():
 
 
 def test_weight_validation():
-    ok = validate_weights(ModeWeights([[0.5, 1.0], [0.5, 0.0]]))
-    assert ok
-    bad_sum = validate_weights(ModeWeights([[0.5, 0.5], [0.6, 0.5]]))
-    assert not bad_sum and "column sums" in bad_sum.message
-    negative = validate_weights(ModeWeights([[1.2, 0.0], [-0.2, 1.0]]))
-    assert not negative and "negative" in negative.message
+    ModeWeights([[0.5, 1.0], [0.5, 0.0]])
+    with pytest.raises(ConfigError, match="column sums"):
+        ModeWeights([[0.5, 0.5], [0.6, 0.5]])
+    with pytest.raises(ConfigError, match="negative"):
+        ModeWeights([[1.2, 0.0], [-0.2, 1.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="non-finite"):
+            ModeWeights([[1.0, bad], [0.0, 1.0]])
     with pytest.raises(ConfigError):
         ModeWeights([[0.1, 0.9]])  # not square
 

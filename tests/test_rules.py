@@ -32,6 +32,9 @@ def test_certificate_validation():
         MinJumpCertificate([np.eye(2)], ModeWeights(np.eye(2)))  # count mismatch
     with pytest.raises(CertificateError):
         _cert([np.eye(2), np.eye(3)])  # mixed dimensions
+    for eps in (np.nan, np.inf, -1.0):
+        with pytest.raises(CertificateError, match="eps"):
+            MinJumpCertificate([np.eye(2)], ModeWeights([[1.0]]), eps=eps)
 
 
 def test_certificate_scaling():

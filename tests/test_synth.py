@@ -9,6 +9,7 @@ import pytest
 from minjump import (
     ConfigError,
     DwellRange,
+    ModelError,
     ImpulsiveSpec,
     ModeWeights,
     augment_impulsive,
@@ -18,7 +19,14 @@ from minjump import (
     synthesize,
 )
 from minjump.checks import DwellGrid
-from minjump.synth import PTILDE_CAP, SynthesisOptions, clock_node_grid
+from minjump.linalg import inv_spd
+from minjump.synth import (
+    PTILDE_CAP,
+    SynthesisOptions,
+    assemble_impulsive,
+    assemble_switched,
+    clock_node_grid,
+)
 
 from conftest import EX1_PI, EX3_PI
 
@@ -31,7 +39,8 @@ def test_clock_node_grid_contains_dwell_floor():
 
 def test_options_hold_nodes_and_floor_only():
     assert [f.name for f in fields(SynthesisOptions)] == ["clock_nodes", "delta_pd"]
-    for bad in ({"clock_nodes": 1}, {"delta_pd": -1e-6}, {"delta_pd": PTILDE_CAP}):
+    for bad in ({"clock_nodes": 1}, {"delta_pd": -1e-6}, {"delta_pd": PTILDE_CAP},
+                {"delta_pd": np.nan}):
         with pytest.raises(ConfigError):
             SynthesisOptions(**bad)
 
@@ -70,13 +79,32 @@ def test_relaxation_tightens_with_node_count(ex1_open_model, ex1_dwell):
 def test_gain_recovery_consistency(ex1_open_model, ex1_dwell):
     # K = U Ptilde^{-1} must reproduce the stored gain bit for bit given the
     # same inverse routine
-    from minjump.linalg import inv_spd
     result = synthesize(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell,
                         SynthesisOptions(clock_nodes=6))
     assert result.success
     U0 = result.solution.values["U0"]
     K0 = U0 @ inv_spd(result.solution.values["Pt0"])
     assert np.allclose(K0, result.gains[0], atol=0.0, rtol=0.0)
+
+
+def test_switched_gain_recovery_consistency(ex3_open_model, ex3_dwell):
+    # the switched anchor is S_i(0): K_ji = U_ji S_i(0)^{-1} bit for bit
+    result = synthesize(ex3_open_model, ModeWeights(EX3_PI), ex3_dwell,
+                        SynthesisOptions(clock_nodes=8))
+    assert result.success
+    vals = result.solution.values
+    for j in range(2):
+        for i in range(2):
+            K = vals[f"U{j}_{i}"] @ inv_spd(vals[f"S{i}n0"])
+            assert np.array_equal(K, result.gains[j][i])
+
+
+def test_assemblers_refuse_the_other_kind(ex1_open_model, ex1_dwell,
+                                          ex3_open_model, ex3_dwell):
+    with pytest.raises(ModelError):
+        assemble_impulsive(ex3_open_model, ModeWeights(EX3_PI), ex3_dwell)
+    with pytest.raises(ModelError):
+        assemble_switched(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell)
 
 
 def test_inputless_synthesis(ex2_model):
