@@ -24,9 +24,16 @@ flow carries.  Two families of conditions are checked on them:
 Strict conditions must clear -STRICT_TOL; non-strict ones may sit up to the
 slack tolerance above zero.  Eigenvalue margins come from LAPACK's
 symmetric eigensolver through linalg.sym_eig_max, a code path separate
-from the interior-point solver that produced the data.
+from the interior-point solver that produced the data.  Every field of a
+dwell-grid report is a maximum over the grid, so on a large grid the
+eigensolver runs only where a mode's maximum can be: at spaced samples and
+around the best of them.  One stacked Cholesky factorization then proves
+every other member strictly below that maximum (it holds -inf), and where
+the proof fails every member gets its eigenvalue; the report is the one a
+full eigensolve would give, bit for bit.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +44,32 @@ from .errors import CertificateError, ConfigError, ModelError
 STRICT_TOL = 1e-7
 SLACK_TOL = 1e-9
 DEFAULT_GRID_POINTS = 200
+
+# The dwell-grid search (_max_search) prunes member k of a (G, d, d) stack M once
+# Cholesky succeeds on A = (top - tau) I - M_k, top being the largest
+# eigenvalue computed for the stack.  It must then hold that the value a
+# full eigensolve would compute, lam^_k, is strictly below top.  Write
+# m = max |M_ij|, so ||M_k||_2 <= d m, and u = 2^-53.
+# - Cholesky (Demmel, LAWN 14, 1989): a factorization that runs to the end
+#   gives A + dA = L L' >= 0 with |dA| <= gamma_{d+1} |L||L'|, and
+#   || |L||L'| ||_2 <= ||L||_F^2 <= tr(A) / (1 - gamma_{d+1}) (Rump, BIT
+#   46, 2006).  With tr(A) <= d (|top| + tau + m), and the rounding of A's
+#   diagonal, lam_max(M_k) <= top - tau + ((d+1) d + 2)(1 + O(u)) u
+#   (|top| + tau + m).
+# - Eigensolver: LAPACK's lam^_k is an exact eigenvalue of M_k + E with
+#   ||E||_2 <= p(d) u ||M_k||_2, p(d) of order d^2 for the Householder
+#   tridiagonalization (Higham, ASNA, 19.3), so lam^_k <= lam_max(M_k)
+#   + p(d) u d m.
+# Both are covered, for any p(d) <= 6 d^2, by
+#   tau = 8 (d+1)^2 (u (|top| + d m) + eta),
+# where eta = 2^-1074, the subnormal spacing, bounds each underflowed
+# product in either factorization.  Where tau is not finite (an entry is
+# not, or is near overflow), the proof is not attempted.
+_CERT_GROWTH = 8.0
+_U, _ETA = math.ldexp(1.0, -53), math.ldexp(1.0, -1074)
+# Below this many stacked entries (G d^2) one eigensolve of the whole
+# stack costs less than the search.
+_SEARCH_MIN_ENTRIES = 2048
 
 _COVER_TOL = 1e-12
 # dwell points per batched grid evaluation.  The stacked temporaries take
@@ -57,12 +90,13 @@ class DwellGrid:
     points: tuple
 
     def __init__(self, points):
-        pts = tuple(float(p) for p in points)
+        pts = tuple(map(float, points))
+        arr = np.array(pts)
         if not pts:
             raise ConfigError("dwell grid needs at least one point")
-        if any(not np.isfinite(p) for p in pts):
+        if not np.isfinite(arr).all():
             raise ConfigError("dwell grid contains non-finite points")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if (arr[1:] <= arr[:-1]).any():
             raise ConfigError("dwell grid must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -185,14 +219,18 @@ class _Collector:
     margin in that order is the worst point."""
 
     def __init__(self, modes, strict_tol, slack_tol):
-        for name, tol in (("strict", strict_tol), ("slack", slack_tol)):
-            if not 0.0 <= tol < np.inf:  # a NaN or negative tol would pass failing margins
-                raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
+        self.validate(strict_tol, slack_tol)
         self.blocks = []
         self.modes = modes
         self.strict_tol = strict_tol
         self.slack_tol = slack_tol
         self.flags = {}
+
+    @staticmethod
+    def validate(strict_tol, slack_tol):
+        for name, tol in (("strict", strict_tol), ("slack", slack_tol)):
+            if not 0.0 <= tol < np.inf:  # a NaN or negative tol would pass failing margins
+                raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
 
     def add(self, condition, mode, theta, margin, strict):
         """One block of records: margin is 1-D, mode and theta broadcast to it."""
@@ -267,8 +305,56 @@ def _flows(model, times):
     return [stacks[i if model.kind == "switched" else 0] for i in range(model.modes)]
 
 
+def _below(M, top):
+    """True when one stacked Cholesky proves every member's computed
+    largest eigenvalue strictly below top (see _CERT_GROWTH)."""
+    d = M.shape[-1]
+    tau = _CERT_GROWTH * (d + 1) ** 2 * (_U * (abs(top) + d * float(np.abs(M).max())) + _ETA)
+    if not math.isfinite(tau):
+        return False
+    A = -M
+    with np.errstate(over="ignore"):  # an overflowed entry fails is_pd
+        A.reshape(len(A), d * d)[:, ::d + 1] += top - tau
+    return linalg.is_pd(A)
+
+
+def _max_search(M):
+    """lambda_max of each member of the symmetric (G, d, d) stack M, where
+    the stack's maximum can be; -inf where a member is proven below it.
+
+    The first largest value and its index are those of sym_eig_max(M) bit
+    for bit.  Eigenvalues are taken at every s-th member and the last,
+    s = floor(sqrt(G / 2)), then within s of the best of them; _below
+    proves the rest below the largest so far, or they are all computed.
+    """
+    G, d = M.shape[0], M.shape[-1]
+    if G * d * d < _SEARCH_MIN_ENTRIES:
+        return linalg.sym_eig_max(M)
+    step = max(math.isqrt(G // 2), 1)
+    out = np.full(G, -np.inf)
+    known = np.zeros(G, dtype=bool)
+    known[::step] = known[-1] = True
+    out[known] = linalg.sym_eig_max(M[known])
+    best = int(out.argmax())
+    near = np.zeros(G, dtype=bool)
+    near[max(best - step, 0):best + step + 1] = True
+    near &= ~known
+    if near.any():
+        out[near] = linalg.sym_eig_max(M[near])
+        known |= near
+    rest = ~known
+    if rest.any() and not _below(M[rest], float(out.max())):
+        out[rest] = linalg.sym_eig_max(M[rest])
+    return out
+
+
 def _contraction_margins(model, cert, F0, W, thetas):
-    """(modes, len(thetas)) array of lambda_max(F_i(theta)' W_i F_i(theta) - P_i)."""
+    """(modes, len(thetas)) array of lambda_max(F_i(theta)' W_i F_i(theta) - P_i)
+    wherever it can be a slice's maximum, -inf elsewhere (see _max_search).
+
+    Every report field is a maximum over the grid, so the report is the
+    one of the full array.
+    """
     P = linalg.sym(cert.P)  # exactly symmetric, so every M below is too
     margins = np.empty((model.modes, len(thetas)))
     for lo in range(0, len(thetas), _THETA_SLICE):
@@ -276,7 +362,7 @@ def _contraction_margins(model, cert, F0, W, thetas):
         for i, E in enumerate(_flows(model, thetas[lo:hi])):
             F = E @ F0[i]
             M = linalg.sym(np.swapaxes(F, -1, -2) @ W[i] @ F) - P[i]
-            margins[i, lo:hi] = linalg.sym_eig_max(M)
+            margins[i, lo:hi] = _max_search(M)
     return margins
 
 
@@ -286,6 +372,7 @@ def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
     The record order, theta-major or mode-major, fixes how ties in the
     worst point resolve.
     """
+    _Collector.validate(strict_tol, SLACK_TOL)  # before the grid is evaluated
     F0, W = _loop_data(model, cert)
     if grid is None:
         grid = DwellGrid.uniform(dwell)

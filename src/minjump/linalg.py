@@ -13,7 +13,8 @@ favor robustness and auditability over large-scale performance:
   over many dwell lengths is one batched call, not a Python loop.
 - symmetric eigenvalues come from LAPACK; the test suite keeps a Jacobi
   eigensolver as an independent oracle.
-- positive definiteness and SPD inversion go through Cholesky.
+- positive definiteness, of one matrix or of a whole stack at once, and
+  SPD inversion go through Cholesky.
 """
 
 import math
@@ -122,16 +123,21 @@ def sym_eig_max(S):
 
 
 def is_pd(S, tol=0.0):
-    """True iff the Cholesky factorization of S - tol*I succeeds."""
+    """True iff the Cholesky factorization of S - tol*I succeeds.
+
+    S may be one matrix or a (..., d, d) stack, factorized in one call; a
+    stack is PD iff every member is.  A non-square, asymmetric or
+    non-finite argument is not PD.
+    """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     try:
-        S = _as_symmetric(S, "is_pd argument")
+        S = _as_symmetric(S, "is_pd argument", stacked=True)
     except (DimensionError, NumericError):
         return False
-    n = S.shape[0]
+    n = S.shape[-1]
     try:
-        np.linalg.cholesky(S - tol * np.eye(n))
+        np.linalg.cholesky(S - tol * np.eye(n) if tol else S)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -11,8 +11,10 @@ must reproduce their floating-point results exactly: blockwise_iterate,
 the interior-point loop of minjump.sdp written one constraint block at a
 time; loop_simulate, the per-sample simulator that scores one mode and
 assembles one jump map at a time; record_report, the record-by-record
-reduction of a check's margins into its verdict; and loop_check_clock, the
-clock-function check one matrix at a time.
+reduction of a check's margins into its verdict; loop_check_clock, the
+clock-function check one matrix at a time; and dense_contraction_margins,
+the dwell-grid margins with one eigensolve at every (mode, theta), where
+the package solves only where a maximum can be.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from minjump import linalg, sdp
+from minjump import checks, linalg, sdp
 from minjump.checks import STRICT_TOL, VerificationReport
 from minjump.errors import DivergenceError
 from minjump.sim import DIVERGENCE_LIMIT
@@ -178,6 +180,20 @@ def grid_margins(model, cert, thetas):
                 F = series_expm(model.drift(i), theta)
             out[i, k] = jacobi_eigvals(F.T @ W @ F - cert.P[i])[-1]
     return out
+
+
+def dense_contraction_margins(model, cert, F0, W, thetas):
+    """(modes, len(thetas)) array of lambda_max(F_i(theta)' W_i F_i(theta) - P_i),
+    every entry from the eigensolver, on the package's own stacks of M."""
+    P = linalg.sym(cert.P)
+    margins = np.empty((model.modes, len(thetas)))
+    for lo in range(0, len(thetas), checks._THETA_SLICE):
+        hi = lo + checks._THETA_SLICE
+        for i, E in enumerate(checks._flows(model, thetas[lo:hi])):
+            F = E @ F0[i]
+            M = linalg.sym(np.swapaxes(F, -1, -2) @ W[i] @ F) - P[i]
+            margins[i, lo:hi] = linalg.sym_eig_max(M)
+    return margins
 
 
 def record_report(records, modes, strict_tol, slack_tol, grid, flags=None):

@@ -24,7 +24,7 @@ from minjump import (
     check_switched,
     exact_clock_family,
 )
-from minjump import checks
+from minjump import NumericError, checks, linalg
 from minjump.checks import DwellGrid
 from minjump.synth import clock_node_grid
 
@@ -84,12 +84,23 @@ def test_reference_design_three_passes(ex3_reference_model, ex3_reference_cert, 
     assert -1e-3 < report.worst_margin < -1e-7
 
 
+def _dense_report(model, cert, grid):
+    """The record-by-record verdict over margins eigensolved at every point."""
+    F0, W = checks._loop_data(model, cert)
+    margins = oracles.dense_contraction_margins(model, cert, F0, W, np.asarray(grid.points))
+    records = oracles.grid_records(margins, grid.points, model.kind == "impulsive")
+    return oracles.record_report(records, model.modes, checks.STRICT_TOL, checks.SLACK_TOL,
+                                 grid.points)
+
+
 def _assert_grid_check_matches_oracle(model, cert, dwell, monkeypatch):
     """Every margin of the batched check equals the per-theta oracle to 1e-12.
 
     Single-point grids expose each (mode, theta) margin through the public
-    report; the full grid is also re-run in slices of 7 points, which must
-    not change the report.  check(model, ...) gives the kind's own report.
+    report.  The 41-point grid and a 1000-point grid, on which a stack of
+    d >= 2 is searched for its maximum, must give the dense oracle's report
+    bit for bit, also re-run in slices of 7 points (every slice dense).
+    check(model, ...) gives the kind's own report.
     """
     kind_check = check_impulsive if model.kind == "impulsive" else check_switched
     grid = DwellGrid.uniform(dwell, 41)
@@ -99,10 +110,14 @@ def _assert_grid_check_matches_oracle(model, cert, dwell, monkeypatch):
         np.testing.assert_allclose(point.mode_margins, ref[:, k], rtol=0, atol=1e-12)
     report = kind_check(model, cert, dwell, grid=grid)
     np.testing.assert_allclose(report.mode_margins, ref.max(axis=1), rtol=0, atol=1e-12)
-    assert check(model, cert, dwell, grid=grid).to_dict() == report.to_dict()
+    fine = DwellGrid.uniform(dwell, 1000)
+    reports = [report, kind_check(model, cert, dwell, grid=fine)]
+    for got, g in zip(reports, (grid, fine)):
+        _assert_same_report(got, _dense_report(model, cert, g))
+        assert check(model, cert, dwell, grid=g).to_dict() == got.to_dict()
     monkeypatch.setattr(checks, "_THETA_SLICE", 7)
-    sliced = kind_check(model, cert, dwell, grid=grid)
-    assert sliced.to_dict() == report.to_dict()
+    for got, g in zip(reports, (grid, fine)):
+        _assert_same_report(kind_check(model, cert, dwell, grid=g), got)
 
 
 @pytest.mark.parametrize("case", ["ex1", "ex3"])
@@ -129,21 +144,17 @@ def _assert_same_report(got, want):
 
 def test_array_reducer_matches_record_oracle(request):
     """The grid check's verdict equals the record-by-record reduction of
-    the same margins: ex1, ex3 and 6 random systems."""
+    the dense margins: ex1, ex3 and 6 random systems, at 200 points and at
+    1000, where stacks of d >= 2 are searched for their maximum."""
     cases = [tuple(request.getfixturevalue(f"{case}_{part}")
                    for part in ("reference_model", "reference_cert", "dwell"))
              for case in ("ex1", "ex3")]
     rng = np.random.default_rng(6)
     cases += [(*random_contractive_impulsive(rng), DwellRange(0.01, 0.05)) for _ in range(6)]
     for model, cert, dwell in cases:
-        grid = DwellGrid.uniform(dwell)
-        F0, W = checks._loop_data(model, cert)
-        margins = checks._contraction_margins(model, cert, F0, W, np.asarray(grid.points))
-        theta_major = model.kind == "impulsive"
-        want = oracles.record_report(oracles.grid_records(margins, grid.points, theta_major),
-                                     model.modes, checks.STRICT_TOL, checks.SLACK_TOL,
-                                     grid.points)
-        _assert_same_report(check(model, cert, dwell, grid=grid), want)
+        for grid in (DwellGrid.uniform(dwell), DwellGrid.uniform(dwell, 1000)):
+            _assert_same_report(check(model, cert, dwell, grid=grid),
+                                _dense_report(model, cert, grid))
 
 
 def _fabricated_verdicts(margins, points, strict_tol=checks.STRICT_TOL):
@@ -187,6 +198,70 @@ def test_array_reducer_margin_at_strict_tol_fails():
     assert not any(r.passed for r in _fabricated_verdicts(margins, (0.1, 0.2, 0.3)))
     margins[1, 2] = np.nextafter(-tol, -np.inf)
     assert all(r.passed for r in _fabricated_verdicts(margins, (0.1, 0.2, 0.3)))
+
+
+def _hump_stack(peaks, G=1000, d=3, seed=4):
+    """A (G, d, d) stack whose top eigenvalue is the max over peaks (k0, w)
+    of -((k - k0) / w)^2, rotated by one random orthogonal Q."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    k = np.arange(G)[:, None]
+    top = np.max([-((k - k0) / w) ** 2 for k0, w in peaks], axis=0)
+    lam = top - np.arange(d)  # top, top - 1, ...: a well separated maximum
+    return linalg.sym(Q @ (lam[:, :, None] * Q.T))
+
+
+def _assert_search_matches_dense(M):
+    """The search's first largest value and index are the dense ones bit for
+    bit, every computed member equals its dense value and every -inf member
+    is densely below the maximum.  Returns whether members were pruned."""
+    want, got = linalg.sym_eig_max(M), checks._max_search(M)
+    k = int(want.argmax())
+    assert int(got.argmax()) == k
+    assert got[k:k + 1].tobytes() == want[k:k + 1].tobytes()  # -0.0 is not 0.0
+    kept = got > -np.inf
+    assert got[kept].tobytes() == want[kept].tobytes()
+    assert (want[~kept] < want[k]).all()
+    return not kept.all()
+
+
+def test_max_search_matches_dense_on_planted_stacks():
+    # s = floor(sqrt(1000 / 2)) = 22: samples at 0, 22, ..., 990 and 999
+    between = _hump_stack([(510, 100.0)])  # 506 and 528 are the nearest samples
+    assert _assert_search_matches_dense(between)
+    # one ulp above the best the samples and their neighbours can find
+    above = between.copy()
+    above[900] = np.diag([np.nextafter(linalg.sym_eig_max(between).max(), np.inf), -1.0, -2.0])
+    assert not _assert_search_matches_dense(above)
+    assert int(linalg.sym_eig_max(above).argmax()) == 900
+    # equal humps: the samples see only the wide one, the narrow one comes first
+    humps = _hump_stack([(115, 2.0), (510, 100.0)])
+    humps[115] = humps[510]
+    assert not _assert_search_matches_dense(humps)
+    assert int(checks._max_search(humps).argmax()) == 115
+    # every member ties: the first one wins
+    assert not _assert_search_matches_dense(np.broadcast_to(between[3], between.shape).copy())
+    # M = 0, where the certificate has nothing to spare
+    assert not _assert_search_matches_dense(np.zeros((1000, 3, 3)))
+    # signed zeros: -0.0 at 7 (a neighbour) ties 0.0 at 22 (a sample) and
+    # is kept; then at 100 and 500, off the samples
+    for first, second in ((7, 22), (100, 500)):
+        zeros = np.broadcast_to(np.diag([-1.0, -2.0, -3.0]), (1000, 3, 3)).copy()
+        zeros[first], zeros[second] = np.diag([-1.0, -0.0, -2.0]), np.diag([0.0, -1.0, -2.0])
+        assert json.dumps(linalg.sym_eig_max(zeros[first])) == "-0.0"
+        _assert_search_matches_dense(zeros)
+        got = checks._max_search(zeros)
+        assert json.dumps(float(got[got.argmax()])) == "-0.0"
+    # a small stack takes one dense call: 227 * 3^2 < 2048 <= 228 * 3^2
+    assert not _assert_search_matches_dense(between[:227])
+    assert _assert_search_matches_dense(between[:228])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_max_search_raises_on_a_non_finite_member(bad):
+    M = _hump_stack([(510, 100.0)])
+    M[777, 1, 1] = bad  # neither a sample nor near the best one
+    with pytest.raises(NumericError):
+        checks._max_search(M)
 
 
 def test_broken_certificate_fails(ex2_model, ex2_cert, ex2_dwell):
@@ -345,12 +420,35 @@ def test_clock_check_switched_identity_case(ex3_reference_model):
 
 
 @pytest.mark.parametrize("tol", [np.nan, -5.0, np.inf])
-def test_bad_tolerance_is_rejected(tol):
+def test_bad_tolerance_is_rejected(tol, monkeypatch):
     # m >= -tol is False for NaN and a negative tol loosens the test, so
-    # either would let a failing margin pass
+    # either would let a failing margin pass; it is refused before any
+    # exponential of the grid is formed
     model, cert, dwell = _scalar_model(0.5), _scalar_cert(), DwellRange(0.1, 0.2)
+    calls = []
+    monkeypatch.setattr(linalg, "expm", lambda *args: calls.append(args))
     with pytest.raises(ConfigError, match="tolerance"):
         check(model, cert, dwell, strict_tol=tol)
+    assert calls == []
+    monkeypatch.undo()
     clock = exact_clock_family(cert, model, clock_node_grid(dwell, 4))
     with pytest.raises(ConfigError, match="tolerance"):
         check_clock(model, clock, cert, 0.1, dwell, tol=tol)
+
+
+def test_dwell_grid_validation():
+    assert DwellGrid([0.1, 0.2]).points == (0.1, 0.2)
+    # any iterable of floats, each converted by float(): a tuple of Python floats
+    arr = np.linspace(0.01, 0.05, 7)
+    for points in (arr, list(arr), iter(arr), (str(p) for p in arr.tolist())):
+        grid = DwellGrid(points)
+        assert type(grid.points) is tuple and all(type(p) is float for p in grid.points)
+        assert grid.points == tuple(arr.tolist())
+    assert DwellGrid(np.float32([0.1])).points == (float(np.float32(0.1)),)
+    for points, message in (((), "at least one point"), ((0.1, np.nan), "non-finite"),
+                            ((-np.inf, 0.1), "non-finite"), ((0.1, 0.1), "strictly increasing"),
+                            ((0.2, 0.1), "strictly increasing")):
+        with pytest.raises(ConfigError, match=message):
+            DwellGrid(points)
+    with pytest.raises(TypeError):
+        DwellGrid([[0.1, 0.2]])

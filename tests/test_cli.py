@@ -310,10 +310,23 @@ _ORDINARY = {
 }
 
 
+def _ex3_verify_fixture():
+    """Example 3 closed by its published gains, with its rule matrices as rule.P."""
+    with open(_fixture_path("example3")) as fh:
+        cfg = json.load(fh)
+    ref = cfg["reference"]
+    cfg["rule"] = {"P": [np.linalg.inv(Pt).tolist() for Pt in ref["Ptilde"]]}
+    cfg["gains"] = {"K": ref["K"]}
+    return cfg
+
+
 @st.composite
 def _fuzzed_jobs(draw):
-    """A subcommand and example 2 with up to three keys redrawn."""
-    cfg = _ex2_fixture()
+    """A subcommand and example 2, or verify and example 3, with up to
+    three keys redrawn.  Example 3's 4x4 stacks are searched for their
+    maximum from 128 grid points up and solved densely below."""
+    command = draw(st.sampled_from(["verify", "simulate", "synth", "verify ex3"]))
+    cfg = _ex3_verify_fixture() if command == "verify ex3" else _ex2_fixture()
     keys = draw(st.lists(st.sampled_from(sorted(_ORDINARY)), max_size=3, unique=True))
     for key in keys:
         value = draw(st.one_of(_ORDINARY[key], _EXTREMES))
@@ -326,7 +339,7 @@ def _fuzzed_jobs(draw):
         else:
             cfg["run"][key] = value
     cfg["run"]["kind"] = draw(st.sampled_from(["periodic", "uniform_random"]))
-    return draw(st.sampled_from(["verify", "simulate", "synth"])), cfg
+    return command.split()[0], cfg
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -258,6 +258,15 @@ def test_is_pd():
     assert linalg.is_pd(np.eye(3))
     assert not linalg.is_pd(np.diag([1.0, -0.1]))
     assert not linalg.is_pd(np.zeros((2, 2)))
+    # a stack is PD iff every member is
+    stack = np.stack([np.eye(3) * (k + 1.0) for k in range(5)])
+    assert linalg.is_pd(stack)
+    assert linalg.is_pd(stack[:, None])
+    stack[3, 1, 1] = -1e-12
+    assert not linalg.is_pd(stack)
+    assert linalg.is_pd(np.delete(stack, 3, axis=0))
+    stack[3, 1, 1] = np.nan
+    assert not linalg.is_pd(stack)
 
 
 def test_inv_spd_round_trip():
