@@ -30,7 +30,9 @@ eigensolver runs only where a mode's maximum can be: at spaced samples and
 around the best of them.  One stacked Cholesky factorization then proves
 every other member strictly below that maximum (it holds -inf), and where
 the proof fails every member gets its eigenvalue; the report is the one a
-full eigensolve would give, bit for bit.
+full eigensolve would give, bit for bit.  A stack times one fixed matrix
+is a single 2-D GEMM (_times), bitwise the stacked per-member products on
+the BLAS in use, which the oracle tests hold.
 """
 
 import math
@@ -99,6 +101,7 @@ class DwellGrid:
         if (arr[1:] <= arr[:-1]).any():
             raise ConfigError("dwell grid must be strictly increasing")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_array", arr)  # the points as floats, made once
 
     @classmethod
     def uniform(cls, dwell, count=DEFAULT_GRID_POINTS):
@@ -215,8 +218,8 @@ class VerificationReport:
 
 
 class _Collector:
-    """Margins in record order, added as array blocks; the first largest
-    margin in that order is the worst point."""
+    """Non-strict margins in record order, added as array blocks; the first
+    largest margin in that order is the worst point."""
 
     def __init__(self, modes, strict_tol, slack_tol):
         self.validate(strict_tol, slack_tol)
@@ -232,11 +235,11 @@ class _Collector:
             if not 0.0 <= tol < np.inf:  # a NaN or negative tol would pass failing margins
                 raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
 
-    def add(self, condition, mode, theta, margin, strict):
+    def add(self, condition, mode, theta, margin):
         """One block of records: margin is 1-D, mode and theta broadcast to it."""
         margin = np.asarray(margin, dtype=float)
         self.blocks.append((condition, np.broadcast_to(mode, margin.shape),
-                            np.broadcast_to(theta, margin.shape), margin, strict))
+                            np.broadcast_to(theta, margin.shape), margin))
 
     def flag(self, name, ok, detail):
         self.flags[name] = {"ok": bool(ok), "value": detail}
@@ -245,13 +248,10 @@ class _Collector:
         """Reduce the blocks.  Every maximum is taken by argmax, the first
         largest in record order, as a record-by-record scan would keep it
         (np.max may return either zero of a -0.0/0.0 tie)."""
-        if not self.blocks:
-            raise ConfigError("no conditions were evaluated")
         ok = all(f["ok"] for f in self.flags.values()) and not any(
-            (m >= -self.strict_tol if strict else m > self.slack_tol).any()
-            for _, _, _, m, strict in self.blocks)
+            (b[3] > self.slack_tol).any() for b in self.blocks)
         per_condition = {}
-        for condition, _, _, margin, _ in self.blocks:
+        for condition, _, _, margin in self.blocks:
             top = float(margin[margin.argmax()])
             per_condition[condition] = max(per_condition.get(condition, top), top)
         modes, thetas, margins = (np.concatenate([b[j] for b in self.blocks]) for j in (1, 2, 3))
@@ -280,8 +280,8 @@ def _require_kind(model, kind, what):
 
 
 def _loop_data(model, cert):
-    """(F0, W): per mode, the map applied before the flow and the weighted
-    storage; the only place where the system kind enters a condition."""
+    """(F0, W): per mode, the map applied before the flow (I on a switched
+    loop) and the weighted storage: the kind-specific data of every condition."""
     if cert.dim != model.dim:
         raise CertificateError(
             f"certificate dimension {cert.dim} does not match model dimension {model.dim}"
@@ -290,13 +290,12 @@ def _loop_data(model, cert):
         raise CertificateError(
             f"certificate has {cert.modes} modes, model has {model.modes}"
         )
-    pi, N = cert.weights.pi, range(model.modes)
+    pi, N, J = cert.weights.pi, range(model.modes), model.jump_table
     if model.kind == "impulsive":
-        return ([model.jump(i) for i in N],
-                [sum(pi[j, i] * cert.P[j] for j in N) for i in N])
+        return list(J[:, 0]), [sum(pi[j, i] * cert.P[j] for j in N) for i in N]
     return ([np.eye(model.dim)] * model.modes,
-            [linalg.sym(sum(pi[j, i] * (model.jump(j, i).T @ cert.P[j] @ model.jump(j, i))
-                            for j in N)) for i in N])
+            [linalg.sym(sum(pi[j, i] * (J[j, i].T @ cert.P[j] @ J[j, i]) for j in N))
+             for i in N])
 
 
 def _flows(model, times):
@@ -308,28 +307,34 @@ def _flows(model, times):
 def _below(M, top):
     """True when one stacked Cholesky proves every member's computed
     largest eigenvalue strictly below top (see _CERT_GROWTH)."""
-    d = M.shape[-1]
-    tau = _CERT_GROWTH * (d + 1) ** 2 * (_U * (abs(top) + d * float(np.abs(M).max())) + _ETA)
-    if not math.isfinite(tau):
+    d, m = M.shape[-1], float(np.abs(M).max())
+    tau = _CERT_GROWTH * (d + 1) ** 2 * (_U * (abs(top) + d * m) + _ETA)
+    if not math.isfinite(abs(top) + tau + m):  # also keeps every entry of A finite
         return False
     A = -M
-    with np.errstate(over="ignore"):  # an overflowed entry fails is_pd
-        A.reshape(len(A), d * d)[:, ::d + 1] += top - tau
-    return linalg.is_pd(A)
+    A.reshape(len(A), d * d)[:, ::d + 1] += top - tau
+    try:
+        np.linalg.cholesky(A)  # exactly symmetric, as every M here is
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _max_search(M):
-    """lambda_max of each member of the symmetric (G, d, d) stack M, where
-    the stack's maximum can be; -inf where a member is proven below it.
+    """lambda_max of each member of the symmetric (..., G, d, d) stack M
+    where its (G, d, d) stack's maximum can be; -inf where proven below it.
 
     The first largest value and its index are those of sym_eig_max(M) bit
-    for bit.  Eigenvalues are taken at every s-th member and the last,
-    s = floor(sqrt(G / 2)), then within s of the best of them; _below
-    proves the rest below the largest so far, or they are all computed.
+    for bit.  Below _SEARCH_MIN_ENTRIES entries per stack, M is one
+    eigensolve; otherwise eigenvalues are taken at every s-th member and
+    the last, s = floor(sqrt(G / 2)), then within s of the best of them;
+    _below proves the rest below the largest so far, or they are all computed.
     """
-    G, d = M.shape[0], M.shape[-1]
+    G, d = M.shape[-3], M.shape[-1]
     if G * d * d < _SEARCH_MIN_ENTRIES:
         return linalg.sym_eig_max(M)
+    if M.ndim > 3:
+        return np.array([_max_search(Mi) for Mi in M])
     step = max(math.isqrt(G // 2), 1)
     out = np.full(G, -np.inf)
     known = np.zeros(G, dtype=bool)
@@ -348,21 +353,26 @@ def _max_search(M):
     return out
 
 
+def _times(S, B):
+    """S @ B for a (G, d, d) stack S and one d x d matrix B, as one 2-D GEMM."""
+    return (S.reshape(-1, B.shape[0]) @ B).reshape(S.shape)
+
+
 def _contraction_margins(model, cert, F0, W, thetas):
     """(modes, len(thetas)) array of lambda_max(F_i(theta)' W_i F_i(theta) - P_i)
     wherever it can be a slice's maximum, -inf elsewhere (see _max_search).
 
     Every report field is a maximum over the grid, so the report is the
-    one of the full array.
+    one of the full array.  F = E on a switched loop, where F0_i = I.
     """
-    P = linalg.sym(cert.P)  # exactly symmetric, so every M below is too
+    P = linalg.sym(cert.stacked)[:, None]  # exactly symmetric, so every M below is too
     margins = np.empty((model.modes, len(thetas)))
     for lo in range(0, len(thetas), _THETA_SLICE):
         hi = lo + _THETA_SLICE
-        for i, E in enumerate(_flows(model, thetas[lo:hi])):
-            F = E @ F0[i]
-            M = linalg.sym(np.swapaxes(F, -1, -2) @ W[i] @ F) - P[i]
-            margins[i, lo:hi] = _max_search(M)
+        Fs = [E if model.kind == "switched" else _times(E, F0[i])
+              for i, E in enumerate(_flows(model, thetas[lo:hi]))]
+        M = np.stack([_times(np.swapaxes(F, -1, -2), Wi) @ F for F, Wi in zip(Fs, W)])
+        margins[:, lo:hi] = _max_search(linalg.sym(M) - P)
     return margins
 
 
@@ -376,7 +386,7 @@ def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
     F0, W = _loop_data(model, cert)
     if grid is None:
         grid = DwellGrid.uniform(dwell)
-    thetas = np.asarray(grid.points)
+    thetas = grid._array
     if thetas[0] < dwell.t_min - _COVER_TOL or thetas[-1] > dwell.t_max + _COVER_TOL:
         raise ConfigError(
             f"dwell grid [{thetas[0]}, {thetas[-1]}] leaves the dwell range "
@@ -387,17 +397,18 @@ def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
 
 
 def _grid_verdict(margins, points, strict_tol, theta_major):
-    """Report of a (modes, len(points)) contraction-margin array whose
-    records run theta-major or mode-major."""
-    modes, thetas = np.arange(len(margins)), np.asarray(points)
-    coll = _Collector(len(margins), strict_tol, SLACK_TOL)
+    """Report of a (modes, len(points)) margin array whose records run
+    theta-major or mode-major; each maximum is the first in record order."""
     if theta_major:
-        coll.add("contraction", np.tile(modes, len(thetas)),
-                 np.repeat(thetas, len(modes)), margins.T.ravel(), strict=True)
+        k, mode = divmod(int(margins.T.ravel().argmax()), len(margins))
     else:
-        coll.add("contraction", np.repeat(modes, len(thetas)),
-                 np.tile(thetas, len(modes)), margins.ravel(), strict=True)
-    return coll.report(points)
+        mode, k = divmod(int(margins.argmax()), len(points))
+    top = float(margins[mode, k])
+    return VerificationReport(
+        passed=top < -strict_tol, worst_margin=top, worst_condition="contraction",
+        worst_mode=mode, worst_theta=float(points[k]), per_condition={"contraction": top},
+        mode_margins=tuple(float(row[row.argmax()]) for row in margins),
+        grid=tuple(points), strict_tol=strict_tol, slack_tol=SLACK_TOL)
 
 
 def check_impulsive(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
@@ -462,9 +473,9 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
     coll = _Collector(model.modes, STRICT_TOL, tol)
     coll.flag("eps_positive", eps > 0.0, eps)
     for i in modes:
-        coll.add("flow", i, taus, flow[i], strict=False)
-        coll.add("jump", i, thetas, jump[i], strict=False)
-        coll.add("coupling", i, 0.0, coupling[i:i + 1], strict=False)
+        coll.add("flow", i, taus, flow[i])
+        coll.add("jump", i, thetas, jump[i])
+        coll.add("coupling", i, 0.0, coupling[i:i + 1])
     return coll.report(thetas)
 
 

@@ -64,11 +64,13 @@ def expm(M, t=1.0):
     time gets its own squaring count s_g, the least with
     |t_g| ||M||_1 / 2^s_g <= theta (see the module docstring).  Then
     W_g = M t_g / 2^s_g = alpha_g Mhat, with Mhat = 2^-e M of 1-norm below 1
-    so that no power overflows.  Mhat^0..Mhat^12 are formed once per call;
+    so that no power overflows.  Mhat^0..Mhat^12 are formed once per call,
+    alpha_g^k = alpha_g^(k-1) alpha_g by 12 products over all members, and
     member g's polynomial is the (1, 13) @ (13, n^2) product of its
     alpha_g^k / k! with them, highest power first.  So every member equals
     its scalar call bitwise, which one 2-D GEMM over all rows would not.
-    An argument whose exponential overflows raises NumericError.
+    Squaring rounds run on the members sorted by count, each on a tail
+    slice.  An argument whose exponential overflows raises NumericError.
     """
     M = _as_square(M, "expm argument")
     ts = np.asarray(t, dtype=float)
@@ -93,16 +95,20 @@ def expm(M, t=1.0):
     P[3:5] = P[1:3] @ P[2]
     P[5:9] = P[1:5] @ P[4]
     P[9:] = P[1:5] @ P[8]
-    powers = np.ones((len(flat), 13))
+    coef = np.ones((len(flat), 13))  # column 12 - k: alpha^k / k!, highest power first
     # at M = 0 take alpha = 0: a huge t would make alpha^12 Mhat^12 = inf * 0
-    powers[:, 1:] = (np.ldexp(flat, e - squarings) if norm else 0.0 * flat)[:, None]
-    coef = np.cumprod(powers, axis=1)[:, ::-1] * _TAYLOR12_COEF[::-1]
+    coef[:, 11] = np.ldexp(flat, e - squarings) if norm else 0.0 * flat
+    for k in range(10, -1, -1):
+        coef[:, k] = coef[:, k + 1] * coef[:, 11]
+    coef *= _TAYLOR12_COEF[::-1]
     E = (coef[:, None, :] @ R.reshape(13, d * d)).reshape(len(flat), d, d)
-    # an overflow is reported by the finiteness check below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(int(squarings.max(initial=0))):
-            live = squarings > s
-            E[live] = E[live] @ E[live]
+    if squarings.any():  # members by squaring count: each round squares a tail slice
+        order = np.argsort(squarings, kind="stable")
+        S = E[order]
+        with np.errstate(over="ignore", invalid="ignore"):  # see the check below
+            for a in np.searchsorted(squarings[order], range(squarings.max()), side="right"):
+                S[a:] = S[a:] @ S[a:]
+        E[order] = S
     if not np.all(np.isfinite(E)):
         raise NumericError("expm overflowed; argument norm too large")
     return E if ts.ndim else E[0]
@@ -122,23 +128,16 @@ def sym_eig_max(S):
     return float(top) if top.ndim == 0 else top
 
 
-def is_pd(S, tol=0.0):
-    """True iff the Cholesky factorization of S - tol*I succeeds.
+def is_pd(S):
+    """True iff the Cholesky factorization of S succeeds.
 
     S may be one matrix or a (..., d, d) stack, factorized in one call; a
     stack is PD iff every member is.  A non-square, asymmetric or
     non-finite argument is not PD.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
     try:
-        S = _as_symmetric(S, "is_pd argument", stacked=True)
-    except (DimensionError, NumericError):
-        return False
-    n = S.shape[-1]
-    try:
-        np.linalg.cholesky(S - tol * np.eye(n) if tol else S)
-    except np.linalg.LinAlgError:
+        np.linalg.cholesky(_as_symmetric(S, "is_pd argument", stacked=True))
+    except (DimensionError, NumericError, np.linalg.LinAlgError):
         return False
     return True
 

@@ -8,6 +8,7 @@ post-jump value of the candidate's own storage function.  All candidates
 are scored in one stacked evaluation, and ties go to the lowest index.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,7 @@ class MinJumpCertificate:
         mats = []
         for i, Pi in enumerate(P):
             Pi = np.array(Pi, dtype=float)
-            if not linalg.is_pd(Pi, 0.0):
+            if not linalg.is_pd(Pi):
                 raise CertificateError(f"P[{i}] is not positive definite")
             Pi.setflags(write=False)
             mats.append(Pi)
@@ -79,8 +80,6 @@ def _check_state(chi, dim):
     chi = np.asarray(chi, dtype=float).reshape(-1)
     if chi.shape[0] != dim:
         raise ModelError(f"state has length {chi.shape[0]}, expected {dim}")
-    if not np.isfinite(chi).all():
-        raise NumericError("state contains non-finite entries")
     return chi
 
 
@@ -90,8 +89,13 @@ def _forms(W, P):
 
 
 def _argmin_forms(W, P):
-    """Index of the smallest form _forms(W, P); ties go to the lowest index."""
-    return int(_forms(W, P).argmin())
+    """Index of the smallest form _forms(W, P); ties go to the lowest index.
+    A non-finite winner (from a non-finite state, or overflow) raises."""
+    forms = _forms(W, P)
+    best = int(forms.argmin())
+    if not math.isfinite(forms[best]):
+        raise NumericError("state is not finite, or its quadratic forms overflow")
+    return best
 
 
 def select_impulsive(chi, cert):
@@ -106,4 +110,5 @@ def select_switched(chi, current_mode, cert, model):
     if not 0 <= current_mode < model.modes:
         raise ModelError(f"current mode {current_mode} out of range")
     chi = _check_state(chi, cert.dim)
-    return _argmin_forms(model.jump_table[:, current_mode] @ chi, cert.stacked)
+    with np.errstate(invalid="ignore", over="ignore"):  # judged by _argmin_forms
+        return _argmin_forms(model.jump_table[:, current_mode] @ chi, cert.stacked)

@@ -13,8 +13,9 @@ time; loop_simulate, the per-sample simulator that scores one mode and
 assembles one jump map at a time; record_report, the record-by-record
 reduction of a check's margins into its verdict; loop_check_clock, the
 clock-function check one matrix at a time; and dense_contraction_margins,
-the dwell-grid margins with one eigensolve at every (mode, theta), where
-the package solves only where a maximum can be.
+the dwell-grid margins from stacked per-member products and one eigensolve
+at every (mode, theta), where the package forms products with a fixed
+matrix as single 2-D GEMMs and solves only where a maximum can be.
 """
 
 from fractions import Fraction

@@ -17,7 +17,9 @@ from minjump import (
     ImpulsiveSpec,
     MinJumpCertificate,
     ModeWeights,
+    SwitchedSpec,
     augment_impulsive,
+    augment_switched,
     check,
     check_clock,
     check_impulsive,
@@ -155,6 +157,65 @@ def test_array_reducer_matches_record_oracle(request):
         for grid in (DwellGrid.uniform(dwell), DwellGrid.uniform(dwell, 1000)):
             _assert_same_report(check(model, cert, dwell, grid=grid),
                                 _dense_report(model, cert, grid))
+
+
+def _random_system(kind, d, modes, seed=0):
+    """A random loop of dimension d = n + m, with m = d // 3 inputs under
+    random gains, and a random certificate: the verdict may go either way."""
+    rng = np.random.default_rng([seed, d, modes, kind == "switched"])
+    m = d // 3
+    n = d - m
+
+    def mat(rows, cols, scale=1.0):
+        return (scale * rng.standard_normal((rows, cols))).tolist()
+
+    def gain():
+        return mat(m, d, 0.3) if m else None
+
+    N = range(modes)
+    if kind == "impulsive":
+        spec = ImpulsiveSpec(mat(n, n), mat(n, m), [mat(n, n, 0.5) for _ in N])
+        model = augment_impulsive(spec, gains=[gain() for _ in N])
+    else:
+        spec = SwitchedSpec([mat(n, n) for _ in N], [mat(n, m) for _ in N],
+                            [[mat(n, n, 0.5) for _ in N] for _ in N])
+        model = augment_switched(spec, gains=[[gain() for _ in N] for _ in N])
+    P = [W @ W.T + 0.1 * np.eye(d) for W in rng.standard_normal((modes, d, d))]
+    pi = rng.uniform(0.1, 1.0, (modes, modes))
+    return model, MinJumpCertificate(P, ModeWeights(pi / pi.sum(axis=0)))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("kind", ["impulsive", "switched"])
+def test_grid_check_matches_dense_oracle_across_dimensions(kind, d):
+    """Reports equal the record-by-record verdict over the dense oracle's
+    stacked products bit for bit, on grids just below the search's size
+    rule (one eigensolve over every mode) and at and above it (the search
+    per mode).  This is what holds the 2-D GEMMs of the check to the
+    stacked per-member products on the BLAS in use."""
+    model, cert = _random_system(kind, d, modes=2 + d % 2)
+    dwell = DwellRange(0.01, 0.3)
+    edge = -(-checks._SEARCH_MIN_ENTRIES // d ** 2)  # least G with G d^2 >= the rule
+    for points in (max(edge - 1, 2), edge, 300):
+        grid = DwellGrid.uniform(dwell, points)
+        _assert_same_report(check(model, cert, dwell, grid=grid), _dense_report(model, cert, grid))
+
+
+def test_small_check_makes_one_eigensolve_over_every_mode(monkeypatch):
+    model, cert = _random_system("impulsive", 2, modes=3)
+    shapes = []
+    dense = linalg.sym_eig_max
+
+    def spy(S):
+        shapes.append(np.shape(S))
+        return dense(S)
+
+    monkeypatch.setattr(linalg, "sym_eig_max", spy)
+    dwell = DwellRange(0.01, 0.05)
+    report = check(model, cert, dwell, grid=DwellGrid.uniform(dwell, 40))
+    assert shapes == [(3, 40, 2, 2)]
+    monkeypatch.undo()
+    _assert_same_report(report, _dense_report(model, cert, DwellGrid.uniform(dwell, 40)))
 
 
 def _fabricated_verdicts(margins, points, strict_tol=checks.STRICT_TOL):

@@ -205,6 +205,24 @@ def test_simulate_divergence_before_overflow_exits_one(tmp_path, capsys):
     assert payload["last_time"] == 0.0
 
 
+def test_simulate_overflow_exits_three(tmp_path, capsys):
+    # e^{30 * 30} overflows on the first interval, before any divergence
+    cfg = {
+        "system": {"type": "impulsive", "A": [[30.0]], "J": [[[1.0]]]},
+        "dwell": {"t_min": 30.0, "t_max": 30.0},
+        "weights": {"pi": [[1.0]]},
+        "rule": {"P": [[[1.0]]]},
+        "run": {"kind": "periodic", "period": 30.0, "steps": 2, "x0": [1.0]},
+    }
+    assert main(["simulate", _write(tmp_path, "over.json", cfg)]) == 3
+    assert "overflow" in capsys.readouterr().err
+    # a bounded state whose rule form overflows (1e300 * 1e10) is refused too
+    cfg["system"]["A"], cfg["rule"]["P"] = [[-1.0]], [[[1e300]]]
+    cfg["run"]["x0"] = [1e5]
+    assert main(["simulate", _write(tmp_path, "forms.json", cfg)]) == 3
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_simulate_without_x0_exits_two(tmp_path, capsys):
     cfg = _ex2_config()
     cfg["run"] = {"kind": "periodic", "period": 0.02, "steps": 10}

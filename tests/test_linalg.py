@@ -136,6 +136,21 @@ def _assert_members_are_their_scalar_calls(M, ts):
     return stack
 
 
+def test_expm_shuffled_stack_squares_each_member_by_its_own_count():
+    """Squaring counts 0 to 7, three members each, in shuffled order: the
+    rounds run on the members sorted by count, and every member must still
+    be its scalar call, in its own place."""
+    theta = linalg._TAYLOR12_THETA
+    M = np.array([[-3.0, 1.0, 2.0], [2.0, -1.0, -4.0], [-3.0, 0.0, 1.0]]) / 8.0  # 1-norm 1
+    rng = np.random.default_rng(10)
+    ts = np.repeat(theta * 2.0 ** np.arange(8), 3) * rng.uniform(0.55, 0.95, 24)
+    ts = rng.permutation(ts * rng.choice([-1.0, 1.0], 24))
+    counts = np.ceil(np.log2(np.maximum(np.abs(ts), theta)) - np.log2(theta))
+    assert sorted(set(counts)) == list(range(8))
+    assert (np.diff(counts) != 0).sum() >= 12  # well mixed, not grouped by count
+    _assert_members_are_their_scalar_calls(M, ts)
+
+
 def test_expm_stack_edges_zero_negative_at_theta_and_across_a_switch():
     """t = 0, negative t, a member at norm exactly theta, and members just
     below and above the first and second squaring switch, in one stack."""

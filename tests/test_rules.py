@@ -13,7 +13,7 @@ from minjump import (
     select_impulsive,
     select_switched,
 )
-from minjump.errors import CertificateError
+from minjump.errors import CertificateError, NumericError
 
 import oracles
 from conftest import EX3_A, EX3_B, EX3_J, EX3_K, EX3_UPDATES, EX3_PI
@@ -147,3 +147,42 @@ def test_select_switched_three_way_tie_goes_low():
     for i in range(3):
         for chi in rng.standard_normal((20, 3)):
             assert select_switched(chi, i, cert, model) == 0
+
+
+def _zero_column_switched():
+    """Two 2-d modes; the jump into mode 0 drops the first coordinate, so
+    an inf there meets a zero column (0 inf = nan)."""
+    drop, keep = [[0.0, 0.0], [0.0, 1.0]], np.eye(2).tolist()
+    spec = SwitchedSpec(A=[np.zeros((2, 2)).tolist()] * 2, J=[[drop, drop], [keep, keep]])
+    return augment_switched(spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_state_raises_numeric_error(bad):
+    """The winning form is nan or +-inf, also through the zero column, and no
+    RuntimeWarning leaks (pytest makes one an error)."""
+    cert = _cert([np.eye(2), 2.0 * np.eye(2)])
+    model = _zero_column_switched()
+    for chi in (np.array([bad, 1.0]), np.array([1.0, bad]), np.full(2, bad)):
+        with pytest.raises(NumericError):
+            select_impulsive(chi, cert)
+        for i in range(2):
+            with pytest.raises(NumericError):
+                select_switched(chi, i, cert, model)
+
+
+def test_overflowing_forms_raise_numeric_error():
+    """A finite state whose every form overflows raises; one that leaves the
+    winner finite still selects it."""
+    cert = _cert([np.eye(2), 2.0 * np.eye(2)])
+    model = _zero_column_switched()
+    huge = np.array([0.0, 1e200])  # forms of 1e400, but the jumps stay finite
+    with pytest.raises(NumericError):
+        select_impulsive(huge, cert)
+    for i in range(2):
+        with pytest.raises(NumericError):
+            select_switched(huge, i, cert, model)
+    lopsided = _cert([1e300 * np.eye(2), np.eye(2)])
+    chi = np.array([0.0, 1e5])  # forms inf and 1e10, before and after either jump
+    assert select_impulsive(chi, lopsided) == 1
+    assert select_switched(chi, 0, lopsided, model) == 1
