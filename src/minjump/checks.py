@@ -33,6 +33,10 @@ the proof fails every member gets its eigenvalue; the report is the one a
 full eigensolve would give, bit for bit.  A stack times one fixed matrix
 is a single 2-D GEMM (_times), bitwise the stacked per-member products on
 the BLAS in use, which the oracle tests hold.
+
+Both families reduce through one function, _verdict, over a (modes, R)
+margin array in the one record order, mode-major: every maximum is the
+first largest in that order, so an exact tie goes to the lowest mode.
 """
 
 import math
@@ -217,61 +221,33 @@ class VerificationReport:
         }
 
 
-class _Collector:
-    """Non-strict margins in record order, added as array blocks; the first
-    largest margin in that order is the worst point."""
+def _validate(strict_tol, slack_tol):
+    for name, tol in (("strict", strict_tol), ("slack", slack_tol)):
+        if not 0.0 <= tol < np.inf:  # a NaN or negative tol would pass failing margins
+            raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
 
-    def __init__(self, modes, strict_tol, slack_tol):
-        self.validate(strict_tol, slack_tol)
-        self.blocks = []
-        self.modes = modes
-        self.strict_tol = strict_tol
-        self.slack_tol = slack_tol
-        self.flags = {}
 
-    @staticmethod
-    def validate(strict_tol, slack_tol):
-        for name, tol in (("strict", strict_tol), ("slack", slack_tol)):
-            if not 0.0 <= tol < np.inf:  # a NaN or negative tol would pass failing margins
-                raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
+def _verdict(margins, segments, thetas, passed, grid, strict_tol, slack_tol, flags=None):
+    """Report of a (modes, R) margin array whose records run mode-major.
 
-    def add(self, condition, mode, theta, margin):
-        """One block of records: margin is 1-D, mode and theta broadcast to it."""
-        margin = np.asarray(margin, dtype=float)
-        self.blocks.append((condition, np.broadcast_to(mode, margin.shape),
-                            np.broadcast_to(theta, margin.shape), margin))
-
-    def flag(self, name, ok, detail):
-        self.flags[name] = {"ok": bool(ok), "value": detail}
-
-    def report(self, grid):
-        """Reduce the blocks.  Every maximum is taken by argmax, the first
-        largest in record order, as a record-by-record scan would keep it
-        (np.max may return either zero of a -0.0/0.0 tie)."""
-        ok = all(f["ok"] for f in self.flags.values()) and not any(
-            (b[3] > self.slack_tol).any() for b in self.blocks)
-        per_condition = {}
-        for condition, _, _, margin in self.blocks:
-            top = float(margin[margin.argmax()])
-            per_condition[condition] = max(per_condition.get(condition, top), top)
-        modes, thetas, margins = (np.concatenate([b[j] for b in self.blocks]) for j in (1, 2, 3))
-        worst = int(margins.argmax())
-        mode_worst = [float(m[m.argmax()]) if m.size else -np.inf
-                      for m in (margins[modes == i] for i in range(self.modes))]
-        ends = np.cumsum([b[3].size for b in self.blocks])
-        return VerificationReport(
-            passed=ok,
-            worst_margin=float(margins[worst]),
-            worst_condition=self.blocks[int(np.searchsorted(ends, worst, side="right"))][0],
-            worst_mode=int(modes[worst]),
-            worst_theta=float(thetas[worst]),
-            per_condition=per_condition,
-            mode_margins=tuple(mode_worst),
-            grid=tuple(grid),
-            strict_tol=self.strict_tol,
-            slack_tol=self.slack_tol,
-            flags=dict(self.flags),
-        )
+    segments holds the (condition, count) runs of each mode's R records and
+    thetas the theta of each record.  Every maximum is taken by argmax, the
+    first largest in record order, as a record-by-record scan would keep it
+    (np.max may return either zero of a -0.0/0.0 tie).
+    """
+    mode, k = divmod(int(margins.argmax()), margins.shape[1])
+    per_condition, lo = {}, 0
+    for condition, n in segments:
+        block = margins[:, lo:lo + n].ravel()
+        per_condition[condition] = float(block[block.argmax()])
+        if lo <= k:  # the last segment starting at or before k holds it
+            worst_condition = condition
+        lo += n
+    return VerificationReport(
+        passed=bool(passed), worst_margin=float(margins[mode, k]), worst_condition=worst_condition,
+        worst_mode=mode, worst_theta=float(thetas[k]), per_condition=per_condition,
+        mode_margins=tuple(float(row[row.argmax()]) for row in margins),
+        grid=tuple(grid), strict_tol=strict_tol, slack_tol=slack_tol, flags=dict(flags or {}))
 
 
 def _require_kind(model, kind, what):
@@ -376,13 +352,9 @@ def _contraction_margins(model, cert, F0, W, thetas):
     return margins
 
 
-def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
-    """The contraction margin at every grid point, reduced in record order.
-
-    The record order, theta-major or mode-major, fixes how ties in the
-    worst point resolve.
-    """
-    _Collector.validate(strict_tol, SLACK_TOL)  # before the grid is evaluated
+def _contraction_report(model, cert, dwell, grid, strict_tol):
+    """The contraction margin at every grid point, reduced by _grid_verdict."""
+    _validate(strict_tol, SLACK_TOL)  # before the grid is evaluated
     F0, W = _loop_data(model, cert)
     if grid is None:
         grid = DwellGrid.uniform(dwell)
@@ -393,34 +365,27 @@ def _contraction_report(model, cert, dwell, grid, strict_tol, theta_major):
             f"[{dwell.t_min}, {dwell.t_max}]"
         )
     margins = _contraction_margins(model, cert, F0, W, thetas)
-    return _grid_verdict(margins, grid.points, strict_tol, theta_major)
+    return _grid_verdict(margins, grid.points, strict_tol)
 
 
-def _grid_verdict(margins, points, strict_tol, theta_major):
-    """Report of a (modes, len(points)) margin array whose records run
-    theta-major or mode-major; each maximum is the first in record order."""
-    if theta_major:
-        k, mode = divmod(int(margins.T.ravel().argmax()), len(margins))
-    else:
-        mode, k = divmod(int(margins.argmax()), len(points))
-    top = float(margins[mode, k])
-    return VerificationReport(
-        passed=top < -strict_tol, worst_margin=top, worst_condition="contraction",
-        worst_mode=mode, worst_theta=float(points[k]), per_condition={"contraction": top},
-        mode_margins=tuple(float(row[row.argmax()]) for row in margins),
-        grid=tuple(points), strict_tol=strict_tol, slack_tol=SLACK_TOL)
+def _grid_verdict(margins, points, strict_tol):
+    """Report of a (modes, len(points)) contraction-margin array: every
+    margin is strict.  Records run mode-major, so an exact tie for the
+    worst point goes to the first mode, then the first theta."""
+    return _verdict(margins, [("contraction", len(points))], points,
+                    margins.max() < -strict_tol, points, strict_tol, SLACK_TOL)
 
 
 def check_impulsive(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
-    """Dwell-grid contraction test for the impulsive loop; records run theta-major."""
+    """Dwell-grid contraction test for the impulsive loop (see _grid_verdict)."""
     _require_kind(model, "impulsive", "check_impulsive")
-    return _contraction_report(model, cert, dwell, grid, strict_tol, theta_major=True)
+    return _contraction_report(model, cert, dwell, grid, strict_tol)
 
 
 def check_switched(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
-    """Dwell-grid contraction test for the switched loop; records run mode-major."""
+    """Dwell-grid contraction test for the switched loop (see _grid_verdict)."""
     _require_kind(model, "switched", "check_switched")
-    return _contraction_report(model, cert, dwell, grid, strict_tol, theta_major=False)
+    return _contraction_report(model, cert, dwell, grid, strict_tol)
 
 
 def check(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
@@ -455,8 +420,9 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
       coupling  W_i - S_i(0) <= 0
     A positive eps is required for the certificate to count as passing.
     Each condition is one stacked eigenvalue call over every mode; records
-    run per mode: flow at both ends of each interval, jump, coupling.
+    run mode-major: flow at both ends of each interval, jump, coupling.
     """
+    _validate(STRICT_TOL, tol)  # before any eigenvalue work
     F0, W = _loop_data(model, cert)
     thetas = _theta_nodes(clock, dwell)
     taus = np.repeat(clock.nodes, 2)[1:-1]
@@ -470,13 +436,11 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
     jump = linalg.sym_eig_max(linalg.sym(M) + eps * np.eye(model.dim))
     coupling = linalg.sym_eig_max(linalg.sym(np.stack(W))
                                   - np.stack([clock.value(i, 0.0) for i in modes]))
-    coll = _Collector(model.modes, STRICT_TOL, tol)
-    coll.flag("eps_positive", eps > 0.0, eps)
-    for i in modes:
-        coll.add("flow", i, taus, flow[i])
-        coll.add("jump", i, thetas, jump[i])
-        coll.add("coupling", i, 0.0, coupling[i:i + 1])
-    return coll.report(thetas)
+    margins = np.concatenate([flow, jump, coupling[:, None]], axis=1)
+    return _verdict(margins, [("flow", len(taus)), ("jump", len(thetas)), ("coupling", 1)],
+                    np.concatenate([taus, thetas, [0.0]]),
+                    eps > 0.0 and not (margins > tol).any(), thetas, STRICT_TOL, tol,
+                    {"eps_positive": {"ok": bool(eps > 0.0), "value": eps}})
 
 
 def exact_clock_family(cert, model, nodes):

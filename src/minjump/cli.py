@@ -48,6 +48,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# no float array has more entries: its byte count must fit a signed index
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 _TOP_KEYS = {"description", "system", "dwell", "weights", "rule", "gains", "run", "reference"}
@@ -112,10 +115,7 @@ def build_spec(cfg):
         if "updates" in sysb:
             raise ConfigError("system.updates only applies to switched systems")
         return ImpulsiveSpec(A=sysb["A"], B=sysb.get("B"), J=sysb["J"])
-    updates = sysb.get("updates")
-    if updates is not None:
-        updates = [tuple(row) for row in updates]
-    return SwitchedSpec(A=sysb["A"], B=sysb.get("B"), J=sysb["J"], updates=updates)
+    return SwitchedSpec(A=sysb["A"], B=sysb.get("B"), J=sysb["J"], updates=sysb.get("updates"))
 
 
 def build_model(cfg, gains="config"):
@@ -152,24 +152,15 @@ def build_cert(cfg, weights):
         raise CertificateError(f"rule matrices rejected: {exc}") from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):  # before int: Python bools are ints
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _plain(obj):
+    """json.dumps hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload, out=None):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -191,7 +182,7 @@ def _num(value, what, conv=float):
         out = conv(value)
     except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if conv is int and abs(out) > np.iinfo(np.intp).max:  # no array has that many rows
+    if conv is int and abs(out) > _MAX_ENTRIES:
         raise ConfigError(f"{what} is out of range, got {value!r}")
     return out
 
@@ -306,7 +297,8 @@ def _load_result_design(cfg, path):
             res = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read result file {path}: {exc}") from exc
-    if res.get("status") != "success" or "P" not in res:
+    if not (isinstance(res, dict) and res.get("status") == "success"
+            and {"P", "weights"} <= set(res)):
         raise ConfigError(f"result file {path} does not hold a successful design")
     gains = res.get("gains")
     if gains is not None and "system" in cfg:
@@ -331,13 +323,13 @@ def cmd_simulate(args):
         raise ConfigError("run block needs x0 for simulation")
     x0 = _vec(run["x0"], "run.x0")
     u0 = _vec(run.get("u0"), "run.u0")
-    seq = sim.gen_sequence(
-        dwell, run.get("kind", "uniform_random"),
-        count=_num(_run_value(cfg, args, "steps", 100), "run.steps", int),
-        seed=_num(_run_value(cfg, args, "seed"), "run.seed", int),
-        period=run.get("period"),
-    )
+    steps = _num(_run_value(cfg, args, "steps", 100), "run.steps", int)
     substeps = _num(_run_value(cfg, args, "substeps", 1), "run.substeps", int)
+    if steps * substeps * model.dim > _MAX_ENTRIES:  # the dense trajectory's entries
+        raise ConfigError(f"run.steps x run.substeps = {steps} x {substeps} is out of range")
+    seq = sim.gen_sequence(dwell, run.get("kind", "uniform_random"), count=steps,
+                           seed=_num(_run_value(cfg, args, "seed"), "run.seed", int),
+                           period=run.get("period"))
     initial_mode = _num(run.get("initial_mode", 0), "run.initial_mode", int)
     try:
         traj = sim.simulate(model, cert, seq, x0, u0=u0, initial_mode=initial_mode,
@@ -573,6 +565,9 @@ def main(argv=None):
         return EXIT_NUMERIC
     except MinjumpError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: not enough memory for the requested sizes", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -31,6 +31,14 @@ def _numeric(value, name):
         raise ModelError(f"{name} is not a numeric matrix: {exc}") from exc
 
 
+def _items(value, name, error=ModelError):
+    """The entries of a per-mode list; a scalar, which has none, raises error."""
+    try:
+        return list(value)
+    except TypeError as exc:
+        raise error(f"{name} must be a list, got {value!r}") from exc
+
+
 def _mat(value, rows, cols, name):
     M = _numeric(value, name)
     if M.shape != (rows, cols):
@@ -64,7 +72,7 @@ class ImpulsiveSpec:
         m = B.shape[1]
         object.__setattr__(self, "A", _mat(A, n, n, "A"))
         object.__setattr__(self, "B", _mat(B, n, m, "B"))
-        maps = tuple(_mat(Ji, n, n, f"J[{i}]") for i, Ji in enumerate(J))
+        maps = tuple(_mat(Ji, n, n, f"J[{i}]") for i, Ji in enumerate(_items(J, "J")))
         if not maps:
             raise ModelError("at least one jump map is required")
         object.__setattr__(self, "J", maps)
@@ -97,14 +105,14 @@ class SwitchedSpec:
     updates: tuple
 
     def __init__(self, A, B=None, J=(), updates=None):
-        drifts = [_numeric(Ai, f"A[{i}]") for i, Ai in enumerate(A)]
+        drifts = [_numeric(Ai, f"A[{i}]") for i, Ai in enumerate(_items(A, "A"))]
         if not drifts:
             raise ModelError("at least one mode is required")
         n = drifts[0].shape[0]
         N = len(drifts)
         if B is None:
             B = [np.zeros((n, 0))] * N
-        inputs = [_numeric(Bi, f"B[{i}]") for i, Bi in enumerate(B)]
+        inputs = [_numeric(Bi, f"B[{i}]") for i, Bi in enumerate(_items(B, "B"))]
         if len(inputs) != N:
             raise ModelError(f"expected {N} input maps, got {len(inputs)}")
         for i, Bi in enumerate(inputs):
@@ -119,6 +127,7 @@ class SwitchedSpec:
         object.__setattr__(
             self, "B", tuple(_mat(Bi, n, m, f"B[{i}]") for i, Bi in enumerate(inputs))
         )
+        J = [_items(row, f"J[{j}]") for j, row in enumerate(_items(J, "J"))]
         if len(J) != N or any(len(row) != N for row in J):
             raise ModelError("jump table must be N x N (new mode j, old mode i)")
         table = tuple(
@@ -128,6 +137,7 @@ class SwitchedSpec:
         object.__setattr__(self, "J", table)
         if updates is None:
             updates = [range(m)] * N
+        updates = _items(updates, "updates")
         if len(updates) != N:
             raise ModelError(f"expected {N} update index lists, got {len(updates)}")
         checked = []
@@ -305,10 +315,12 @@ def _check_gains(kind, gains, N, rows, dim):
         if kind == "impulsive":
             return (None,) * N
         return tuple((None,) * N for _ in range(N))
+    gains = _items(gains, "gains")
     if kind == "impulsive":
         if len(gains) != N:
             raise ModelError(f"expected {N} gains, got {len(gains)}")
         return tuple(one(g, rows, str(i)) for i, g in enumerate(gains))
+    gains = [_items(row, f"gains[{j}]") for j, row in enumerate(gains)]
     if len(gains) != N or any(len(row) != N for row in gains):
         raise ModelError("switched gains must form an N x N table")
     return tuple(

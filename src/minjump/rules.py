@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificateError, ModelError, NumericError
-from .model import ModeWeights
+from .model import ModeWeights, _items
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,7 @@ class MinJumpCertificate:
         if not isinstance(weights, ModeWeights):
             weights = ModeWeights(weights)
         mats = []
-        for i, Pi in enumerate(P):
+        for i, Pi in enumerate(_items(P, "P", CertificateError)):
             Pi = np.array(Pi, dtype=float)
             if not linalg.is_pd(Pi):
                 raise CertificateError(f"P[{i}] is not positive definite")

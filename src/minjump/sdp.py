@@ -38,6 +38,8 @@ from .errors import CapacityError, ConfigError
 
 log = logging.getLogger("minjump.sdp")
 
+EPS_NAME = "eps"  # the margin variable every problem declares
+
 
 @dataclass(frozen=True)
 class VarSpec:
@@ -154,23 +156,22 @@ class AffineBlock:
 class SdpProblem:
     """Margin-maximization problem over declared variables.
 
-    The scalar variable named by eps_name is the maximized margin; it must be
+    The scalar variable named EPS_NAME is the maximized margin; it must be
     declared among the variables.  Strict blocks receive an implicit +eps*I.
     """
 
     variables: tuple
     blocks: tuple
-    eps_name: str = "eps"
 
-    def __init__(self, variables, blocks, eps_name="eps"):
+    def __init__(self, variables, blocks):
         variables = tuple(variables)
         blocks = tuple(blocks)
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variable names")
         byname = {v.name: v for v in variables}
-        if eps_name not in byname or byname[eps_name].kind != "scalar":
-            raise ConfigError(f"margin variable {eps_name!r} must be a declared scalar")
+        if EPS_NAME not in byname or byname[EPS_NAME].kind != "scalar":
+            raise ConfigError(f"margin variable {EPS_NAME!r} must be a declared scalar")
         if not blocks:
             raise ConfigError("problem needs at least one block")
         for blk in blocks:
@@ -187,7 +188,6 @@ class SdpProblem:
                     raise ConfigError(f"block {blk.label!r}: term does not fill the block")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "eps_name", eps_name)
 
     @property
     def scalar_count(self):
@@ -277,10 +277,10 @@ class _Scalarized:
             raise CapacityError(
                 f"{self.K} scalar unknowns exceed the cap {options.scalar_cap}"
             )
-        self.eps_index = self.var_offset[problem.eps_name]
+        self.eps_index = self.var_offset[EPS_NAME]
         byname = {v.name: v for v in problem.variables}
 
-        blocks = list(problem.blocks) + [_cap_block(problem.eps_name, options.eps_cap)]
+        blocks = list(problem.blocks) + [_cap_block(options.eps_cap)]
         shapes = {}        # (dim, active unknowns) -> members (position, G, idx, C)
         for l, blk in enumerate(blocks):
             contrib = {}
@@ -352,10 +352,10 @@ class _Scalarized:
         return out
 
 
-def _cap_block(eps_name, cap):
+def _cap_block(cap):
     return AffineBlock(
         [[-float(cap)]],
-        [BlockTerm(eps_name, [[1.0]], [[1.0]])],
+        [BlockTerm(EPS_NAME, [[1.0]], [[1.0]])],
         strict=False,
         label="margin-cap",
     )

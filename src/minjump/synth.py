@@ -41,7 +41,7 @@ import numpy as np
 from . import sdp
 # check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
 from .checks import DwellGrid, check, check_impulsive  # noqa: F401
-from .errors import ConfigError, ModelError, RecoveryError
+from .errors import CapacityError, ConfigError, ModelError, RecoveryError
 from .linalg import inv_spd
 from .model import ModeWeights
 from .rules import MinJumpCertificate
@@ -57,7 +57,8 @@ PTILDE_CAP = 1e3
 class SynthesisOptions:
     """Knobs for the piecewise-affine synthesis pipeline.
 
-    clock_nodes counts the uniform nodes on [0, t_max]; delta_pd is the
+    clock_nodes counts the uniform nodes on [0, t_max]; a count past the
+    solver's scalar cap is refused before assembly.  delta_pd is the
     definiteness floor on Ptilde_i and S_i(tau_k).
     """
 
@@ -67,6 +68,10 @@ class SynthesisOptions:
     def __post_init__(self):
         if self.clock_nodes < 2:
             raise ConfigError("need at least two clock nodes")
+        cap = sdp.SdpOptions().scalar_cap
+        if self.clock_nodes + 2 > cap:  # S_0 at every node, Pt0 and eps are scalars at least
+            raise CapacityError(f"{self.clock_nodes} clock nodes exceed the solver's cap "
+                                f"of {cap} scalar unknowns")
         if not self.delta_pd >= 0:  # NaN fails too
             raise ConfigError(f"delta_pd must be nonnegative, got {self.delta_pd}")
         if self.delta_pd >= min(BOUND, PTILDE_CAP):

@@ -11,7 +11,8 @@ must reproduce their floating-point results exactly: blockwise_iterate,
 the interior-point loop of minjump.sdp written one constraint block at a
 time; loop_simulate, the per-sample simulator that scores one mode and
 assembles one jump map at a time; record_report, the record-by-record
-reduction of a check's margins into its verdict; loop_check_clock, the
+reduction of a check's margins into its verdict, fed the records in the
+package's one record order (mode-major); loop_check_clock, the
 clock-function check one matrix at a time; and dense_contraction_margins,
 the dwell-grid margins from stacked per-member products and one eigensolve
 at every (mode, theta), where the package forms products with a fixed
@@ -228,13 +229,11 @@ def record_report(records, modes, strict_tol, slack_tol, grid, flags=None):
         slack_tol=slack_tol, flags=flags)
 
 
-def grid_records(margins, points, theta_major):
-    """Records of a (modes, len(points)) contraction-margin array, in the
-    grid check's order: theta-major for impulsive, mode-major for switched."""
-    modes, pts = range(len(margins)), range(len(points))
-    order = ([(i, k) for k in pts for i in modes] if theta_major
-             else [(i, k) for i in modes for k in pts])
-    return [("contraction", i, points[k], margins[i, k], True) for i, k in order]
+def grid_records(margins, points):
+    """Records of a (modes, len(points)) contraction-margin array in the
+    package's one record order, mode-major."""
+    return [("contraction", i, points[k], margins[i, k], True)
+            for i in range(len(margins)) for k in range(len(points))]
 
 
 def _clock_value(clock, mode, tau):

@@ -90,7 +90,7 @@ def _dense_report(model, cert, grid):
     """The record-by-record verdict over margins eigensolved at every point."""
     F0, W = checks._loop_data(model, cert)
     margins = oracles.dense_contraction_margins(model, cert, F0, W, np.asarray(grid.points))
-    records = oracles.grid_records(margins, grid.points, model.kind == "impulsive")
+    records = oracles.grid_records(margins, grid.points)
     return oracles.record_report(records, model.modes, checks.STRICT_TOL, checks.SLACK_TOL,
                                  grid.points)
 
@@ -219,29 +219,25 @@ def test_small_check_makes_one_eigensolve_over_every_mode(monkeypatch):
 
 
 def _fabricated_verdicts(margins, points, strict_tol=checks.STRICT_TOL):
-    """Array reducer and record oracle on one fabricated margin array, both orders."""
-    reports = []
-    for theta_major in (True, False):
-        got = checks._grid_verdict(margins, points, strict_tol, theta_major)
-        want = oracles.record_report(oracles.grid_records(margins, points, theta_major),
-                                     len(margins), strict_tol, checks.SLACK_TOL, points)
-        _assert_same_report(got, want)
-        reports.append(got)
-    return reports
+    """Array reducer and record oracle on one fabricated margin array, in
+    the one record order (mode-major)."""
+    got = checks._grid_verdict(margins, points, strict_tol)
+    want = oracles.record_report(oracles.grid_records(margins, points),
+                                 len(margins), strict_tol, checks.SLACK_TOL, points)
+    _assert_same_report(got, want)
+    return [got]
 
 
 def test_array_reducer_ties_follow_record_order():
     # the largest margin 0.5 sits at (mode 1, theta 0.1) and (mode 0, theta 0.2)
-    # first: theta-major meets the former first, mode-major the latter
+    # first: mode-major order meets the latter first
     margins = np.array([[0.1, 0.5, 0.5], [0.5, 0.2, 0.5]])
-    by_theta, by_mode = _fabricated_verdicts(margins, (0.1, 0.2, 0.3))
-    assert (by_theta.worst_mode, by_theta.worst_theta) == (1, 0.1)
+    (by_mode,) = _fabricated_verdicts(margins, (0.1, 0.2, 0.3))
     assert (by_mode.worst_mode, by_mode.worst_theta) == (0, 0.2)
     # signed zeros tie: the first one in record order is kept everywhere
     # (np.maximum would return the later one)
-    by_theta, by_mode = _fabricated_verdicts(np.array([[-0.0, 0.0], [0.0, -0.0]]), (0.1, 0.2))
-    assert json.dumps(by_theta.mode_margins) == "[-0.0, 0.0]"
-    assert json.dumps(by_theta.worst_margin) == "-0.0"
+    (by_mode,) = _fabricated_verdicts(np.array([[-0.0, 0.0], [0.0, -0.0]]), (0.1, 0.2))
+    assert json.dumps(by_mode.mode_margins) == "[-0.0, 0.0]"
     assert json.dumps(by_mode.worst_margin) == "-0.0"
     for report in _fabricated_verdicts(np.array([[0.0, -0.0]]), (0.1, 0.2)):
         assert json.dumps(report.per_condition) == '{"contraction": 0.0}'
@@ -461,6 +457,16 @@ def test_clock_check_flags_nonpositive_eps(
     assert not report.flags["eps_positive"]["ok"]
 
 
+def test_clock_check_needs_positive_eps_where_every_margin_clears():
+    # xdot = 0, J = 0.5, P = W = S = 1: flow 0, jump -0.75 + eps, coupling 0
+    model, cert, dwell = _scalar_model(0.0, j=0.5), _scalar_cert(), DwellRange(0.5, 1.0)
+    clock = checks.ClockFamily((0.0, 1.0), [[np.eye(1)] * 2])
+    assert check_clock(model, clock, cert, 0.1, dwell).passed
+    report = check_clock(model, clock, cert, 0.0, dwell)
+    assert report.worst_margin <= checks.SLACK_TOL
+    assert not report.passed
+
+
 def test_clock_check_switched_identity_case(ex3_reference_model):
     """Degenerate data where every block is exactly -I or -eps-shifted."""
     from minjump.checks import ClockFamily
@@ -495,6 +501,16 @@ def test_bad_tolerance_is_rejected(tol, monkeypatch):
     clock = exact_clock_family(cert, model, clock_node_grid(dwell, 4))
     with pytest.raises(ConfigError, match="tolerance"):
         check_clock(model, clock, cert, 0.1, dwell, tol=tol)
+
+
+def test_clock_check_rejects_bad_tolerance_before_eigenvalues(monkeypatch):
+    model, cert, dwell = _scalar_model(0.5), _scalar_cert(), DwellRange(0.1, 0.2)
+    clock = exact_clock_family(cert, model, clock_node_grid(dwell, 4))
+    calls = []
+    monkeypatch.setattr(linalg, "sym_eig_max", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="tolerance"):
+        check_clock(model, clock, cert, 0.1, dwell, tol=np.nan)
+    assert calls == []
 
 
 def test_dwell_grid_validation():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minjump import DwellRange, gen_sequence
+from minjump import DwellRange, checks, gen_sequence, sim, synth
 from minjump.cli import main
 
 from conftest import EX1_A, EX1_B, EX1_J, EX1_PI, EX1_P, EX2_A, EX2_J, EX2_PI, EX2_P
@@ -311,6 +311,103 @@ def test_non_finite_weight_exits_two(tmp_path, capsys, command, bad):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _ex2_result():
+    """A successful synthesis result file for example 2: its own rule."""
+    cfg = _ex2_fixture()
+    return {"status": "success", "eps": 0.0, "P": cfg["rule"]["P"],
+            "weights": cfg["weights"]["pi"]}
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("command, base, where, value", [
+    ("verify", "ex2", ("system", "J"), 5),
+    ("verify", "ex2", ("rule", "P"), 5),
+    ("verify", "ex1", ("gains", "K"), 5),
+    ("verify", "ex3", ("system", "A"), 5),
+    ("verify", "ex3", ("system", "B"), 5),
+    ("verify", "ex3", ("system", "J"), 5),
+    ("verify", "ex3", ("system", "J", 0), 5),
+    ("verify", "ex3", ("system", "updates"), 5),
+    ("verify", "ex3", ("system", "updates", 0), 5),
+    ("verify", "ex3", ("gains", "K"), 5),
+    ("verify", "ex3", ("gains", "K", 0), 5),
+    ("simulate", "result", (), [1, 2]),
+    ("simulate", "result", ("weights",), _DROP),
+    ("simulate", "result", ("P",), 5),
+], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
+   else "dropped" if v is _DROP else str(v).replace(" ", ""))
+def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
+    """A scalar where a per-mode list belongs, or a result file that is not
+    an object holding P and weights, is refused with one error line."""
+    if base == "ex1":
+        with open(_fixture_path("example1")) as fh:
+            cfg = json.load(fh)
+    else:
+        cfg = {"ex2": _ex2_fixture, "ex3": _ex3_verify_fixture, "result": _ex2_result}[base]()
+    if not where:
+        cfg = value
+    else:
+        *path, last = where
+        block = cfg
+        for key in path:
+            block = block[key]
+        if value is _DROP:
+            del block[last]
+        else:
+            block[last] = value
+    if base == "result":
+        result = _write(tmp_path, "result.json", cfg)
+        cfg = dict(_ex2_fixture(), run={"x0": [1.0, 1.0], "result": result})
+    assert main([command, _write(tmp_path, "job.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["grid", "steps", "substeps"])
+def test_count_no_array_can_hold_exits_two(tmp_path, capsys, monkeypatch, key):
+    """2**60 float entries are 2**63 bytes, past any signed index: refused
+    as parsed, before anything is allocated."""
+    calls = []
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(sim, "gen_sequence", lambda *a, **k: calls.append(a))
+    cfg = _ex2_fixture()
+    cfg["dwell"]["t_max"] = 0.05  # a dwell range the grid must sample
+    cfg["run"][key] = 2**60
+    command = "verify" if key == "grid" else "simulate"
+    assert main([command, _write(tmp_path, "job.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and len(err.splitlines()) == 1
+    assert calls == []
+
+
+def test_steps_times_substeps_past_any_array_exits_two(tmp_path, capsys):
+    cfg = _ex2_fixture()
+    cfg["run"]["substeps"] = 2**57  # each count fits, the (100, 2**57, 2) trajectory does not
+    assert main(["simulate", _write(tmp_path, "job.json", cfg)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(checks, "check", exhausted)
+    assert main(["verify", _fixture_path("example2")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory" in err and len(err.splitlines()) == 1
+
+
+def test_synth_node_count_past_the_solver_cap_exits_two_before_assembly(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(synth, "_assemble", lambda *a: calls.append(a))
+    assert main(["synth", _fixture_path("example2"), "--nodes", "30000"]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert calls == []
+
+
 # extreme values any fuzzed number may take instead of an ordinary one
 _EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300])
 
@@ -325,6 +422,12 @@ _ORDINARY = {
     "t_max": st.floats(0.02, 0.2),
     "pi col 0": st.floats(0.0, 1.0),
     "pi col 1": st.floats(0.0, 1.0),
+}
+# drawn for synth only: few nodes, as a large count solves for minutes under
+# the solver's cap, and one count far past that cap
+_SYNTH_ORDINARY = {
+    "nodes": st.one_of(st.integers(2, 10), st.just(10**6)),
+    "delta": st.floats(0.0, 1e-2),
 }
 
 
@@ -341,13 +444,15 @@ def _ex3_verify_fixture():
 @st.composite
 def _fuzzed_jobs(draw):
     """A subcommand and example 2, or verify and example 3, with up to
-    three keys redrawn.  Example 3's 4x4 stacks are searched for their
-    maximum from 128 grid points up and solved densely below."""
+    three keys redrawn, synth's nodes and delta among them for synth.
+    Example 3's 4x4 stacks are searched for their maximum from 128 grid
+    points up and solved densely below."""
     command = draw(st.sampled_from(["verify", "simulate", "synth", "verify ex3"]))
     cfg = _ex3_verify_fixture() if command == "verify ex3" else _ex2_fixture()
-    keys = draw(st.lists(st.sampled_from(sorted(_ORDINARY)), max_size=3, unique=True))
+    ordinary = dict(_ORDINARY, **(_SYNTH_ORDINARY if command == "synth" else {}))
+    keys = draw(st.lists(st.sampled_from(sorted(ordinary)), max_size=3, unique=True))
     for key in keys:
-        value = draw(st.one_of(_ORDINARY[key], _EXTREMES))
+        value = draw(st.one_of(ordinary[key], _EXTREMES))
         if key.startswith("pi"):
             i = int(key[-1])
             cfg["weights"]["pi"][0][i] = value
