@@ -147,7 +147,7 @@ def build_cert(cfg, weights):
     if rule is None or "P" not in rule:
         raise ConfigError("config needs rule.P with one matrix per mode")
     try:
-        return MinJumpCertificate(rule["P"], weights, eps=float(rule.get("eps", 0.0)))
+        return MinJumpCertificate(rule["P"], weights, eps=rule.get("eps", 0.0))
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise CertificateError(f"rule matrices rejected: {exc}") from exc
 
@@ -305,7 +305,7 @@ def _load_result_design(cfg, path):
         cfg = dict(cfg, system={k: v for k, v in cfg["system"].items() if k != "updates"})
     model = build_model(cfg, gains=gains)
     weights = ModeWeights(res["weights"])
-    cert = MinJumpCertificate(res["P"], weights, eps=float(res.get("eps", 0.0)))
+    cert = MinJumpCertificate(res["P"], weights, eps=res.get("eps", 0.0))
     return model, cert
 
 

@@ -5,10 +5,12 @@ as the argmin of mode-indexed quadratic forms.  For the impulsive loop the
 forms are chi' P_i chi; for the switched loop each candidate's jump map is
 folded in first, chi' Jbar_{j,i}' P_j Jbar_{j,i} chi, so the score is the
 post-jump value of the candidate's own storage function.  All candidates
-are scored in one stacked evaluation, and ties go to the lowest index.
+are scored by one `argmin_forms` call, ties to the lowest index; select_*
+check their arguments on each call, the simulator validates a run once.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,8 +50,8 @@ class MinJumpCertificate:
         dims = {M.shape[0] for M in mats}
         if len(dims) > 1:
             raise CertificateError(f"rule matrices mix dimensions {sorted(dims)}")
-        if not 0.0 <= eps < np.inf:
-            raise CertificateError(f"eps must be finite and nonnegative, got {eps}")
+        if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0 <= eps < np.inf):
+            raise CertificateError(f"eps must be a finite nonnegative number, got {eps!r}")
         object.__setattr__(self, "P", tuple(mats))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "eps", float(eps))
@@ -88,9 +90,9 @@ def _forms(W, P):
     return np.einsum("...d,...de,...e->...", W, P, W)
 
 
-def _argmin_forms(W, P):
-    """Index of the smallest form _forms(W, P); ties go to the lowest index.
-    A non-finite winner (from a non-finite state, or overflow) raises."""
+def argmin_forms(W, P):
+    """Index of the smallest form _forms(W, P), ties to the lowest index; the
+    arguments are unchecked.  A non-finite winner (bad state, overflow) raises."""
     forms = _forms(W, P)
     best = int(forms.argmin())
     if not math.isfinite(forms[best]):
@@ -100,7 +102,7 @@ def _argmin_forms(W, P):
 
 def select_impulsive(chi, cert):
     """argmin_i chi' P_i chi, smallest index on ties."""
-    return _argmin_forms(_check_state(chi, cert.dim), cert.stacked)
+    return argmin_forms(_check_state(chi, cert.dim), cert.stacked)
 
 
 def select_switched(chi, current_mode, cert, model):
@@ -110,5 +112,5 @@ def select_switched(chi, current_mode, cert, model):
     if not 0 <= current_mode < model.modes:
         raise ModelError(f"current mode {current_mode} out of range")
     chi = _check_state(chi, cert.dim)
-    with np.errstate(invalid="ignore", over="ignore"):  # judged by _argmin_forms
-        return _argmin_forms(model.jump_table[:, current_mode] @ chi, cert.stacked)
+    with np.errstate(invalid="ignore", over="ignore"):  # judged by argmin_forms
+        return argmin_forms(model.jump_table[:, current_mode] @ chi, cert.stacked)

@@ -2,10 +2,10 @@
 
 Flows are computed with the matrix exponential only (no ODE integrator),
 so dense samples are exact up to rounding.  Both loops run through one
-sample kernel.  Per run it takes the certificate's stacked P_i, the
+sample kernel, which validates a run once.  It takes the stacked P_i, the
 model's jump table (assembled once per model) and one expm stack per drift
 over the distinct dwells only, so periodic sampling costs one exponential.
-Per sample it fires the rule, jumps, flows and guards each new state once.
+Per sample it makes one `rules.argmin_forms` call, jumps, flows and guards.
 Trajectories are recorded with both the pre-jump and the post-jump state
 at every sampling instant; the state stored at t_k in the dense arrays is
 the pre-jump limit.
@@ -23,7 +23,8 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DivergenceError, ModelError, NumericError
-from .rules import _forms, select_impulsive, select_switched
+# select_switched is unused: pinned by test_tracer_restores_the_package, TRACED_NAMES["sim"]
+from .rules import _forms, argmin_forms, select_switched  # noqa: F401
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -152,14 +153,14 @@ def _diverged(t, last_ok, E=None):
                           f" (last finite time {last_ok:g})", last_time=last_ok)
 
 
-def _march(model, cert, seq, x0, u0, substeps, kind, select, current=0):
+def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
     """The sample loop both simulators share: fire the rule, jump, flow.
 
-    select(chi, current) returns the new mode; current is the jump table's
-    source column and the drift of the interval that follows, so it stays
-    0 for an impulsive model and follows the selected mode for a switched
-    one.  Every new state passes one guard, chi' chi <= DIVERGENCE_LIMIT^2,
-    which also rejects inf and nan.
+    The run is validated here, once; each sample's rule is then one
+    argmin_forms call.  current is the jump table's source column and the
+    drift of the interval that follows: 0 for an impulsive model, the
+    selected mode for a switched one.  Every new state passes one guard,
+    chi' chi <= DIVERGENCE_LIMIT^2, which also rejects inf and nan.
     """
     if model.kind != kind:
         raise ModelError(f"simulate_{kind} requires a {kind} model")
@@ -177,7 +178,7 @@ def _march(model, cert, seq, x0, u0, substeps, kind, select, current=0):
     # one exponential per distinct step, made on the drift's first use
     distinct, where = np.unique(steps, return_inverse=True)
     flows = {}
-    table = model.jump_table
+    table, P = model.jump_table, cert.stacked
     switched = kind == "switched"
     limit = DIVERGENCE_LIMIT ** 2
     modes = np.zeros(K + 1, dtype=int)
@@ -187,7 +188,7 @@ def _march(model, cert, seq, x0, u0, substeps, kind, select, current=0):
         if not chi @ chi <= limit:
             _diverged(0.0, 0.0)
         for k in range(K + 1):
-            mode = select(chi, current)
+            mode = argmin_forms(table[:, current] @ chi if switched else chi, P)
             modes[k] = mode
             pre[k] = chi
             post[k] = chi = table[mode, current] @ chi
@@ -218,8 +219,7 @@ def simulate_impulsive(model, cert, seq, x0, u0=None, substeps=1):
     The rule fires at every sampling instant including t_0 = 0.  Raises
     DivergenceError when the state norm passes DIVERGENCE_LIMIT.
     """
-    return _march(model, cert, seq, x0, u0, substeps, "impulsive",
-                  lambda chi, i: select_impulsive(chi, cert))
+    return _march(model, cert, seq, x0, u0, substeps, "impulsive")
 
 
 def simulate_switched(model, cert, seq, x0, u0=None, initial_mode=0,
@@ -230,9 +230,7 @@ def simulate_switched(model, cert, seq, x0, u0=None, initial_mode=0,
     post-jump form from the current mode; the winner's jump map is applied
     and its drift governs the next interval.
     """
-    return _march(model, cert, seq, x0, u0, substeps, "switched",
-                  lambda chi, i: select_switched(chi, i, cert, model),
-                  initial_mode)
+    return _march(model, cert, seq, x0, u0, substeps, "switched", initial_mode)
 
 
 def simulate(model, cert, seq, x0, u0=None, initial_mode=0, substeps=1):

@@ -336,11 +336,18 @@ _DROP = object()
     ("simulate", "result", (), [1, 2]),
     ("simulate", "result", ("weights",), _DROP),
     ("simulate", "result", ("P",), 5),
+    ("verify", "ex2", ("rule", "eps"), None),
+    ("verify", "ex2", ("rule", "eps"), [1.0]),
+    ("verify", "ex2", ("rule", "eps"), "0.1"),
+    ("verify", "ex2", ("rule", "eps"), True),
+    ("simulate", "result", ("eps",), None),
+    ("simulate", "result", ("eps",), [1.0]),
 ], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
    else "dropped" if v is _DROP else str(v).replace(" ", ""))
 def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
-    """A scalar where a per-mode list belongs, or a result file that is not
-    an object holding P and weights, is refused with one error line."""
+    """A scalar where a per-mode list belongs, a result file that is not an
+    object holding P and weights, or an eps that is not a JSON number (in
+    rule or in a result file) is refused with one error line."""
     if base == "ex1":
         with open(_fixture_path("example1")) as fh:
             cfg = json.load(fh)
@@ -429,6 +436,11 @@ _SYNTH_ORDINARY = {
     "nodes": st.one_of(st.integers(2, 10), st.just(10**6)),
     "delta": st.floats(0.0, 1e-2),
 }
+# drawn for verify and simulate only, which read rule.eps: a margin or a
+# value of the wrong type
+_RULE_ORDINARY = {
+    "eps": st.one_of(st.floats(0.0, 1.0), st.sampled_from([None, [1.0], "0.1", True, math.nan])),
+}
 
 
 def _ex3_verify_fixture():
@@ -444,12 +456,13 @@ def _ex3_verify_fixture():
 @st.composite
 def _fuzzed_jobs(draw):
     """A subcommand and example 2, or verify and example 3, with up to
-    three keys redrawn, synth's nodes and delta among them for synth.
+    three keys redrawn: synth's nodes and delta among them for synth,
+    rule.eps for the others.
     Example 3's 4x4 stacks are searched for their maximum from 128 grid
     points up and solved densely below."""
     command = draw(st.sampled_from(["verify", "simulate", "synth", "verify ex3"]))
     cfg = _ex3_verify_fixture() if command == "verify ex3" else _ex2_fixture()
-    ordinary = dict(_ORDINARY, **(_SYNTH_ORDINARY if command == "synth" else {}))
+    ordinary = dict(_ORDINARY, **(_SYNTH_ORDINARY if command == "synth" else _RULE_ORDINARY))
     keys = draw(st.lists(st.sampled_from(sorted(ordinary)), max_size=3, unique=True))
     for key in keys:
         value = draw(st.one_of(ordinary[key], _EXTREMES))
@@ -459,6 +472,8 @@ def _fuzzed_jobs(draw):
             cfg["weights"]["pi"][1][i] = 1.0 - value
         elif key.startswith("t_"):
             cfg["dwell"][key] = value
+        elif key == "eps":
+            cfg["rule"][key] = value
         else:
             cfg["run"][key] = value
     cfg["run"]["kind"] = draw(st.sampled_from(["periodic", "uniform_random"]))

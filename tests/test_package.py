@@ -11,7 +11,8 @@ TRACED_NAMES = {
     "cli": ("build_cert", "build_dwell", "build_model", "build_weights", "load_config"),
     "linalg": ("expm", "inv_spd", "sym_eig_max"),
     "model": ("augment_impulsive", "augment_switched"),
-    "rules": ("select_impulsive", "select_switched"),
+    # the tracer reaches the rules layer during simulate through argmin_forms
+    "rules": ("argmin_forms", "select_impulsive", "select_switched"),
     "sdp": ("residuals", "solve"),
     "sim": ("gen_sequence", "select_switched", "simulate_impulsive", "simulate_switched"),
     "synth": ("SynthesisOptions", "assemble_impulsive", "assemble_switched", "check_impulsive",

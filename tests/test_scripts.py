@@ -36,3 +36,10 @@ def test_dwell_sweep_reports_a_bad_config_without_a_traceback():
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("dwell_sweep: ") and len(done.stderr.splitlines()) == 1
+
+
+def test_gate_pool_passes_every_simulate_input():
+    done = _run(ROOT / "scripts" / "gate_pool.py", "simulate")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["simulate: 96 inputs, 0 failed"]
+    assert _run(ROOT / "scripts" / "gate_pool.py", "simulate", "bogus").returncode == 2

@@ -1,6 +1,7 @@
 """Closed-loop simulator: sequences, flows, rule firing, CSV output."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from minjump import (
     augment_switched,
     gen_sequence,
     lyapunov_trace,
+    select_impulsive,
+    select_switched,
     simulate_impulsive,
     simulate_switched,
     write_csv,
@@ -167,6 +170,45 @@ def test_divergence_raises():
     with pytest.raises(DivergenceError) as err:
         simulate_impulsive(model, cert, seq, [1.0, 1.0])
     assert err.value.last_time is not None
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3"])
+def test_march_picks_the_public_rules_choice(request, case):
+    """Every sample's mode is the public rule's choice at that sample's
+    pre-jump state, from the mode before it: the march's own selection
+    cannot drift from select_impulsive/select_switched."""
+    prefix = {"ex1": "ex1_reference", "ex2": "ex2", "ex3": "ex3_reference"}[case]
+    model = request.getfixturevalue(f"{prefix}_model")
+    cert = request.getfixturevalue(f"{prefix}_cert")
+    seq = gen_sequence(request.getfixturevalue(f"{case}_dwell"), "uniform_random",
+                       count=200, seed=5)
+    u0 = np.full(model.m, 0.5) if model.m else None
+    for initial_mode in range(model.modes if model.kind == "switched" else 1):
+        traj = sim.simulate(model, cert, seq, np.ones(model.n), u0, initial_mode)
+        current = initial_mode
+        for chi, mode in zip(traj.pre_states, traj.modes):
+            if model.kind == "impulsive":
+                assert mode == select_impulsive(chi, cert)
+            else:
+                assert mode == select_switched(chi, current, cert, model)
+                current = mode
+        assert len(set(traj.modes)) == model.modes  # every mode is chosen somewhere
+
+
+def test_diverging_switched_run_raises_without_a_warning():
+    """A switched state that overflows within one flow ends in DivergenceError
+    and leaks no RuntimeWarning: the march judges it under its own errstate."""
+    one = [[1.0]]
+    model = augment_switched(SwitchedSpec([[[30.0]], [[20.0]]], J=[[one, one], [one, one]]))
+    cert = MinJumpCertificate([np.eye(1), 2.0 * np.eye(1)], ModeWeights(np.full((2, 2), 0.5)))
+    # after e^{15} the state is under the bound; after e^{30 * 20} it is
+    # about 1e267, and its squared norm in the guard overflows
+    seq = SamplingSequence((0.0, 0.5, 20.5), DwellRange(0.5, 20.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as err:
+            simulate_switched(model, cert, seq, [1.0])
+    assert err.value.last_time == 0.5
 
 
 def test_initial_mode_validation(ex3_reference_model, ex3_reference_cert):
