@@ -15,6 +15,8 @@ the file named by --out, byte-identical across repeat runs.
 import argparse
 import json
 import logging
+import math
+import numbers
 import os
 import sys
 from importlib import resources
@@ -27,7 +29,6 @@ from .errors import (
     ConfigError,
     DivergenceError,
     MinjumpError,
-    ModelError,
     NumericError,
     RecoveryError,
 )
@@ -74,15 +75,19 @@ def _check_keys(block, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(extra)}")
 
 
-def load_config(path):
-    """Read and structurally validate a job config; values stay raw JSON."""
+def _read_json(path, what):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path):
+    """Read and structurally validate a job config; values stay raw JSON."""
+    cfg = _read_json(path, "config")
     _check_keys(cfg, _TOP_KEYS, "config")
     for name, keys in (
         ("system", _SYSTEM_KEYS),
@@ -132,7 +137,7 @@ def build_dwell(cfg):
     d = _require(cfg, "dwell", "to bound the sampling intervals")
     if "t_min" not in d or "t_max" not in d:
         raise ConfigError("dwell block needs t_min and t_max")
-    return DwellRange(d["t_min"], d["t_max"])
+    return DwellRange(_num(d["t_min"], "dwell.t_min"), _num(d["t_max"], "dwell.t_max"))
 
 
 def build_weights(cfg):
@@ -168,20 +173,27 @@ def _emit(payload, out=None):
         sys.stdout.write(text)
 
 
-def _run_value(cfg, args, key, default=None):
+def _run_value(cfg, args, key, default=None, conv=None):
+    """run.<key>, a flag of that name first; a number as conv through _num."""
     v = getattr(args, key, None)
-    if v is not None:
-        return v
-    return cfg.get("run", {}).get(key, default)
+    if v is None:
+        v = cfg.get("run", {}).get(key, default)
+    return v if conv is None else _num(v, f"run.{key}", conv)
 
 
 def _num(value, what, conv=float):
+    """A JSON number as conv.  Bools and strings are refused, and a count
+    (conv int) must be whole and small enough to size an array."""
     if value is None:
         return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         out = conv(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (ValueError, OverflowError) as exc:  # int(nan), int(inf), float(10**400)
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if conv is int and out != value:
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
     if conv is int and abs(out) > _MAX_ENTRIES:
         raise ConfigError(f"{what} is out of range, got {value!r}")
     return out
@@ -200,16 +212,19 @@ def _vec(value, what):
 # subcommands
 
 
+def _report(cfg, args, model, cert, dwell):
+    """Dwell-grid check at the run block's grid and tol, flags first."""
+    points = _run_value(cfg, args, "grid", checks.DEFAULT_GRID_POINTS, int)
+    tol = _run_value(cfg, args, "tol", checks.STRICT_TOL, float)
+    return checks.check(model, cert, dwell, grid=checks.DwellGrid.uniform(dwell, points),
+                        strict_tol=tol)
+
+
 def cmd_verify(args):
     cfg = load_config(args.config)
     model = build_model(cfg)
     dwell = build_dwell(cfg)
-    cert = build_cert(cfg, build_weights(cfg))
-    points = _num(_run_value(cfg, args, "grid", checks.DEFAULT_GRID_POINTS),
-                  "run.grid", int)
-    tol = _num(_run_value(cfg, args, "tol", checks.STRICT_TOL), "run.tol")
-    report = checks.check(model, cert, dwell, grid=checks.DwellGrid.uniform(dwell, points),
-                          strict_tol=tol)
+    report = _report(cfg, args, model, build_cert(cfg, build_weights(cfg)), dwell)
     _emit(report.to_dict(), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -226,28 +241,18 @@ def _full_input_maps(model):
     return model.nest([model.jump(*idx)[model.n:, :] for idx in model.gain_slots])
 
 
-def _closed_model(model, result):
-    return model.with_gains(result.gains) if model.m > 0 else model
-
-
 def _synth_payload(result, weights, model):
     out = {"status": result.status, "eps": float(result.eps)}
     if result.cert is not None:
         out["P"] = [Pi for Pi in result.cert.P]
         out["weights"] = weights.pi
-        out["gains"] = _full_input_maps(_closed_model(model, result))
+        out["gains"] = _full_input_maps(model.with_gains(result.gains))
         out["report"] = result.report.to_dict() if result.report else None
     return out
 
 
 def _load_scan(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scan file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scan file {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "scan file")
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"scan file {path} must hold a JSON list of weight matrices")
     candidates = []
@@ -259,14 +264,18 @@ def _load_scan(path):
     return candidates
 
 
+def _synth_options(cfg, args):
+    return synth.SynthesisOptions(
+        clock_nodes=_run_value(cfg, args, "nodes", 6, int),
+        delta_pd=_run_value(cfg, args, "delta", 1e-6, float),
+    )
+
+
 def cmd_synth(args):
     cfg = load_config(args.config)
     model = build_model(cfg)
     dwell = build_dwell(cfg)
-    opts = synth.SynthesisOptions(
-        clock_nodes=_num(_run_value(cfg, args, "nodes", 6), "run.nodes", int),
-        delta_pd=_num(_run_value(cfg, args, "delta", 1e-6), "run.delta"),
-    )
+    opts = _synth_options(cfg, args)
     if args.pi_scan:
         candidates = _load_scan(args.pi_scan)
         result, best_pi, summary = synth.scan_weights(model, candidates, dwell, opts)
@@ -292,11 +301,7 @@ def _load_result_design(cfg, path):
     re-lifted with every channel treated as designed; the hold rows are
     already baked into those maps and the closed loop comes out identical.
     """
-    try:
-        with open(path) as fh:
-            res = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read result file {path}: {exc}") from exc
+    res = _read_json(path, "result file")
     if not (isinstance(res, dict) and res.get("status") == "success"
             and {"P", "weights"} <= set(res)):
         raise ConfigError(f"result file {path} does not hold a successful design")
@@ -309,40 +314,29 @@ def _load_result_design(cfg, path):
     return model, cert
 
 
-def cmd_simulate(args):
-    cfg = load_config(args.config)
-    dwell = build_dwell(cfg)
+def _trajectory(cfg, args, model, cert, dwell):
+    """Closed-loop run of the config's run block, flags first."""
     run = cfg.get("run", {})
-    result_path = _run_value(cfg, args, "result")
-    if result_path:
-        model, cert = _load_result_design(cfg, result_path)
-    else:
-        model = build_model(cfg)
-        cert = build_cert(cfg, build_weights(cfg))
     if "x0" not in run:
         raise ConfigError("run block needs x0 for simulation")
     x0 = _vec(run["x0"], "run.x0")
     u0 = _vec(run.get("u0"), "run.u0")
-    steps = _num(_run_value(cfg, args, "steps", 100), "run.steps", int)
-    substeps = _num(_run_value(cfg, args, "substeps", 1), "run.substeps", int)
+    steps = _run_value(cfg, args, "steps", 100, int)
+    substeps = _run_value(cfg, args, "substeps", 1, int)
     if steps * substeps * model.dim > _MAX_ENTRIES:  # the dense trajectory's entries
         raise ConfigError(f"run.steps x run.substeps = {steps} x {substeps} is out of range")
     seq = sim.gen_sequence(dwell, run.get("kind", "uniform_random"), count=steps,
-                           seed=_num(_run_value(cfg, args, "seed"), "run.seed", int),
-                           period=run.get("period"))
-    initial_mode = _num(run.get("initial_mode", 0), "run.initial_mode", int)
-    try:
-        traj = sim.simulate(model, cert, seq, x0, u0=u0, initial_mode=initial_mode,
-                            substeps=substeps)
-    except DivergenceError as exc:
-        _emit({"status": "diverged", "last_time": exc.last_time,
-               "message": str(exc)})
-        return EXIT_FAIL
-    if args.out:
-        sim.write_csv(traj, args.out)
+                           seed=_run_value(cfg, args, "seed", conv=int),
+                           period=_run_value(cfg, args, "period", conv=float))
+    return sim.simulate(model, cert, seq, x0, u0=u0, substeps=substeps,
+                        initial_mode=_run_value(cfg, args, "initial_mode", 0, int))
+
+
+def _summary(traj, model):
+    """Simulation summary; V is monotone when its nonzero values fall."""
     v = traj.lyapunov
     nz = v > 0
-    summary = {
+    return {
         "status": "completed",
         "samples": traj.samples,
         "final_time": float(traj.times[-1]),
@@ -353,7 +347,26 @@ def cmd_simulate(args):
         "value_monotone": bool(np.all(np.diff(v[nz]) < 0)) if nz.any() else True,
         "mode_counts": np.bincount(traj.modes, minlength=model.modes),
     }
-    _emit(summary)
+
+
+def cmd_simulate(args):
+    cfg = load_config(args.config)
+    dwell = build_dwell(cfg)
+    result_path = _run_value(cfg, args, "result")
+    if result_path:
+        model, cert = _load_result_design(cfg, result_path)
+    else:
+        model = build_model(cfg)
+        cert = build_cert(cfg, build_weights(cfg))
+    try:
+        traj = _trajectory(cfg, args, model, cert, dwell)
+    except DivergenceError as exc:
+        _emit({"status": "diverged", "last_time": exc.last_time,
+               "message": str(exc)})
+        return EXIT_FAIL
+    if args.out:
+        sim.write_csv(traj, args.out)
+    _emit(_summary(traj, model))
     return EXIT_PASS
 
 
@@ -380,29 +393,28 @@ def _print_table(title, rows):
     print()
 
 
-def _reference_cert(cfg, weights):
-    """Certificate from the fixture's reference block (direct or inverse form)."""
+def _reference_design(cfg, weights):
+    """Published closed loop and certificate, or None when there is none.
+
+    The certificate is reference.P, the inverses of reference.Ptilde, or
+    else the rule block.  reference.K fills the open gain slots in order,
+    or is the whole gain table when the config fixes no gain.
+    """
     ref = cfg.get("reference", {})
-    if "P" in ref:
-        return MinJumpCertificate(ref["P"], weights)
-    if "Ptilde" in ref:
-        P = [np.linalg.inv(np.asarray(Pt, dtype=float)) for Pt in ref["Ptilde"]]
-        return MinJumpCertificate(P, weights)
-    return None
-
-
-def _reference_gains(cfg, fixed):
-    """Merge published gain rows with the fixture's fixed rows (None slots)."""
-    ref_k = cfg.get("reference", {}).get("K")
-    if ref_k is None:
+    if "P" in ref or "Ptilde" in ref:
+        P = ref["P"] if "P" in ref else [np.linalg.inv(np.asarray(Pt, dtype=float))
+                                         for Pt in ref["Ptilde"]]
+        cert = MinJumpCertificate(P, weights)
+    elif "rule" in cfg:
+        cert = build_cert(cfg, weights)
+    else:
         return None
-    if fixed is None:
-        return ref_k
-    merged = []
-    it = iter(ref_k)
-    for slot in fixed:
-        merged.append(next(it) if slot is None else slot)
-    return merged
+    gains = fixed = cfg.get("gains", {}).get("K")
+    if "K" in ref:
+        published = iter(ref["K"])
+        gains = ref["K"] if fixed is None else [
+            next(published, None) if slot is None else slot for slot in fixed]
+    return build_model(cfg, gains=gains), cert
 
 
 def cmd_example(args):
@@ -410,89 +422,57 @@ def cmd_example(args):
     cfg = _fixture(name)
     dwell = build_dwell(cfg)
     weights = build_weights(cfg)
-    run = cfg.get("run", {})
     print(f"{name}: {cfg.get('description', '')}\n")
     failures = 0
 
-    # leg 1: check the reference design on a dwell grid
-    ref_cert = _reference_cert(cfg, weights) or (
-        build_cert(cfg, weights) if "rule" in cfg else None)
-    if ref_cert is not None:
-        ref_model = build_model(cfg, gains=_reference_gains(cfg, cfg.get("gains", {}).get("K")))
-        ref_report = checks.check(ref_model, ref_cert, dwell)
+    # leg 1: verify the published design
+    design = published = _reference_design(cfg, weights)
+    if design is not None:
+        report = _report(cfg, args, *design, dwell)
         _print_table("reference design", [
-            ("check", "pass" if ref_report.passed else "FAIL"),
-            ("worst margin", f"{ref_report.worst_margin:.6e}"),
-            ("worst condition", ref_report.worst_condition),
+            ("check", "pass" if report.passed else "FAIL"),
+            ("worst margin", f"{report.worst_margin:.6e}"),
+            ("worst condition", report.worst_condition),
         ])
-        failures += not ref_report.passed
+        failures += not report.passed
 
-    # leg 2: synthesize from scratch and compare
-    result = None
-    free_model = build_model(cfg)
-    needs_synth = free_model.m > 0 or "reference" in cfg
-    if needs_synth:
-        opts = synth.SynthesisOptions(clock_nodes=int(run.get("nodes", 6)))
-        result = synth.synthesize(free_model, weights, dwell, opts)
+    # leg 2: synthesize from scratch; set each open gain beside the published one
+    model = build_model(cfg)
+    if model.m > 0 or "reference" in cfg:
+        result = synth.synthesize(model, weights, dwell, _synth_options(cfg, args))
         rows = [("status", result.status), ("margin variable", f"{result.eps:.6g}")]
         if result.success:
-            rows.append(("post-check worst margin",
-                         f"{result.report.worst_margin:.6e}"))
-            ref_k = cfg.get("reference", {}).get("K")
-            if ref_k is not None and free_model.kind == "switched":
-                ref_k = [blk for row in ref_k for blk in row if blk is not None]
-            fresh = _designed_rows(free_model, result.gains)
-            for label, pub, new in _gain_pairs(ref_k, fresh):
-                rows.append((f"{label} published", _fmt_matrix(pub)))
-                rows.append((f"{label} synthesized", _fmt_matrix(new)))
+            rows.append(("post-check worst margin", f"{result.report.worst_margin:.6e}"))
+            design = model.with_gains(result.gains), result.cert
+            ref_model = published[0] if published else model
+            pairs = [(ref_model.gain(*idx), design[0].gain(*idx)) for idx in model.gain_slots
+                     if model.gain(*idx) is None and ref_model.gain(*idx) is not None]
+            for k, (pub, new) in enumerate(pairs, 1):
+                rows.append((f"gain {k} published", _fmt_matrix(pub)))
+                rows.append((f"gain {k} synthesized", _fmt_matrix(new)))
         _print_table("fresh synthesis", rows)
         failures += not result.success
 
-    # leg 3: simulate whichever design is available
-    sim_design = None
-    if result is not None and result.success:
-        sim_design = (_closed_model(free_model, result), result.cert)
-    elif ref_cert is not None:
-        sim_design = (ref_model, ref_cert)
-    if sim_design is not None and "x0" in run:
-        model, cert = sim_design
-        seq = sim.gen_sequence(dwell, run.get("kind", "uniform_random"),
-                               count=int(run.get("steps", 100)),
-                               seed=run.get("seed"), period=run.get("period"))
+    # leg 3: simulate the fresh design, else the published one
+    if design is not None and "x0" in cfg.get("run", {}):
         try:
-            traj = sim.simulate(model, cert, seq, run["x0"], u0=run.get("u0"))
+            traj = _trajectory(cfg, args, *design, dwell)
         except DivergenceError as exc:
             _print_table("simulation", [("status", f"diverged at t = {exc.last_time}")])
             failures += 1
         else:
-            v = traj.lyapunov
-            decay = v[0] / v[-1] if v[-1] > 0 else float("inf")
+            summary = _summary(traj, design[0])
+            decay = summary["value_decay"]
             _print_table("simulation", [
-                ("samples", str(traj.samples)),
-                ("value decay", f"{decay:.3e}"),
-                ("monotone decrease", str(bool(np.all(np.diff(v) < 0)))),
-                ("final state norm",
-                 f"{np.linalg.norm(traj.post_states[-1]):.3e}"),
+                ("samples", str(summary["samples"])),
+                ("value decay", f"{math.inf if decay is None else decay:.3e}"),
+                ("monotone decrease", str(summary["value_monotone"])),
+                ("final state norm", f"{summary['final_state_norm']:.3e}"),
             ])
             if args.out:
                 sim.write_csv(traj, args.out)
                 print(f"trajectory written to {args.out}")
     return EXIT_FAIL if failures else EXIT_PASS
-
-
-def _designed_rows(model, gains):
-    """Gain blocks the synthesis actually designed (skips fixed slots)."""
-    if gains is None or model.m == 0:
-        return []
-    closed = model.with_gains(gains)
-    return [closed.gain(*idx) for idx in model.gain_slots if model.gain(*idx) is None]
-
-
-def _gain_pairs(reference, fresh):
-    if not reference or not fresh or len(reference) != len(fresh):
-        return []
-    return [(f"gain {k + 1}", ref, new)
-            for k, (ref, new) in enumerate(zip(reference, fresh))]
 
 
 # ---------------------------------------------------------------------------
@@ -554,18 +534,11 @@ def main(argv=None):
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ModelError, CertificateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (NumericError, RecoveryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except MinjumpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, DivergenceError):
+            return EXIT_FAIL
+        return EXIT_NUMERIC if isinstance(exc, (NumericError, RecoveryError)) else EXIT_CONFIG
     except MemoryError:
         print("error: not enough memory for the requested sizes", file=sys.stderr)
         return EXIT_CONFIG

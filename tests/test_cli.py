@@ -79,6 +79,8 @@ def test_malformed_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["verify", str(path)]) == 2
+    path.write_bytes(b"\xff{}")  # not UTF-8
+    assert main(["verify", str(path)]) == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
 
 
@@ -263,6 +265,31 @@ def test_example_two_exits_zero(capsys):
     assert "simulation" in out
 
 
+def _table(text):
+    """example's table rows as {label: value}; a label ends at two spaces."""
+    rows = [line.strip().split("  ", 1) for line in text.splitlines() if line.startswith("  ")]
+    return {label: value.strip() for label, value in rows}
+
+
+def test_example_rows_agree_with_the_subcommands(capsys):
+    """example prints what verify, synth and simulate report on its fixture."""
+    assert main(["verify", _fixture_path("example2")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["simulate", _fixture_path("example2")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert main(["example", "2"]) == 0
+    rows = _table(capsys.readouterr().out)
+    assert rows["worst margin"] == f"{report['worst_margin']:.6e}"
+    assert rows["samples"] == str(summary["samples"])
+    assert rows["value decay"] == f"{summary['value_decay']:.3e}"
+    assert rows["monotone decrease"] == str(summary["value_monotone"])
+    assert rows["final state norm"] == f"{summary['final_state_norm']:.3e}"
+    assert main(["synth", _fixture_path("example1")]) == 0
+    eps = json.loads(capsys.readouterr().out)["eps"]
+    assert main(["example", "1"]) == 0
+    assert _table(capsys.readouterr().out)["margin variable"] == f"{eps:.6g}"
+
+
 def _ex2_fixture():
     with open(_fixture_path("example2")) as fh:
         return json.load(fh)
@@ -342,12 +369,22 @@ _DROP = object()
     ("verify", "ex2", ("rule", "eps"), True),
     ("simulate", "result", ("eps",), None),
     ("simulate", "result", ("eps",), [1.0]),
+    ("simulate", "ex2", ("run", "steps"), True),
+    ("simulate", "ex2", ("run", "steps"), "7"),
+    ("simulate", "ex2", ("run", "steps"), 7.9),
+    ("verify", "ex2", ("run", "tol"), True),
+    ("verify", "ex2", ("run", "grid"), 200.5),
+    ("verify", "ex2", ("dwell", "t_min"), "0.02"),
+    ("verify", "ex2", ("dwell", "t_max"), True),
+    ("simulate", "ex2", ("run", "period"), "0.02"),
 ], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
    else "dropped" if v is _DROP else str(v).replace(" ", ""))
 def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
     """A scalar where a per-mode list belongs, a result file that is not an
-    object holding P and weights, or an eps that is not a JSON number (in
-    rule or in a result file) is refused with one error line."""
+    object holding P and weights, an eps that is not a JSON number (in rule
+    or in a result file), or a run count, tolerance, dwell bound or period
+    that is a bool, a string or a count with a fraction is refused with one
+    error line; a run or dwell number names its key."""
     if base == "ex1":
         with open(_fixture_path("example1")) as fh:
             cfg = json.load(fh)
@@ -371,6 +408,8 @@ def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, val
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    if where[:1] in (("run",), ("dwell",)):
+        assert ".".join(where) in err
 
 
 @pytest.mark.parametrize("key", ["grid", "steps", "substeps"])
