@@ -13,14 +13,15 @@ The algorithm is a standard infeasible-start primal-dual interior-point
 method with the HKM search direction and a Mehrotra predictor-corrector
 step.  Problem sizes here are tiny (blocks up to ~12x12, a few hundred
 scalar unknowns), so everything is dense and the Schur complement is formed
-explicitly.  Blocks of equal dimension and equal number of active unknowns
-are stacked, and each iteration works on whole stacks: batched inverses,
-Cholesky factors, step-length eigenvalues and einsum contractions.  Every
-sum and scatter over blocks still runs in the problem's block order, so the
-stacked iteration reproduces the arithmetic of a loop over single blocks
-bit for bit; the test suite keeps that loop as its reference.  Each
-iteration's mu, residuals, gap, eps, step lengths and centering parameter
-are kept in SdpSolution.history.
+explicitly.  Inverses, Cholesky factors, step-length eigenvalues and
+updates run once per block dimension, on stacked arrays; the contractions
+with the constraint matrices run per stack of equal dimension and number
+of active unknowns.  Stacked LAPACK and matmul calls compute member by
+member, and sums and scatters over blocks run in block order, so this
+reproduces a loop over single blocks bit for bit; the test suite keeps that
+loop as its reference.  Each iteration's mu, residuals, gap, eps, step
+lengths, centering parameter and Schur-complement jitter are kept in
+SdpSolution.history.
 
 eps is always bounded above by options.eps_cap through an internally added
 1x1 block; without it the margin objective is unbounded whenever the
@@ -67,24 +68,14 @@ class VarSpec:
         return self.rows * self.cols
 
     def basis(self):
-        """Unit-direction matrices, one per scalar component."""
-        if self.kind == "scalar":
-            yield np.ones((1, 1))
-            return
-        if self.kind == "sym":
-            d = self.rows
-            for a in range(d):
-                for b in range(a, d):
-                    E = np.zeros((d, d))
-                    E[a, b] = 1.0
-                    E[b, a] = 1.0
-                    yield E
-            return
-        for a in range(self.rows):
-            for b in range(self.cols):
-                E = np.zeros((self.rows, self.cols))
-                E[a, b] = 1.0
-                yield E
+        """Unit-direction matrices, one per scalar component: a (size, rows,
+        cols) stack, symmetric components in np.triu_indices order."""
+        if self.kind != "sym":
+            return np.eye(self.size).reshape(self.size, self.rows, self.cols)
+        a, b = np.triu_indices(self.rows)
+        E = np.zeros((self.size, self.rows, self.rows))
+        E[np.arange(self.size), a, b] = E[np.arange(self.size), b, a] = 1.0
+        return E
 
     def assemble(self, flat):
         """Matrix (or scalar) value from the flat component vector."""
@@ -92,12 +83,8 @@ class VarSpec:
             return float(flat[0])
         out = np.zeros((self.rows, self.cols))
         if self.kind == "sym":
-            k = 0
-            for a in range(self.rows):
-                for b in range(a, self.cols):
-                    out[a, b] = flat[k]
-                    out[b, a] = flat[k]
-                    k += 1
+            a, b = np.triu_indices(self.rows)
+            out[a, b] = out[b, a] = flat
         else:
             out[:] = np.reshape(flat, (self.rows, self.cols))
         return out
@@ -123,9 +110,10 @@ class BlockTerm:
         object.__setattr__(self, "sym_pair", bool(sym_pair))
 
     def value(self, V):
+        """The term at V, or at every member of a (n, rows, cols) stack V."""
         M = self.left @ np.atleast_2d(V) @ self.right
         if self.sym_pair:
-            M = M + M.T
+            M = M + np.swapaxes(M, -1, -2)
         return M
 
 
@@ -219,8 +207,9 @@ class SdpSolution:
 class IterationRecord(NamedTuple):
     """One solver iteration: the residuals it started from, then its step.
 
-    The step fields stay nan on the iteration that ends the loop before
-    taking a step.
+    jitter is the diagonal shift the Schur complement needed to factor, 0.0
+    when none.  The step fields stay nan on the iteration that ends the loop
+    before taking a step.
     """
 
     mu: float
@@ -231,17 +220,19 @@ class IterationRecord(NamedTuple):
     alpha_p: float = np.nan
     alpha_d: float = np.nan
     sigma: float = np.nan
+    jitter: float = np.nan
 
 
 class _Stack:
     """Scaled blocks of one shape: dimension d with k active unknowns.
 
     G (n, k, d, d) holds the constraint matrices, idx (n, k) the unknowns
-    they belong to, Chat (n, d, d) the negated constants, and blocks (n,)
-    each member's position in the problem's block order.
+    they belong to, Chat (n, d, d) the negated constants, blocks (n,) each
+    member's block position, and rows its rows in dimension group `group`.
     """
 
-    def __init__(self, blocks, G, idx, C):
+    def __init__(self, group, rows, blocks, G, idx, C):
+        self.group, self.rows = group, rows
         self.blocks = np.array(blocks, dtype=int)
         self.G = np.array(G)
         self.idx = np.array(idx, dtype=int)
@@ -258,12 +249,14 @@ class _Stack:
 
 
 class _Scalarized:
-    """Flat view: constraint matrices over active unknowns, stacked by shape.
+    """Flat view: constraint matrices over active unknowns, grouped by dimension.
 
     Blocks with the same dimension and number of active unknowns share one
-    _Stack.  Every sum or scatter over blocks goes through block_sum or
+    _Stack; the stacks of one dimension follow each other in self.stacks
+    and own consecutive rows of that dimension's (N, d, d) arrays, such as
+    self.Chat.  Every sum or scatter over blocks goes through block_sum or
     scatter, which visit the members in the problem's block order, so the
-    stacked iteration rounds exactly as a loop over single blocks would.
+    iteration rounds exactly as a loop over single blocks would.
     """
 
     def __init__(self, problem, options):
@@ -274,44 +267,41 @@ class _Scalarized:
             at += v.size
         self.K = at
         if self.K > options.scalar_cap:
-            raise CapacityError(
-                f"{self.K} scalar unknowns exceed the cap {options.scalar_cap}"
-            )
+            raise CapacityError(f"{self.K} scalar unknowns exceed the cap {options.scalar_cap}")
         self.eps_index = self.var_offset[EPS_NAME]
-        byname = {v.name: v for v in problem.variables}
+        basis = {v.name: v.basis() for v in problem.variables}
 
         blocks = list(problem.blocks) + [_cap_block(options.eps_cap)]
         shapes = {}        # (dim, active unknowns) -> members (position, G, idx, C)
         for l, blk in enumerate(blocks):
-            contrib = {}
-            for t in blk.terms:
-                v = byname[t.var]
-                base = self.var_offset[t.var]
-                for k, E in enumerate(v.basis()):
-                    G = t.value(E)
-                    key = base + k
-                    contrib[key] = contrib.get(key, 0.0) + G
+            # (unknowns, contributions) per term, the strict margin last
+            terms = [(self.var_offset[t.var] + np.arange(len(basis[t.var])), t.value(basis[t.var]))
+                     for t in blk.terms]
             if blk.strict:
-                key = self.eps_index
-                contrib[key] = contrib.get(key, 0.0) + np.eye(blk.dim)
-            idxs = sorted(contrib)
+                terms.append(([self.eps_index], np.eye(blk.dim)[None]))
+            active = np.bincount(np.concatenate([np.zeros(0, int)] + [k for k, _ in terms]))
+            idxs = np.flatnonzero(active)  # sorted; np.unique would import numpy.ma, ~1 MB
             stack = np.zeros((len(idxs), blk.dim, blk.dim))
-            for r, key in enumerate(idxs):
-                G = contrib[key]
-                skew = np.abs(G - G.T).max()
-                if skew > 1e-10 * max(1.0, np.abs(G).max()):
-                    raise ConfigError(
-                        f"block {blk.label!r}: asymmetric contribution for scalar {key}"
-                    )
-                stack[r] = 0.5 * (G + G.T)
-            scale = 1.0 / max(
-                1.0,
-                float(np.linalg.norm(blk.constant)),
-                float(np.abs(stack).max()) if len(idxs) else 0.0,
-            )
+            for keys, G in terms:
+                np.add.at(stack, np.searchsorted(idxs, keys), G)
+            skew = np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2))
+            bad = np.flatnonzero(skew > 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2))))
+            if len(bad):
+                raise ConfigError(
+                    f"block {blk.label!r}: asymmetric contribution for scalar {idxs[bad[0]]}")
+            stack = 0.5 * (stack + np.swapaxes(stack, 1, 2))
+            scale = 1.0 / max(1.0, float(np.linalg.norm(blk.constant)),
+                              float(np.abs(stack).max(initial=0.0)))
             shapes.setdefault((blk.dim, len(idxs)), []).append(
                 (l, scale * stack, idxs, scale * 0.5 * (blk.constant + blk.constant.T)))
-        self.stacks = [_Stack(*zip(*members)) for members in shapes.values()]
+        groups = {}        # dim -> its stacks
+        for (dim, _), members in shapes.items():
+            stacks = groups.setdefault(dim, [])
+            at = stacks[-1].rows.stop if stacks else 0
+            stacks.append(_Stack(list(groups).index(dim), slice(at, at + len(members)),
+                                 *zip(*members)))
+        self.stacks = [s for stacks in groups.values() for s in stacks]
+        self.Chat = [np.concatenate([s.Chat for s in stacks]) for stacks in groups.values()]
         self.total_dim = sum(blk.dim for blk in blocks)
 
         # Where each block's outputs sit once the stacks' per-member outputs
@@ -332,13 +322,27 @@ class _Scalarized:
     def _ordered(parts, order):
         return np.concatenate([np.ravel(p) for p in parts])[order]
 
+    def split(self, arrays):
+        """Each stack's rows of per-dimension (N, d, d) arrays, in stack order."""
+        return [arrays[s.group][s.rows] for s in self.stacks]
+
+    def apply(self, arrays):
+        """Each stack's (n, k) array <G_k, A> for per-dimension arrays A."""
+        return [s.apply(A) for s, A in zip(self.stacks, self.split(arrays))]
+
+    def adjoint(self, v):
+        """sum_k v[idx_k] G_k for every member, one (N, d, d) array per dimension."""
+        return [np.concatenate([s.adjoint(v) for s in self.stacks if s.group == g])
+                for g in range(len(self.Chat))]
+
     def block_sum(self, parts):
-        """Sum of per-member scalars (one (n,) array per stack) in block order."""
+        """Sum of per-member scalars (one (N,) array per dimension) in block order."""
         return sum(self._ordered(parts, self._block_order))
 
     def scatter(self, ufunc, out, parts):
         """ufunc.at per-member (n, k) vectors into out (K,), or (n, k, k)
-        matrices into out (K, K), visiting the blocks in order."""
+        matrices into out (K, K), one array per stack, visiting the blocks
+        in order."""
         if out.ndim == 1:
             ufunc.at(out, self._vector_at, self._ordered(parts, self._vector_order))
         else:
@@ -353,20 +357,17 @@ class _Scalarized:
 
 
 def _cap_block(cap):
-    return AffineBlock(
-        [[-float(cap)]],
-        [BlockTerm(EPS_NAME, [[1.0]], [[1.0]])],
-        strict=False,
-        label="margin-cap",
-    )
+    return AffineBlock([[-float(cap)]], [BlockTerm(EPS_NAME, [[1.0]], [[1.0]])],
+                       strict=False, label="margin-cap")
 
 
 def _chol_with_jitter(M):
+    """Cholesky factor of M + jitter I, and the jitter (0.0 when none)."""
     jitter = 0.0
     base = max(np.trace(M) / max(len(M), 1), 1.0)
     for attempt in range(9):
         try:
-            return np.linalg.cholesky(M + jitter * np.eye(len(M)))
+            return np.linalg.cholesky(M + jitter * np.eye(len(M))), jitter
         except np.linalg.LinAlgError:
             jitter = base * (1e-12 if jitter == 0.0 else 0.0) + jitter * 10.0
     raise np.linalg.LinAlgError("matrix not positive definite")
@@ -382,7 +383,7 @@ def _chol_stack(A):
             try:
                 L[j] = np.linalg.cholesky(a)
             except np.linalg.LinAlgError:
-                L[j] = _chol_with_jitter(a)
+                L[j] = _chol_with_jitter(a)[0]
         return L
 
 
@@ -399,8 +400,8 @@ def _max_step(L, D):
 def _steps(Lxs, dX, dS):
     """Largest primal and dual steps keeping every member semidefinite.
 
-    Lxs[s] holds the Cholesky factors of stack s's X members, then its S
-    members.
+    Lxs[g] holds the Cholesky factors of dimension g's X members, then its
+    S members.
     """
     steps = [_max_step(L, np.concatenate([dx, ds])) for L, dx, ds in zip(Lxs, dX, dS)]
     return (min(st[:len(dx)].min() for st, dx in zip(steps, dX)),
@@ -460,12 +461,12 @@ def _unflatten(problem, y):
 
 
 def _iterate(sc, options):
-    stacks = sc.stacks
+    # X, S, Chat and everything member-wise: one (N, d, d) array per dimension
     b = sc.b()
-    Chat = [s.Chat for s in stacks]
+    Chat = sc.Chat
     norms = [np.sqrt(_inner(Ch, Ch)) for Ch in Chat]
 
-    X = [np.eye(s.G.shape[-1]) * (1.0 + nrm)[:, None, None] for s, nrm in zip(stacks, norms)]
+    X = [np.eye(Ch.shape[-1]) * (1.0 + nrm)[:, None, None] for Ch, nrm in zip(Chat, norms)]
     S = [x.copy() for x in X]
     y = np.zeros(sc.K)
 
@@ -482,8 +483,8 @@ def _iterate(sc, options):
 
     for it in range(1, options.max_iter + 1):
         # residuals of the stationarity system
-        rp = sc.scatter(np.subtract, b.copy(), [s.apply(x) for s, x in zip(stacks, X)])
-        Rd = [_sym(Ch - Sl - s.adjoint(y)) for s, Ch, Sl in zip(stacks, Chat, S)]
+        rp = sc.scatter(np.subtract, b.copy(), sc.apply(X))
+        Rd = [_sym(Ch - Sl - A) for Ch, Sl, A in zip(Chat, S, sc.adjoint(y))]
         mu = sc.block_sum([_inner(x, Sl) for x, Sl in zip(X, S)]) / sc.total_dim
         pinf = float(np.linalg.norm(rp)) / bnorm
         dinf = max(float(np.sqrt(_inner(R, R)).max()) for R in Rd) / cnorm
@@ -509,13 +510,13 @@ def _iterate(sc, options):
             M = sc.scatter(np.add, np.zeros((sc.K, sc.K)), [
                 np.einsum("nkab,njab->nkj",
                           np.einsum("nab,nkbc,ncd->nkad", x, s.G, Si), s.G)
-                for s, x, Si in zip(stacks, X, Sinv)])
+                for s, x, Si in zip(sc.stacks, sc.split(X), sc.split(Sinv))])
             M = 0.5 * (M + M.T)
-            L = _chol_with_jitter(M)
+            L, jitter = _chol_with_jitter(M)
 
-            t1 = sc.scatter(np.add, np.zeros(sc.K), [s.apply(Si) for s, Si in zip(stacks, Sinv)])
-            t3 = sc.scatter(np.add, np.zeros(sc.K), [
-                s.apply(_sym(Si @ R @ x)) for s, Si, R, x in zip(stacks, Sinv, Rd, X)])
+            t1 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(Sinv))
+            t3 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(
+                [_sym(Si @ R @ x) for Si, R, x in zip(Sinv, Rd, X)]))
 
             def solve_dy(rhs):
                 dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
@@ -523,7 +524,7 @@ def _iterate(sc, options):
                 return dy + np.linalg.solve(L.T, np.linalg.solve(L, r))
 
             def directions(dy, sigmu, corr=None):
-                dS = [_sym(R - s.adjoint(dy)) for s, R in zip(stacks, Rd)]
+                dS = [_sym(R - A) for R, A in zip(Rd, sc.adjoint(dy))]
                 dX = []
                 for l, (Si, dSl, x) in enumerate(zip(Sinv, dS, X)):
                     A = sigmu * Si - x - Si @ dSl @ x
@@ -545,9 +546,8 @@ def _iterate(sc, options):
             sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
 
             # corrector
-            t4 = sc.scatter(np.add, np.zeros(sc.K), [
-                s.apply(_sym(Si @ ds @ dx))
-                for s, Si, ds, dx in zip(stacks, Sinv, dS_aff, dX_aff)])
+            t4 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(
+                [_sym(Si @ ds @ dx) for Si, ds, dx in zip(Sinv, dS_aff, dX_aff)]))
             dy = solve_dy(b - sigma * mu * t1 + t3 + t4)
             dX, dS = directions(dy, sigma * mu, corr=(dX_aff, dS_aff))
 
@@ -556,7 +556,7 @@ def _iterate(sc, options):
             status = "breakdown"
             break
         history[-1] = history[-1]._replace(
-            alpha_p=float(ap), alpha_d=float(ad), sigma=float(sigma))
+            alpha_p=float(ap), alpha_d=float(ad), sigma=float(sigma), jitter=float(jitter))
         if ap < 1e-10 and ad < 1e-10:
             slow += 1
             if slow >= 3:

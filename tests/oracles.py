@@ -5,18 +5,22 @@ package under test (a plain 30-term Taylor sum, in floats or in exact
 rationals, instead of the package's degree-12 polynomial evaluated as one
 row product against shared powers of M, power iteration and cyclic
 Jacobi sweeps instead of LAPACK, one dwell point at a time instead of
-stacked evaluation) so agreement is meaningful.  Some are the package's
+stacked evaluation) so agreement is meaningful. Some are the package's
 earlier loops, kept as references for their stacked replacements, which
-must reproduce their floating-point results exactly: blockwise_iterate,
-the interior-point loop of minjump.sdp written one constraint block at a
-time; loop_simulate, the per-sample simulator that scores one mode and
-assembles one jump map at a time; record_report, the record-by-record
-reduction of a check's margins into its verdict, fed the records in the
-package's one record order (mode-major); loop_check_clock, the
-clock-function check one matrix at a time; and dense_contraction_margins,
-the dwell-grid margins from stacked per-member products and one eigensolve
-at every (mode, theta), where the package forms products with a fixed
-matrix as single 2-D GEMMs and solves only where a maximum can be.
+must reproduce their floating-point results exactly: blockwise_iterate, the
+interior-point loop of minjump.sdp written one constraint block at a time,
+where the package runs member-wise steps once per block dimension and
+contractions once per stack; loop_scalarize, the scalarization of the
+constraint blocks one basis matrix of one term at a time, where the package
+forms each term over a stacked basis; loop_simulate, the per-sample
+simulator that scores one mode and assembles one jump map at a time;
+record_report, the record-by-record reduction of a check's margins into its
+verdict, fed the records in the package's one record order (mode-major);
+loop_check_clock, the clock-function check one matrix at a time; and
+dense_contraction_margins, the dwell-grid margins from stacked per-member
+products and one eigensolve at every (mode, theta), where the package forms
+products with a fixed matrix as single 2-D GEMMs and solves only where a
+maximum can be.
 """
 
 from fractions import Fraction
@@ -26,7 +30,7 @@ import numpy as np
 
 from minjump import checks, linalg, sdp
 from minjump.checks import STRICT_TOL, VerificationReport
-from minjump.errors import DivergenceError
+from minjump.errors import ConfigError, DivergenceError
 from minjump.sim import DIVERGENCE_LIMIT
 
 _JACOBI_OFF_TOL = 1e-12
@@ -366,6 +370,67 @@ def loop_simulate(model, cert, seq, x0, u0=None, initial_mode=0, substeps=1):
                            dense=np.array(out.dense).reshape(-1, model.dim))
 
 
+def _loop_basis(v):
+    """A declared unknown's unit directions, one matrix at a time: a
+    symmetric one's upper triangle row by row, a rectangular one's entries
+    row by row."""
+    if v.kind == "scalar":
+        yield np.ones((1, 1))
+        return
+    for a in range(v.rows):
+        for b in range(a if v.kind == "sym" else 0, v.cols):
+            E = np.zeros((v.rows, v.cols))
+            E[a, b] = 1.0
+            if v.kind == "sym":
+                E[b, a] = 1.0
+            yield E
+
+
+def loop_scalarize(problem, options):
+    """The scaled constraint matrices of sdp._Scalarized, one basis matrix
+    of one term at a time.
+
+    Returns {(dim, active unknowns): (blocks, G, idx, Chat)}, laid out as
+    the fields of the package's stacks, and raises the same ConfigError on
+    an asymmetric contribution.
+    """
+    offset, at = {}, 0
+    for v in problem.variables:
+        offset[v.name] = at
+        at += v.size
+    byname = {v.name: v for v in problem.variables}
+    shapes = {}
+    for l, blk in enumerate(list(problem.blocks) + [sdp._cap_block(options.eps_cap)]):
+        contrib = {}
+        for t in blk.terms:
+            for k, E in enumerate(_loop_basis(byname[t.var])):
+                G = t.left @ E @ t.right
+                if t.sym_pair:
+                    G = G + G.T
+                key = offset[t.var] + k
+                contrib[key] = contrib.get(key, 0.0) + G
+        if blk.strict:
+            key = offset[sdp.EPS_NAME]
+            contrib[key] = contrib.get(key, 0.0) + np.eye(blk.dim)
+        idxs = sorted(contrib)
+        stack = np.zeros((len(idxs), blk.dim, blk.dim))
+        for r, key in enumerate(idxs):
+            G = contrib[key]
+            if np.abs(G - G.T).max() > 1e-10 * max(1.0, np.abs(G).max()):
+                raise ConfigError(f"block {blk.label!r}: asymmetric contribution for scalar {key}")
+            stack[r] = 0.5 * (G + G.T)
+        scale = 1.0 / max(1.0, float(np.linalg.norm(blk.constant)),
+                          float(np.abs(stack).max()) if len(idxs) else 0.0)
+        shapes.setdefault((blk.dim, len(idxs)), []).append(
+            (l, scale * stack, idxs, scale * 0.5 * (blk.constant + blk.constant.T)))
+    out = {}
+    for shape, members in shapes.items():
+        blocks, G, idx, C = zip(*members)
+        out[shape] = (np.array(blocks, dtype=int), np.array(G), np.array(idx, dtype=int),
+                      -np.array(C))
+    return out
+
+
 def _blockwise_view(sc):
     """Per-block dims, negated constants, active indices and G stacks."""
     members = sorted((l, s, j) for s in sc.stacks for j, l in enumerate(s.blocks))
@@ -447,7 +512,7 @@ def blockwise_iterate(sc, options):
                 T2 = np.einsum("ab,kbc,cd->kad", X[l], G[l], Sinv[l])
                 M[np.ix_(idxs[l], idxs[l])] += np.einsum("kab,jab->kj", T2, G[l])
             M = 0.5 * (M + M.T)
-            L = sdp._chol_with_jitter(M)
+            L, _ = sdp._chol_with_jitter(M)
 
             t1 = np.zeros(sc.K)
             t3 = np.zeros(sc.K)
@@ -479,8 +544,8 @@ def blockwise_iterate(sc, options):
             dX_aff, dS_aff = directions(dy_aff, 0.0)
 
             # Iterates can round to marginally indefinite near the boundary.
-            Lx = [sdp._chol_with_jitter(0.5 * (X[l] + X[l].T)) for l in range(nblk)]
-            Ls = [sdp._chol_with_jitter(0.5 * (S[l] + S[l].T)) for l in range(nblk)]
+            Lx = [sdp._chol_with_jitter(0.5 * (X[l] + X[l].T))[0] for l in range(nblk)]
+            Ls = [sdp._chol_with_jitter(0.5 * (S[l] + S[l].T))[0] for l in range(nblk)]
             ap = min([1.0] + [_blockwise_max_step(Lx[l], dX_aff[l]) for l in range(nblk)])
             ad = min([1.0] + [_blockwise_max_step(Ls[l], dS_aff[l]) for l in range(nblk)])
             mu_aff = sum(

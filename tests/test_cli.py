@@ -475,6 +475,20 @@ _SYNTH_ORDINARY = {
     "nodes": st.one_of(st.integers(2, 10), st.just(10**6)),
     "delta": st.floats(0.0, 1e-2),
 }
+# a --pi-scan candidate for example 2's two modes: column-stochastic, or
+# malformed (columns off one, wrong shape, NaN, not a list)
+_PROB = st.floats(0.0, 1.0)
+_SCAN_CANDIDATE = st.one_of(
+    st.tuples(_PROB, _PROB).map(lambda pq: [[pq[0], pq[1]], [1.0 - pq[0], 1.0 - pq[1]]]),
+    st.just([[0.5, 0.5], [0.1, 0.5]]),
+    st.sampled_from([[[1.0]], np.eye(3).tolist(), [[0.5, 0.5]], [0.5, 0.5]]),
+    st.just([[math.nan, 0.5], [0.5, 0.5]]),
+    st.sampled_from([0.5, "pi", None]),
+)
+# drawn for synth only: no scan file, one of 1-3 candidates, or a file that
+# is not a list
+_SCAN = st.one_of(st.none(), st.lists(_SCAN_CANDIDATE, min_size=1, max_size=3),
+                  st.just({"pi": [[0.5, 0.5], [0.5, 0.5]]}))
 # drawn for verify and simulate only, which read rule.eps: a margin or a
 # value of the wrong type
 _RULE_ORDINARY = {
@@ -496,7 +510,7 @@ def _ex3_verify_fixture():
 def _fuzzed_jobs(draw):
     """A subcommand and example 2, or verify and example 3, with up to
     three keys redrawn: synth's nodes and delta among them for synth,
-    rule.eps for the others.
+    rule.eps for the others; synth may also get a --pi-scan file.
     Example 3's 4x4 stacks are searched for their maximum from 128 grid
     points up and solved densely below."""
     command = draw(st.sampled_from(["verify", "simulate", "synth", "verify ex3"]))
@@ -516,7 +530,8 @@ def _fuzzed_jobs(draw):
         else:
             cfg["run"][key] = value
     cfg["run"]["kind"] = draw(st.sampled_from(["periodic", "uniform_random"]))
-    return command.split()[0], cfg
+    scan = draw(_SCAN) if command == "synth" else None
+    return command.split()[0], cfg, scan
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -524,14 +539,18 @@ def _fuzzed_jobs(draw):
 def test_cli_contract_fuzz(job):
     """Any drawn config ends in exit 0-3 with no traceback, and a verify
     pass always clears its tolerance."""
-    command, cfg = job
+    command, cfg, scan = job
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/job.json"
-        with open(path, "w") as fh:
+        argv = [command, f"{tmp}/job.json"]
+        with open(argv[1], "w") as fh:
             json.dump(cfg, fh)
+        if scan is not None:
+            argv += ["--pi-scan", f"{tmp}/scan.json"]
+            with open(argv[-1], "w") as fh:
+                json.dump(scan, fh)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, path])
+            code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if command == "verify" and code in (0, 1):

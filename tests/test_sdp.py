@@ -246,6 +246,57 @@ def test_stacked_solver_matches_blockwise_oracle_bitwise(case):
     assert (sol.gap, sol.primal_infeas, sol.dual_infeas) == (gap, pinf, dinf)
 
 
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_scalarization_matches_loop_oracle_bytewise(case):
+    problem, options = _ORACLE_CASES[case]()
+    expected = oracles.loop_scalarize(problem, options)
+    stacks = sdp._Scalarized(problem, options).stacks
+    assert sorted((s.G.shape[-1], s.G.shape[1]) for s in stacks) == sorted(expected)
+    for s in stacks:
+        want_fields = expected[s.G.shape[-1], s.G.shape[1]]
+        for got, want in zip((s.blocks, s.G, s.idx, s.Chat), want_fields):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scalarize", [sdp._Scalarized, oracles.loop_scalarize])
+def test_asymmetric_contribution_names_block_and_scalar(scalarize):
+    """x (scalar 2) enters the 2x2 block as [[0, x], [0, 0]]; a before it is symmetric."""
+    variables = [sdp.VarSpec("eps", "scalar"), sdp.VarSpec("a", "sym", 1, 1),
+                 sdp.VarSpec("x", "scalar")]
+    blocks = [sdp.AffineBlock(-np.eye(2), [sdp.BlockTerm("a", [[1.0], [0.0]], [[1.0, 0.0]]),
+                                           sdp.BlockTerm("x", [[1.0], [0.0]], [[0.0, 1.0]])],
+                              label="skewed")]
+    message = r"^block 'skewed': asymmetric contribution for scalar 2$"
+    with pytest.raises(ConfigError, match=message):
+        scalarize(sdp.SdpProblem(variables, blocks), sdp.SdpOptions())
+
+
+def test_member_wise_steps_take_one_call_per_dimension(monkeypatch):
+    """_distinct_shapes' five stacks span dimensions 1, 2 and 3: every
+    stepped iteration inverts S once per dimension and searches each of its
+    two step lengths once per dimension, over that dimension's X and S."""
+    inv, max_step = np.linalg.inv, sdp._max_step
+    inverted, searched = [], []
+
+    def inv_spy(A):
+        inverted.append(A.shape)
+        return inv(A)
+
+    def step_spy(L, D):
+        searched.append(D.shape)
+        return max_step(L, D)
+
+    monkeypatch.setattr(np.linalg, "inv", inv_spy)
+    monkeypatch.setattr(sdp, "_max_step", step_spy)
+    sol = sdp.solve(_distinct_shapes())
+    assert sol.status == "optimal"
+    stepped = sol.iterations - 1
+    assert [np.isnan(r.alpha_p) for r in sol.history] == [False] * stepped + [True]
+    assert inverted == [(2, 1, 1), (2, 2, 2), (1, 3, 3)] * stepped
+    assert searched == [(4, 1, 1), (4, 2, 2), (2, 3, 3)] * (2 * stepped)
+
+
 def test_edge_problems_stack_as_intended():
     def shapes(problem):
         stacks = sdp._Scalarized(problem, sdp.SdpOptions()).stacks
@@ -273,7 +324,7 @@ def test_cholesky_jitter_reaches_only_the_failing_member(monkeypatch):
     monkeypatch.setattr(sdp, "_chol_with_jitter", spy)
     L = sdp._chol_stack(np.array([good, bad, 2.0 * good]))
     assert len(calls) == 1 and np.array_equal(calls[0], bad)
-    expected = [np.linalg.cholesky(good), jitter(bad), np.linalg.cholesky(2.0 * good)]
+    expected = [np.linalg.cholesky(good), jitter(bad)[0], np.linalg.cholesky(2.0 * good)]
     assert L.tobytes() == np.array(expected).tobytes()
 
 
@@ -288,6 +339,28 @@ def test_history_keeps_every_iteration():
     assert np.isnan([last.alpha_p, last.alpha_d, last.sigma]).all()
     assert (last.gap, last.pinf, last.eps) == (sol.gap, sol.primal_infeas, sol.eps)
     assert max(last.pinf, last.dinf, last.gap) <= sdp.SdpOptions().tol
+
+
+def test_history_records_the_schur_complement_jitter(monkeypatch):
+    """The first Schur complement's factorization fails once: its record
+    holds the jitter that let it succeed, every other step 0.0."""
+    cholesky = np.linalg.cholesky
+    failed = []
+
+    def fails_once(A):
+        if A.ndim == 2 and not failed:
+            failed.append(A.copy())
+            raise np.linalg.LinAlgError("planted failure")
+        return cholesky(A)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+    sol = sdp.solve(_oscillator())
+    assert sol.status == "optimal"
+    M = failed[0]
+    first, *rest, last = sol.history
+    assert first.jitter == 1e-12 * max(np.trace(M) / len(M), 1.0) > 0.0
+    assert [r.jitter for r in rest] == [0.0] * len(rest)
+    assert np.isnan(last.jitter)
 
 
 def test_residuals_take_one_eigenvalue_call_per_dimension(monkeypatch):
