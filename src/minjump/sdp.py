@@ -12,16 +12,16 @@ extracted.
 The algorithm is a standard infeasible-start primal-dual interior-point
 method with the HKM search direction and a Mehrotra predictor-corrector
 step.  Problem sizes here are tiny (blocks up to ~12x12, a few hundred
-scalar unknowns), so everything is dense and the Schur complement is formed
-explicitly.  Inverses, Cholesky factors, step-length eigenvalues and
-updates run once per block dimension, on stacked arrays; the contractions
-with the constraint matrices run per stack of equal dimension and number
-of active unknowns.  Stacked LAPACK and matmul calls compute member by
-member, and sums and scatters over blocks run in block order, so this
-reproduces a loop over single blocks bit for bit; the test suite keeps that
-loop as its reference.  Each iteration's mu, residuals, gap, eps, step
-lengths, centering parameter and Schur-complement jitter are kept in
-SdpSolution.history.
+scalar unknowns), so iterates are dense and the Schur complement is formed
+explicitly.  Inverses, Cholesky factors, step-length eigenvalues and updates
+run once per block dimension, on stacked arrays; contractions with the
+constraint matrices run per stack of equal dimension and number of active
+unknowns, X G_k S^-1 over G_k's nonzero entries only, in the dense einsum's
+order.  Stacked LAPACK and matmul calls compute member by member, and sums
+and scatters over blocks run in block order, so this reproduces a loop over
+single blocks bit for bit; the test suite keeps that loop as its reference.
+Each iteration's mu, residuals, gap, eps, step lengths, centering parameter
+and Schur-complement jitter are kept in SdpSolution.history.
 
 eps is always bounded above by options.eps_cap through an internally added
 1x1 block; without it the margin objective is unbounded whenever the
@@ -228,7 +228,8 @@ class _Stack:
 
     G (n, k, d, d) holds the constraint matrices, idx (n, k) the unknowns
     they belong to, Chat (n, d, d) the negated constants, blocks (n,) each
-    member's block position, and rows its rows in dimension group `group`.
+    member's block position, and rows its rows in dimension group `group`;
+    left() visits G's nonzero entries, found once in C order.
     """
 
     def __init__(self, group, rows, blocks, G, idx, C):
@@ -237,6 +238,21 @@ class _Stack:
         self.G = np.array(G)
         self.idx = np.array(idx, dtype=int)
         self.Chat = -np.array(C)
+        k, d = self.G.shape[1:3]
+        m, j, b, c = np.nonzero(self.G)
+        self._nonzero, self._g, r = (m, b, c), self.G[m, j, b, c], np.arange(d)
+        # the flat (member, unknown, a, d) position of every (entry, a, d) term
+        self._at = ((((m * k + j) * d)[:, None, None] + r[:, None]) * d + r).ravel()
+
+    def left(self, X, Sinv):
+        """X G_k Sinv for every member and unknown, bit for bit the einsum
+        "nab,nkbc,ncd->nkad": it sums (X_ab G_kbc) Sinv_cd from +0 in b-major
+        order, and bincount adds in input order from 0.  For finite X and
+        Sinv a term with G_kbc = 0 is +-0 and changes no sum, so it is skipped."""
+        m, b, c = self._nonzero
+        terms = (X[m, :, b] * self._g[:, None])[:, :, None] * Sinv[m, c][:, None, :]
+        sums = np.bincount(self._at, terms.ravel(), minlength=self.G.size)  # int if empty
+        return sums.astype(float, copy=False).reshape(self.G.shape)
 
     def adjoint(self, v):
         """sum_k v[idx_k] G_k for every member."""
@@ -508,8 +524,7 @@ def _iterate(sc, options):
         try:
             Sinv = [_sym(np.linalg.inv(Sl)) for Sl in S]
             M = sc.scatter(np.add, np.zeros((sc.K, sc.K)), [
-                np.einsum("nkab,njab->nkj",
-                          np.einsum("nab,nkbc,ncd->nkad", x, s.G, Si), s.G)
+                np.einsum("nkab,njab->nkj", s.left(x, Si), s.G)
                 for s, x, Si in zip(sc.stacks, sc.split(X), sc.split(Sinv))])
             M = 0.5 * (M + M.T)
             L, jitter = _chol_with_jitter(M)
@@ -566,7 +581,7 @@ def _iterate(sc, options):
         X = [x + ap * dx for x, dx in zip(X, dX)]
         S = [Sl + ad * ds for Sl, ds in zip(S, dS)]
         y = y + ad * dy
-        if not np.isfinite(y).all():
+        if not (np.isfinite(y).all() and all(np.isfinite(a).all() for a in X + S)):
             status = "breakdown"
             y = best[0] if best is not None else np.zeros(sc.K)
             break

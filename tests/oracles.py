@@ -10,13 +10,16 @@ earlier loops, kept as references for their stacked replacements, which
 must reproduce their floating-point results exactly: blockwise_iterate, the
 interior-point loop of minjump.sdp written one constraint block at a time,
 where the package runs member-wise steps once per block dimension and
-contractions once per stack; loop_scalarize, the scalarization of the
-constraint blocks one basis matrix of one term at a time, where the package
-forms each term over a stacked basis; loop_simulate, the per-sample
-simulator that scores one mode and assembles one jump map at a time;
-record_report, the record-by-record reduction of a check's margins into its
-verdict, fed the records in the package's one record order (mode-major);
-loop_check_clock, the clock-function check one matrix at a time; and
+contractions once per stack, and also the dense reference for the package's
+sparse Schur kernel (_Stack.left, which visits only the nonzero entries of
+each constraint matrix where this loop's einsum visits them all);
+loop_scalarize, the scalarization of the constraint blocks one basis matrix
+of one term at a time, where the package forms each term over a stacked
+basis; loop_simulate, the per-sample simulator that scores one mode and
+assembles one jump map at a time; record_report, the record-by-record
+reduction of a check's margins into its verdict, fed the records in the
+package's one record order (mode-major); loop_check_clock, the
+clock-function check one matrix at a time; and
 dense_contraction_margins, the dwell-grid margins from stacked per-member
 products and one eigensolve at every (mode, theta), where the package forms
 products with a fixed matrix as single 2-D GEMMs and solves only where a
@@ -577,7 +580,7 @@ def blockwise_iterate(sc, options):
             X[l] = X[l] + ap * dX[l]
             S[l] = S[l] + ad * dS[l]
         y = y + ad * dy
-        if not np.isfinite(y).all():
+        if not (np.isfinite(y).all() and all(np.isfinite(a).all() for a in X + S)):
             status = "breakdown"
             y = best[0] if best is not None else np.zeros(sc.K)
             break

@@ -246,6 +246,89 @@ def test_stacked_solver_matches_blockwise_oracle_bitwise(case):
     assert (sol.gap, sol.primal_infeas, sol.dual_infeas) == (gap, pinf, dinf)
 
 
+def _planted(rng, shape):
+    """Entries over sixteen decades, about a fifth of them +0.0 or -0.0."""
+    A = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    zero = rng.random(shape) < 0.2
+    A[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+    return A
+
+
+def _edge_stacks():
+    """A stack whose unknown 2 is zero in every member and unknown 0 in
+    member 1, one of +0.0 throughout and one of -0.0 throughout."""
+    G = _planted(np.random.default_rng(5), (3, 4, 5, 5))
+    G[:, 2] = G[1, 0] = 0.0
+    zero = np.zeros((2, 3, 4, 4))
+    return [sdp._Stack(0, slice(0, len(g)), range(len(g)), g,
+                       np.zeros(g.shape[:2], int), np.zeros((len(g),) + g.shape[2:]))
+            for g in (G, zero, -zero)]
+
+
+_KERNEL_CASES = {**_ORACLE_CASES, "ex2": lambda: _design("example2"), "edge": None}
+
+
+@pytest.mark.parametrize("case", list(_KERNEL_CASES))
+def test_sparse_schur_kernel_matches_dense_einsum_bitwise(case):
+    """_Stack.left against the einsum it replaces, on random X and Sinv
+    with planted signed zeros: same dtype, shape and bytes, signs of zeros
+    included."""
+    if case == "edge":
+        stacks = _edge_stacks()
+    else:
+        stacks = sdp._Scalarized(*_KERNEL_CASES[case]()).stacks
+    rng = np.random.default_rng(15)
+    for s in stacks:
+        n, _, d, _ = s.G.shape
+        for _ in range(3):
+            X, Sinv = _planted(rng, (n, d, d)), _planted(rng, (n, d, d))
+            got = s.left(X, Sinv)
+            want = np.einsum("nab,nkbc,ncd->nkad", X, s.G, Sinv)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_schur_build_makes_no_three_operand_einsum(monkeypatch):
+    """The solver's first Schur contraction goes through _Stack.left; the
+    blockwise oracle keeps its dense three-operand einsum."""
+    einsum = np.einsum
+    calls = []
+
+    def spy(subscripts, *operands, **kwargs):
+        calls.append((subscripts, len(operands)))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    problem, options = _distinct_shapes(), sdp.SdpOptions()
+    assert sdp.solve(problem, options).status == "optimal"
+    assert calls and all(count < 3 for _, count in calls)
+    calls.clear()
+    oracles.blockwise_iterate(sdp._Scalarized(problem, options), options)
+    assert ("ab,kbc,cd->kad", 3) in calls
+
+
+def test_nonfinite_iterate_ends_the_solve(monkeypatch):
+    """A corrector step with one infinite member of dX would carry inf into
+    X: the loop ends there as a breakdown and returns its best iterate."""
+    steps = sdp._steps
+    calls = []
+
+    def planted(Lxs, dX, dS):
+        out = steps(Lxs, dX, dS)
+        calls.append(dX[0].shape)
+        if len(calls) == 4:  # the second iteration's corrector step
+            dX[0][0, 0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(sdp, "_steps", planted)
+    sol = sdp.solve(_oscillator())
+    assert (sol.status, sol.iterations, len(calls)) == ("numerical_failure", 2, 4)
+    assert np.isfinite(sol.eps)
+    assert all(np.isfinite(v).all() for v in sol.values.values())
+    assert np.isfinite(sol.residuals).all()
+
+
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_scalarization_matches_loop_oracle_bytewise(case):
     problem, options = _ORACLE_CASES[case]()
