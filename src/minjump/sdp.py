@@ -17,9 +17,11 @@ explicitly.  Inverses, Cholesky factors, step-length eigenvalues and updates
 run once per block dimension, on stacked arrays; contractions with the
 constraint matrices run per stack of equal dimension and number of active
 unknowns, X G_k S^-1 over G_k's nonzero entries only, in the dense einsum's
-order.  Stacked LAPACK and matmul calls compute member by member, and sums
-and scatters over blocks run in block order, so this reproduces a loop over
-single blocks bit for bit; the test suite keeps that loop as its reference.
+order.  Every Cholesky factor is formed and inverted once per iteration, and
+solves with it are products with that inverse.  Stacked LAPACK and matmul
+calls compute member by member, and sums and scatters over blocks run in
+block order, so this reproduces a loop over single blocks bit for bit; the
+test suite keeps that loop as its reference.
 Each iteration's mu, residuals, gap, eps, step lengths, centering parameter
 and Schur-complement jitter are kept in SdpSolution.history.
 
@@ -403,9 +405,15 @@ def _chol_stack(A):
         return L
 
 
-def _max_step(L, D):
-    """Per member, the largest alpha with X + alpha*D >= 0, given X = L L'."""
-    Y = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, D), -1, -2))
+def _schur_solve(Li, M, rhs):
+    """M^-1 rhs, given M ~ L L' and Li = L^-1, with one refinement pass."""
+    dy = Li.T @ (Li @ rhs)
+    return dy + Li.T @ (Li @ (rhs - M @ dy))  # M gets badly conditioned
+
+
+def _max_step(Li, D):
+    """Per member, the largest alpha with X + alpha*D >= 0, given Li = L^-1, X = L L'."""
+    Y = Li @ D @ np.swapaxes(Li, -1, -2)
     lam = np.linalg.eigvalsh(_sym(Y)).min(axis=-1)
     steps = np.full(len(lam), np.inf)
     neg = lam < -1e-16
@@ -416,8 +424,8 @@ def _max_step(L, D):
 def _steps(Lxs, dX, dS):
     """Largest primal and dual steps keeping every member semidefinite.
 
-    Lxs[g] holds the Cholesky factors of dimension g's X members, then its
-    S members.
+    Lxs[g] holds the inverse Cholesky factors of dimension g's X members,
+    then its S members.
     """
     steps = [_max_step(L, np.concatenate([dx, ds])) for L, dx, ds in zip(Lxs, dX, dS)]
     return (min(st[:len(dx)].min() for st, dx in zip(steps, dX)),
@@ -528,15 +536,11 @@ def _iterate(sc, options):
                 for s, x, Si in zip(sc.stacks, sc.split(X), sc.split(Sinv))])
             M = 0.5 * (M + M.T)
             L, jitter = _chol_with_jitter(M)
+            Li = np.linalg.inv(L)  # factored once; every solve below is a product
 
             t1 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(Sinv))
             t3 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(
                 [_sym(Si @ R @ x) for Si, R, x in zip(Sinv, Rd, X)]))
-
-            def solve_dy(rhs):
-                dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-                r = rhs - M @ dy  # one refinement pass; M gets badly conditioned
-                return dy + np.linalg.solve(L.T, np.linalg.solve(L, r))
 
             def directions(dy, sigmu, corr=None):
                 dS = [_sym(R - A) for R, A in zip(Rd, sc.adjoint(dy))]
@@ -549,11 +553,12 @@ def _iterate(sc, options):
                 return dX, dS
 
             # predictor (affine scaling)
-            dy_aff = solve_dy(b + t3)
+            dy_aff = _schur_solve(Li, M, b + t3)
             dX_aff, dS_aff = directions(dy_aff, 0.0)
 
             # Iterates can round to marginally indefinite near the boundary.
-            Lxs = [_chol_stack(_sym(np.concatenate([x, Sl]))) for x, Sl in zip(X, S)]
+            Lxs = [np.linalg.inv(_chol_stack(_sym(np.concatenate([x, Sl]))))
+                   for x, Sl in zip(X, S)]
             ap, ad = (min(1.0, a) for a in _steps(Lxs, dX_aff, dS_aff))
             mu_aff = sc.block_sum([
                 _inner(x + ap * dx, Sl + ad * ds)
@@ -563,7 +568,7 @@ def _iterate(sc, options):
             # corrector
             t4 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(
                 [_sym(Si @ ds @ dx) for Si, ds, dx in zip(Sinv, dS_aff, dX_aff)]))
-            dy = solve_dy(b - sigma * mu * t1 + t3 + t4)
+            dy = _schur_solve(Li, M, b - sigma * mu * t1 + t3 + t4)
             dX, dS = directions(dy, sigma * mu, corr=(dX_aff, dS_aff))
 
             ap, ad = (min(1.0, options.step_frac * a) for a in _steps(Lxs, dX, dS))

@@ -444,9 +444,9 @@ def _blockwise_view(sc):
     return dims, Chat, idxs, G
 
 
-def _blockwise_max_step(L, D):
-    """Largest alpha with X + alpha*D >= 0, given X = L L'."""
-    Y = np.linalg.solve(L, np.linalg.solve(L, D).T)
+def _blockwise_max_step(Li, D):
+    """Largest alpha with X + alpha*D >= 0, given X = L L' and Li = L^-1."""
+    Y = Li @ D @ Li.T
     lam = float(np.linalg.eigvalsh(0.5 * (Y + Y.T)).min())
     if lam >= -1e-16:
         return np.inf
@@ -515,7 +515,7 @@ def blockwise_iterate(sc, options):
                 T2 = np.einsum("ab,kbc,cd->kad", X[l], G[l], Sinv[l])
                 M[np.ix_(idxs[l], idxs[l])] += np.einsum("kab,jab->kj", T2, G[l])
             M = 0.5 * (M + M.T)
-            L, _ = sdp._chol_with_jitter(M)
+            Li = np.linalg.inv(sdp._chol_with_jitter(M)[0])
 
             t1 = np.zeros(sc.K)
             t3 = np.zeros(sc.K)
@@ -525,9 +525,9 @@ def blockwise_iterate(sc, options):
                 t3[idxs[l]] += np.einsum("kab,ab->k", G[l], 0.5 * (W + W.T))
 
             def solve_dy(rhs):
-                dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+                dy = Li.T @ (Li @ rhs)
                 r = rhs - M @ dy  # one refinement pass; M gets badly conditioned
-                return dy + np.linalg.solve(L.T, np.linalg.solve(L, r))
+                return dy + Li.T @ (Li @ r)
 
             def directions(dy, sigmu, corr=None):
                 dS = []
@@ -547,8 +547,10 @@ def blockwise_iterate(sc, options):
             dX_aff, dS_aff = directions(dy_aff, 0.0)
 
             # Iterates can round to marginally indefinite near the boundary.
-            Lx = [sdp._chol_with_jitter(0.5 * (X[l] + X[l].T))[0] for l in range(nblk)]
-            Ls = [sdp._chol_with_jitter(0.5 * (S[l] + S[l].T))[0] for l in range(nblk)]
+            Lx = [np.linalg.inv(sdp._chol_with_jitter(0.5 * (X[l] + X[l].T))[0])
+                  for l in range(nblk)]
+            Ls = [np.linalg.inv(sdp._chol_with_jitter(0.5 * (S[l] + S[l].T))[0])
+                  for l in range(nblk)]
             ap = min([1.0] + [_blockwise_max_step(Lx[l], dX_aff[l]) for l in range(nblk)])
             ad = min([1.0] + [_blockwise_max_step(Ls[l], dS_aff[l]) for l in range(nblk)])
             mu_aff = sum(

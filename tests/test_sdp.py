@@ -356,9 +356,11 @@ def test_asymmetric_contribution_names_block_and_scalar(scalarize):
 
 
 def test_member_wise_steps_take_one_call_per_dimension(monkeypatch):
-    """_distinct_shapes' five stacks span dimensions 1, 2 and 3: every
-    stepped iteration inverts S once per dimension and searches each of its
-    two step lengths once per dimension, over that dimension's X and S."""
+    """_distinct_shapes' five stacks span dimensions 1, 2 and 3 over K = 5
+    unknowns: every stepped iteration inverts S once per dimension, the
+    Schur complement's Cholesky factor once, and the stacked X and S
+    factors once per dimension, and searches each of its two step lengths
+    once per dimension, over that dimension's X and S."""
     inv, max_step = np.linalg.inv, sdp._max_step
     inverted, searched = [], []
 
@@ -376,8 +378,98 @@ def test_member_wise_steps_take_one_call_per_dimension(monkeypatch):
     assert sol.status == "optimal"
     stepped = sol.iterations - 1
     assert [np.isnan(r.alpha_p) for r in sol.history] == [False] * stepped + [True]
-    assert inverted == [(2, 1, 1), (2, 2, 2), (1, 3, 3)] * stepped
-    assert searched == [(4, 1, 1), (4, 2, 2), (2, 3, 3)] * (2 * stepped)
+    per_dimension = [(2, 1, 1), (2, 2, 2), (1, 3, 3)]
+    factors = [(4, 1, 1), (4, 2, 2), (2, 3, 3)]
+    assert inverted == (per_dimension + [(5, 5)] + factors) * stepped
+    assert searched == factors * (2 * stepped)
+
+
+def test_solve_makes_no_linear_solve(monkeypatch):
+    """Every solve with a Cholesky factor is a product with its inverse:
+    np.linalg.solve is never called, on a well-posed or an infeasible
+    problem."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(a))
+    assert sdp.solve(_distinct_shapes()).status == "optimal"
+    assert sdp.solve(_scalar_problem(1.0)).status == "infeasible"
+    assert calls == []
+
+
+def _two_lu_solve(L, M, rhs):
+    """The Schur solve _schur_solve replaces: two triangular systems by LU,
+    then one refinement pass."""
+    dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    return dy + np.linalg.solve(L.T, np.linalg.solve(L, rhs - M @ dy))
+
+
+@pytest.mark.parametrize("n, decades, jittered", [
+    (40, 10.5, False), (120, 12.0, False), (217, 11.0, False), (40, 10.5, True),
+    (217, 11.0, True)])
+def test_inverse_factor_schur_solve_is_as_accurate_as_two_lu_solves(n, decades, jittered):
+    """On symmetric matrices of condition 1e10 or more, one of them
+    factoring only after jitter (three eigenvalues at -1e-15), the
+    product with the inverse factor plus refinement leaves a relative
+    residual at most 10x that of the LU path on the same factor."""
+    rng = np.random.default_rng(n + int(jittered))
+    eigenvalues = np.logspace(0.0, -decades, n)
+    if jittered:
+        eigenvalues[-3:] = -1e-15 * np.arange(1.0, 4.0)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = sdp._sym((Q * eigenvalues) @ Q.T)
+    assert np.linalg.cond(M) >= 1e10
+    L, jitter = sdp._chol_with_jitter(M)
+    assert (jitter > 0.0) == jittered
+    Li = np.linalg.inv(L)
+    for rhs in rng.standard_normal((3, n)):
+        got = np.linalg.norm(M @ sdp._schur_solve(Li, M, rhs) - rhs)
+        want = np.linalg.norm(M @ _two_lu_solve(L, M, rhs) - rhs)
+        assert got <= 10.0 * want, (got, want)
+
+
+def _solved_steps(L, D):
+    """_max_step's answer computed from two LU solves per member."""
+    Y = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, D), -1, -2))
+    lam = np.linalg.eigvalsh(sdp._sym(Y))
+    low = lam.min(axis=-1)
+    steps = np.full(len(D), np.inf)
+    steps[low < -1e-16] = -1.0 / low[low < -1e-16]
+    return steps, np.abs(lam).max(axis=-1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 12])
+def test_inverse_factor_step_matches_solved_step(d):
+    """_max_step on stacked inverse factors against the LU-solve form, on
+    random stacks with a member that factors only after jitter (member 2,
+    an eigenvalue at -1e-13) and one with no negative direction (member 4,
+    step inf).  Steps agree within 1e-12 relative on the factored members.
+    The jittered member has condition about 1e13, so both forms carry
+    rounding of order 1e-16 times the spectral radius of L^-1 D L^-T:
+    there its eigenvalue -1/step agrees within 1e-12 of that radius, and
+    within 1e-12 relative when D points into its nearly singular
+    direction, where its step is the one that binds."""
+    rng = np.random.default_rng(d)
+    B = rng.standard_normal((6, d, d))
+    X = sdp._sym(B @ np.swapaxes(B, 1, 2)) + 1e-3 * np.eye(d)
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    X[2] = np.eye(d) - (1.0 + 1e-13) * np.outer(v, v)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(X[2])
+    L = sdp._chol_stack(X)
+    Li = np.linalg.inv(L)
+    for binding in (False, True):
+        D = sdp._sym(rng.standard_normal((6, d, d)))
+        if binding:
+            D[2] = -np.outer(v, v) - 1e-3 * np.eye(d)
+        D[4] = np.eye(d)
+        got = sdp._max_step(Li, D)
+        want, radius = _solved_steps(L, D)
+        assert np.array_equal(np.isinf(got), np.isinf(want)) and np.isinf(got[4])
+        factored = [0, 1, 3, 5]
+        np.testing.assert_allclose(got[factored], want[factored], rtol=1e-12)
+        assert abs(1.0 / got[2] - 1.0 / want[2]) <= 1e-12 * radius[2]
+        if binding:
+            np.testing.assert_allclose(got[2], want[2], rtol=1e-12)
 
 
 def test_edge_problems_stack_as_intended():
