@@ -16,10 +16,10 @@ import argparse
 import sys
 
 from minjump import DwellRange
-from minjump.cli import (EXIT_CONFIG, EXIT_NUMERIC, build_dwell, build_model,
-                         build_weights, load_config)
+from minjump.cli import (EXIT_CONFIG, EXIT_NUMERIC, _synth_options, build_dwell,
+                         build_model, build_weights, load_config)
 from minjump.errors import MinjumpError, NumericError, RecoveryError
-from minjump.synth import SynthesisOptions, synthesize
+from minjump.synth import synthesize
 
 
 def main():
@@ -28,7 +28,8 @@ def main():
     parser.add_argument("--steps", type=int, default=6)
     parser.add_argument("--max-factor", type=float, default=4.0,
                         help="largest t_max as a multiple of the config value")
-    parser.add_argument("--nodes", type=int, default=6)
+    parser.add_argument("--nodes", type=int,
+                        help="clock nodes; default run.nodes from the config, else 6")
     args = parser.parse_args()
     try:
         sweep(args)
@@ -43,7 +44,7 @@ def sweep(args):
     model = build_model(cfg)
     weights = build_weights(cfg)
     base = build_dwell(cfg)
-    opts = SynthesisOptions(clock_nodes=args.nodes)
+    opts = _synth_options(cfg, args)
 
     print(f"{'t_max':>10} {'status':>16} {'margin':>12} {'post-check':>12}")
     for k in range(args.steps):

@@ -13,6 +13,7 @@ the file named by --out, byte-identical across repeat runs.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -61,7 +62,7 @@ _WEIGHTS_KEYS = {"pi"}
 _RULE_KEYS = {"P", "eps"}
 _GAINS_KEYS = {"K"}
 _RUN_KEYS = {
-    "grid", "tol", "nodes", "delta", "seed", "steps", "substeps", "period",
+    "grid", "tol", "nodes", "seed", "steps", "substeps", "period",
     "kind", "x0", "u0", "initial_mode", "result",
 }
 _REFERENCE_KEYS = {"P", "Ptilde", "K", "worst_margin"}
@@ -164,10 +165,19 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError while writing path into a ConfigError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(payload, out=None):
     text = json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -265,10 +275,7 @@ def _load_scan(path):
 
 
 def _synth_options(cfg, args):
-    return synth.SynthesisOptions(
-        clock_nodes=_run_value(cfg, args, "nodes", 6, int),
-        delta_pd=_run_value(cfg, args, "delta", 1e-6, float),
-    )
+    return synth.SynthesisOptions(clock_nodes=_run_value(cfg, args, "nodes", 6, int))
 
 
 def cmd_synth(args):
@@ -353,6 +360,8 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     dwell = build_dwell(cfg)
     result_path = _run_value(cfg, args, "result")
+    if result_path is not None and not (isinstance(result_path, str) and result_path):
+        raise ConfigError(f"run.result must be a non-empty path string, got {result_path!r}")
     if result_path:
         model, cert = _load_result_design(cfg, result_path)
     else:
@@ -365,7 +374,8 @@ def cmd_simulate(args):
                "message": str(exc)})
         return EXIT_FAIL
     if args.out:
-        sim.write_csv(traj, args.out)
+        with _writing(args.out):
+            sim.write_csv(traj, args.out)
     _emit(_summary(traj, model))
     return EXIT_PASS
 
@@ -470,7 +480,8 @@ def cmd_example(args):
                 ("final state norm", f"{summary['final_state_norm']:.3e}"),
             ])
             if args.out:
-                sim.write_csv(traj, args.out)
+                with _writing(args.out):
+                    sim.write_csv(traj, args.out)
                 print(f"trajectory written to {args.out}")
     return EXIT_FAIL if failures else EXIT_PASS
 
@@ -508,7 +519,6 @@ def build_parser():
     p = sub.add_parser("synth", help="design rule matrices and feedback gains")
     p.add_argument("config")
     p.add_argument("--nodes", type=int, help="clock discretization nodes")
-    p.add_argument("--delta", type=float, help="definiteness floor")
     p.add_argument("--pi-scan", help="JSON list of weight matrices to try")
     p.add_argument("--out", help="write the result here instead of stdout")
     p.set_defaults(func=cmd_synth)

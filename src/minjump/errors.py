@@ -36,11 +36,11 @@ class ConfigError(MinjumpError):
 
 
 class CapacityError(ConfigError):
-    """Problem exceeds the configured size cap of the embedded solver."""
+    """Problem exceeds the embedded solver's size cap (sdp.SCALAR_CAP)."""
 
 
 class RecoveryError(MinjumpError):
-    """Gain recovery hit a singular matrix; the PD floor was too small."""
+    """Gain recovery hit a singular matrix: the solve lost the definiteness floor."""
 
 
 class DivergenceError(MinjumpError):

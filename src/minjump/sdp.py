@@ -25,9 +25,9 @@ test suite keeps that loop as its reference.
 Each iteration's mu, residuals, gap, eps, step lengths, centering parameter
 and Schur-complement jitter are kept in SdpSolution.history.
 
-eps is always bounded above by options.eps_cap through an internally added
-1x1 block; without it the margin objective is unbounded whenever the
-remaining constraints are homogeneous.
+eps is always bounded above by EPS_CAP through an internally added 1x1
+block; without it the margin objective is unbounded whenever the remaining
+constraints are homogeneous.
 """
 
 import logging
@@ -42,6 +42,11 @@ from .errors import CapacityError, ConfigError
 log = logging.getLogger("minjump.sdp")
 
 EPS_NAME = "eps"  # the margin variable every problem declares
+MAX_ITER = 100
+TOL = 1e-9         # stop on residuals and gap at or below this
+EPS_CAP = 1e3      # the margin never exceeds this
+SCALAR_CAP = 2000  # most scalar unknowns a problem may have
+STEP_FRAC = 0.98   # fraction of the step to the cone's boundary taken
 
 
 @dataclass(frozen=True)
@@ -184,15 +189,6 @@ class SdpProblem:
         return sum(v.size for v in self.variables)
 
 
-@dataclass(frozen=True)
-class SdpOptions:
-    max_iter: int = 100
-    tol: float = 1e-9
-    eps_cap: float = 1e3
-    scalar_cap: int = 2000
-    step_frac: float = 0.98
-
-
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
     status: str
@@ -277,19 +273,19 @@ class _Scalarized:
     iteration rounds exactly as a loop over single blocks would.
     """
 
-    def __init__(self, problem, options):
+    def __init__(self, problem):
         self.var_offset = {}
         at = 0
         for v in problem.variables:
             self.var_offset[v.name] = at
             at += v.size
         self.K = at
-        if self.K > options.scalar_cap:
-            raise CapacityError(f"{self.K} scalar unknowns exceed the cap {options.scalar_cap}")
+        if self.K > SCALAR_CAP:
+            raise CapacityError(f"{self.K} scalar unknowns exceed the cap {SCALAR_CAP}")
         self.eps_index = self.var_offset[EPS_NAME]
         basis = {v.name: v.basis() for v in problem.variables}
 
-        blocks = list(problem.blocks) + [_cap_block(options.eps_cap)]
+        blocks = list(problem.blocks) + [_CAP_BLOCK]
         shapes = {}        # (dim, active unknowns) -> members (position, G, idx, C)
         for l, blk in enumerate(blocks):
             # (unknowns, contributions) per term, the strict margin last
@@ -374,9 +370,8 @@ class _Scalarized:
         return out
 
 
-def _cap_block(cap):
-    return AffineBlock([[-float(cap)]], [BlockTerm(EPS_NAME, [[1.0]], [[1.0]])],
-                       strict=False, label="margin-cap")
+_CAP_BLOCK = AffineBlock([[-EPS_CAP]], [BlockTerm(EPS_NAME, [[1.0]], [[1.0]])],
+                         strict=False, label="margin-cap")
 
 
 def _chol_with_jitter(M):
@@ -445,16 +440,15 @@ def _inner(A, B):
     return (A.reshape(n, 1, -1) @ B.reshape(n, -1, 1)).reshape(n)
 
 
-def solve(problem, options=None):
+def solve(problem):
     """Run the interior-point iteration; never raises on numerical breakdown.
 
     Returns an SdpSolution whose status is one of optimal, infeasible,
     max_iterations, numerical_failure.
     """
-    options = options or SdpOptions()
-    sc = _Scalarized(problem, options)
+    sc = _Scalarized(problem)
     try:
-        status, y, iters, gap, pinf, dinf, history = _iterate(sc, options)
+        status, y, iters, gap, pinf, dinf, history = _iterate(sc)
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
         status, y = "numerical_failure", np.zeros(sc.K)
         iters, gap, pinf, dinf, history = 0, np.inf, np.inf, np.inf, ()
@@ -484,7 +478,7 @@ def _unflatten(problem, y):
     return values
 
 
-def _iterate(sc, options):
+def _iterate(sc):
     # X, S, Chat and everything member-wise: one (N, d, d) array per dimension
     b = sc.b()
     Chat = sc.Chat
@@ -505,7 +499,7 @@ def _iterate(sc, options):
     best = None
     best_worst = np.inf
 
-    for it in range(1, options.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         # residuals of the stationarity system
         rp = sc.scatter(np.subtract, b.copy(), sc.apply(X))
         Rd = [_sym(Ch - Sl - A) for Ch, Sl, A in zip(Chat, S, sc.adjoint(y))]
@@ -516,7 +510,7 @@ def _iterate(sc, options):
         gap = abs(mu * sc.total_dim) / (1.0 + abs(b @ y) + abs(ip_cx))
         history.append(IterationRecord(*map(float, (mu, pinf, dinf, gap, y[sc.eps_index]))))
         log.debug("it %d mu=%.3e pinf=%.3e dinf=%.3e gap=%.3e eps=%.6e", it, *history[-1][:5])
-        if pinf <= options.tol and dinf <= options.tol and gap <= options.tol:
+        if pinf <= TOL and dinf <= TOL and gap <= TOL:
             status = "converged"
             break
         worst = max(pinf, dinf, gap)
@@ -571,7 +565,7 @@ def _iterate(sc, options):
             dy = _schur_solve(Li, M, b - sigma * mu * t1 + t3 + t4)
             dX, dS = directions(dy, sigma * mu, corr=(dX_aff, dS_aff))
 
-            ap, ad = (min(1.0, options.step_frac * a) for a in _steps(Lxs, dX, dS))
+            ap, ad = (min(1.0, STEP_FRAC * a) for a in _steps(Lxs, dX, dS))
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
@@ -596,7 +590,7 @@ def _iterate(sc, options):
     eps = float(y[sc.eps_index])
     loose = 1e-7
     if status == "converged" or (pinf <= loose and dinf <= loose and gap <= loose):
-        status = "infeasible" if eps < -options.tol else "optimal"
+        status = "infeasible" if eps < -TOL else "optimal"
     elif status == "breakdown":
         status = "numerical_failure"
     else:

@@ -130,6 +130,8 @@ def _initial_state(model, x0, u0):
     for v, size, name in ((x0, model.n, "x0"), (u0, model.m, "u0")):
         if v.shape[0] != size:
             raise ModelError(f"{name} has length {v.shape[0]}, expected {size}")
+        if not np.isfinite(v).all():
+            raise ConfigError(f"{name} has a non-finite entry")
     return np.concatenate([x0, u0])
 
 

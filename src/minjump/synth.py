@@ -11,11 +11,11 @@ original conditions, and refining the grid only enlarges the searched
 family.
 
 Beyond the printed conditions the assembler adds:
-- floors Ptilde_i >= delta*I and S_i(tau_k) >= delta*I so the recovery
+- floors Ptilde_i >= FLOOR*I and S_i(tau_k) >= FLOOR*I so the recovery
   inverses exist,
 - box bounds S_i(tau_k) <= BOUND*I plus a cap on the margin variable
-  (sdp.SdpOptions.eps_cap), keeping the maximization bounded (the printed
-  conditions are homogeneous),
+  (sdp.EPS_CAP), keeping the maximization bounded (the printed conditions
+  are homogeneous),
 - a tighter box Ptilde_i <= PTILDE_CAP*I.  The margin variable lives in
   the inverse coordinates; converting it to a guaranteed margin on the
   recovered rule matrices divides by the square of Ptilde's top
@@ -49,33 +49,28 @@ from .rules import MinJumpCertificate
 log = logging.getLogger("minjump.synth")
 
 _NODE_SNAP = 1e-12
+FLOOR = 1e-6
 BOUND = 1e6
 PTILDE_CAP = 1e3
 
 
 @dataclass(frozen=True)
 class SynthesisOptions:
-    """Knobs for the piecewise-affine synthesis pipeline.
+    """The one setting of the piecewise-affine synthesis pipeline.
 
     clock_nodes counts the uniform nodes on [0, t_max]; a count past the
-    solver's scalar cap is refused before assembly.  delta_pd is the
-    definiteness floor on Ptilde_i and S_i(tau_k).
+    solver's scalar cap is refused before assembly.  The definiteness
+    floor on Ptilde_i and S_i(tau_k) is the constant FLOOR.
     """
 
     clock_nodes: int = 6
-    delta_pd: float = 1e-6
 
     def __post_init__(self):
         if self.clock_nodes < 2:
             raise ConfigError("need at least two clock nodes")
-        cap = sdp.SdpOptions().scalar_cap
-        if self.clock_nodes + 2 > cap:  # S_0 at every node, Pt0 and eps are scalars at least
+        if self.clock_nodes + 2 > sdp.SCALAR_CAP:  # S_0 at every node, Pt0 and eps at least
             raise CapacityError(f"{self.clock_nodes} clock nodes exceed the solver's cap "
-                                f"of {cap} scalar unknowns")
-        if not self.delta_pd >= 0:  # NaN fails too
-            raise ConfigError(f"delta_pd must be nonnegative, got {self.delta_pd}")
-        if self.delta_pd >= min(BOUND, PTILDE_CAP):
-            raise ConfigError(f"delta_pd must stay below {min(BOUND, PTILDE_CAP):g}")
+                                f"of {sdp.SCALAR_CAP} scalar unknowns")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +147,7 @@ def _jump_terms(model, idx, left, right, w=1.0):
     return [sdp.BlockTerm(var, left @ (w * M), right, sym_pair=True) for var, M in pairs]
 
 
-def _common_blocks(model, nodes, opts):
+def _common_blocks(model, nodes):
     """Every unknown, then flow LMIs at interval endpoints plus floors and
     boxes for all S, Ptilde."""
     d = model.dim
@@ -178,15 +173,14 @@ def _common_blocks(model, nodes, opts):
                 ]
                 blocks.append(sdp.AffineBlock(
                     np.zeros((d, d)), terms, label=f"flow i={i} k={k} v={v}"))
-        floor = opts.delta_pd * I
         blocks.append(sdp.AffineBlock(
-            floor, [sdp.BlockTerm(f"Pt{i}", -I, I)], label=f"floor Pt{i}"))
+            FLOOR * I, [sdp.BlockTerm(f"Pt{i}", -I, I)], label=f"floor Pt{i}"))
         blocks.append(sdp.AffineBlock(
             -PTILDE_CAP * I, [sdp.BlockTerm(f"Pt{i}", I, I)],
             label=f"box Pt{i}"))
         for k in range(len(nodes)):
             blocks.append(sdp.AffineBlock(
-                floor, [sdp.BlockTerm(f"S{i}n{k}", -I, I)], label=f"floor S{i}n{k}"))
+                FLOOR * I, [sdp.BlockTerm(f"S{i}n{k}", -I, I)], label=f"floor S{i}n{k}"))
             blocks.append(sdp.AffineBlock(
                 -BOUND * I, [sdp.BlockTerm(f"S{i}n{k}", I, I)],
                 label=f"box S{i}n{k}"))
@@ -246,7 +240,7 @@ def _assemble(model, weights, dwell, opts, mode_blocks):
     pi = _weights(model, weights).pi
     nodes = clock_node_grid(dwell, opts.clock_nodes)
     in_range = _range_node_indices(nodes, dwell)
-    variables, blocks = _common_blocks(model, nodes, opts)
+    variables, blocks = _common_blocks(model, nodes)
     for i in range(model.modes):
         blocks += mode_blocks(model, pi, i, in_range)
     return sdp.SdpProblem(variables, blocks), nodes
@@ -283,8 +277,8 @@ def _failure(status, solution):
 def recover_design(model, weights, dwell, solution):
     """Invert the solved variables into a certificate, gains, and a report.
 
-    Raises RecoveryError when an inverse does not exist (delta floor too
-    small for the solver's accuracy).
+    Raises RecoveryError when an inverse does not exist: the solver's
+    accuracy did not hold the FLOOR on Ptilde_i and S_i(tau_k).
     """
     weights = _weights(model, weights)
     if solution.status != "optimal":
@@ -299,7 +293,7 @@ def recover_design(model, weights, dwell, solution):
                  if _free(model, *idx) else model.gain(*idx) for idx in model.gain_slots]
     except Exception as exc:
         raise RecoveryError(
-            f"recovery inverse failed ({exc}); delta floor may be too small"
+            f"recovery inverse failed ({exc}); the solve lost the definiteness floor"
         ) from exc
 
     # scaling up only widens verification margins; never scale down
@@ -319,12 +313,11 @@ def recover_design(model, weights, dwell, solution):
 
 def synthesize(model, weights, dwell, opts=None):
     """assemble -> solve -> recover -> post-verify, for either system kind."""
-    opts = opts or SynthesisOptions()
     assemble = assemble_impulsive if model.kind == "impulsive" else assemble_switched
     problem, _ = assemble(model, weights, dwell, opts)
     log.info("assembled %d blocks over %d scalar unknowns",
              len(problem.blocks), problem.scalar_count)
-    solution = sdp.solve(problem, sdp.SdpOptions())
+    solution = sdp.solve(problem)
     return recover_design(model, weights, dwell, solution)
 
 

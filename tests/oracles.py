@@ -389,7 +389,7 @@ def _loop_basis(v):
             yield E
 
 
-def loop_scalarize(problem, options):
+def loop_scalarize(problem):
     """The scaled constraint matrices of sdp._Scalarized, one basis matrix
     of one term at a time.
 
@@ -403,7 +403,7 @@ def loop_scalarize(problem, options):
         at += v.size
     byname = {v.name: v for v in problem.variables}
     shapes = {}
-    for l, blk in enumerate(list(problem.blocks) + [sdp._cap_block(options.eps_cap)]):
+    for l, blk in enumerate(list(problem.blocks) + [sdp._CAP_BLOCK]):
         contrib = {}
         for t in blk.terms:
             for k, E in enumerate(_loop_basis(byname[t.var])):
@@ -453,7 +453,7 @@ def _blockwise_max_step(Li, D):
     return -1.0 / lam
 
 
-def blockwise_iterate(sc, options):
+def blockwise_iterate(sc):
     """The interior-point iteration of minjump.sdp, one block at a time.
 
     sc is the solver's scalarized problem; its shape stacks are split back
@@ -480,7 +480,7 @@ def blockwise_iterate(sc, options):
     best = None
     best_worst = np.inf
 
-    for it in range(1, options.max_iter + 1):
+    for it in range(1, sdp.MAX_ITER + 1):
         # residuals of the stationarity system
         rp = b.copy()
         for l in range(nblk):
@@ -494,7 +494,7 @@ def blockwise_iterate(sc, options):
         dinf = max(float(np.linalg.norm(R)) for R in Rd) / cnorm
         ip_cx = sum(np.tensordot(Chat[l], X[l]) for l in range(nblk))
         gap = abs(mu * total_dim) / (1.0 + abs(b @ y) + abs(ip_cx))
-        if pinf <= options.tol and dinf <= options.tol and gap <= options.tol:
+        if pinf <= sdp.TOL and dinf <= sdp.TOL and gap <= sdp.TOL:
             status = "converged"
             break
         worst = max(pinf, dinf, gap)
@@ -567,8 +567,8 @@ def blockwise_iterate(sc, options):
             dy = solve_dy(b - sigma * mu * t1 + t3 + t4)
             dX, dS = directions(dy, sigma * mu, corr=(dX_aff, dS_aff))
 
-            ap = min(1.0, options.step_frac * min(_blockwise_max_step(Lx[l], dX[l]) for l in range(nblk)))
-            ad = min(1.0, options.step_frac * min(_blockwise_max_step(Ls[l], dS[l]) for l in range(nblk)))
+            ap = min(1.0, sdp.STEP_FRAC * min(_blockwise_max_step(Lx[l], dX[l]) for l in range(nblk)))
+            ad = min(1.0, sdp.STEP_FRAC * min(_blockwise_max_step(Ls[l], dS[l]) for l in range(nblk)))
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
@@ -592,7 +592,7 @@ def blockwise_iterate(sc, options):
     eps = float(y[sc.eps_index])
     loose = 1e-7
     if status == "converged" or (pinf <= loose and dinf <= loose and gap <= loose):
-        status = "infeasible" if eps < -options.tol else "optimal"
+        status = "infeasible" if eps < -sdp.TOL else "optimal"
     elif status == "breakdown":
         status = "numerical_failure"
     else:

@@ -310,9 +310,41 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, tol):
     assert "tolerance" in captured.err
 
 
-def test_nan_floor_exits_two(capsys):
-    assert main(["synth", _fixture_path("example2"), "--delta", "nan"]) == 2
-    assert "delta_pd" in capsys.readouterr().err
+def test_floor_setting_is_refused(tmp_path, capsys):
+    """The definiteness floor is a constant: synth has no flag for it, and
+    a run block that sets it has an unknown key."""
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", _fixture_path("example2"), "--delta", "1e-6"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = _ex2_fixture()
+    cfg["run"]["delta"] = 1e-6
+    assert main(["synth", _write(tmp_path, "delta.json", cfg)]) == 2
+    assert capsys.readouterr().err == "error: unknown key(s) in run: delta\n"
+
+
+@pytest.mark.parametrize("command", [["verify", "example2"], ["synth", "example2"],
+                                     ["simulate", "example2"], ["example", "2"]])
+def test_unwritable_out_exits_two(tmp_path, capsys, command):
+    sub, arg = command
+    path = str(tmp_path / "missing" / "out.json")
+    argv = [sub, arg if sub == "example" else _fixture_path(arg), "--out", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, bad", [("x0", math.nan), ("u0", math.inf)])
+def test_non_finite_initial_state_exits_two(tmp_path, capsys, key, bad):
+    """Bad input, not a divergence at t = 0; a finite 1e300 still diverges."""
+    cfg = _ex3_verify_fixture()
+    cfg["run"][key][0] = bad
+    assert main(["simulate", _write(tmp_path, "start.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
+    cfg["run"].update(x0=[1e300, 1.0], u0=[0.0, 0.0])
+    assert main(["simulate", _write(tmp_path, "huge.json", cfg)]) == 1
 
 
 def test_nan_rule_eps_exits_two(tmp_path, capsys):
@@ -377,14 +409,22 @@ _DROP = object()
     ("verify", "ex2", ("dwell", "t_min"), "0.02"),
     ("verify", "ex2", ("dwell", "t_max"), True),
     ("simulate", "ex2", ("run", "period"), "0.02"),
+    ("simulate", "ex2", ("run", "result"), 3),
+    ("simulate", "ex2", ("run", "result"), True),
+    ("simulate", "ex2", ("run", "result"), False),
+    ("simulate", "ex2", ("run", "result"), 0),
+    ("simulate", "ex2", ("run", "result"), ["result.json"]),
+    ("simulate", "ex2", ("run", "result"), ""),
 ], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
    else "dropped" if v is _DROP else str(v).replace(" ", ""))
 def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
     """A scalar where a per-mode list belongs, a result file that is not an
     object holding P and weights, an eps that is not a JSON number (in rule
-    or in a result file), or a run count, tolerance, dwell bound or period
-    that is a bool, a string or a count with a fraction is refused with one
-    error line; a run or dwell number names its key."""
+    or in a result file), a run count, tolerance, dwell bound or period
+    that is a bool, a string or a count with a fraction, or a run.result
+    that is not a non-empty path string (open() would take an int as a
+    file descriptor) is refused with one error line; a run or dwell field
+    names its key."""
     if base == "ex1":
         with open(_fixture_path("example1")) as fh:
             cfg = json.load(fh)
@@ -473,7 +513,6 @@ _ORDINARY = {
 # the solver's cap, and one count far past that cap
 _SYNTH_ORDINARY = {
     "nodes": st.one_of(st.integers(2, 10), st.just(10**6)),
-    "delta": st.floats(0.0, 1e-2),
 }
 # a --pi-scan candidate for example 2's two modes: column-stochastic, or
 # malformed (columns off one, wrong shape, NaN, not a list)
@@ -509,7 +548,7 @@ def _ex3_verify_fixture():
 @st.composite
 def _fuzzed_jobs(draw):
     """A subcommand and example 2, or verify and example 3, with up to
-    three keys redrawn: synth's nodes and delta among them for synth,
+    three keys redrawn: synth's nodes among them for synth,
     rule.eps for the others; synth may also get a --pi-scan file.
     Example 3's 4x4 stacks are searched for their maximum from 128 grid
     points up and solved densely below."""

@@ -31,6 +31,16 @@ def test_dwell_sweep_runs_two_steps():
     assert len(done.stdout.splitlines()) == 3  # header and one row per step
 
 
+def test_dwell_sweep_takes_the_node_count_from_the_config():
+    """Example 3 is feasible only from its own run.nodes (8) up: at its
+    own dwell range the sweep must find the design `minjump synth` finds."""
+    config = ROOT / "src" / "minjump" / "fixtures" / "example3.json"
+    done = _run(ROOT / "scripts" / "dwell_sweep.py", config, "--steps", "1")
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.splitlines()
+    assert row.split()[1] == "success"
+
+
 def test_dwell_sweep_reports_a_bad_config_without_a_traceback():
     done = _run(ROOT / "scripts" / "dwell_sweep.py", "example1", "--steps", "2")
     assert done.returncode == 2

@@ -33,8 +33,8 @@ def _scalar_problem(a, extra=()):
     return sdp.SdpProblem(variables, blocks + list(extra))
 
 
-def _scalar_lyapunov(a, cap=1e3):
-    return sdp.solve(_scalar_problem(a), sdp.SdpOptions(eps_cap=cap))
+def _scalar_lyapunov(a):
+    return sdp.solve(_scalar_problem(a))
 
 
 def _matrix_box():
@@ -90,7 +90,7 @@ def test_scalar_unstable_is_infeasible():
 
 
 def test_eps_cap_binds():
-    # a = -600: uncapped optimum would be 2400, the default cap stops at 1000
+    # a = -600: uncapped optimum would be 2400, sdp.EPS_CAP stops it at 1000
     sol = _scalar_lyapunov(-600.0)
     assert sol.status == "optimal"
     assert sol.eps == pytest.approx(1000.0, rel=1e-6)
@@ -116,10 +116,11 @@ def test_oscillator_closed_form():
 
 
 def test_objective_scales_with_constant_scaling():
-    """Scaling all constants by alpha scales the achieved margin by alpha."""
-    base = _scalar_lyapunov(-1.0, cap=1e6)
+    """Scaling all constants by alpha scales the achieved margin by alpha;
+    both optima, 4 and 30, sit below sdp.EPS_CAP."""
+    base = _scalar_lyapunov(-1.0)
     alpha = 7.5
-    scaled = sdp.solve(_scaled_scalar(alpha), sdp.SdpOptions(eps_cap=1e6))
+    scaled = sdp.solve(_scaled_scalar(alpha))
     assert scaled.status == "optimal"
     assert scaled.eps == pytest.approx(alpha * base.eps, rel=1e-5)
 
@@ -212,33 +213,31 @@ def _design(fixture):
     opts = synth.SynthesisOptions(clock_nodes=int(cfg.get("run", {}).get("nodes", 6)))
     assemble = synth.assemble_impulsive if model.kind == "impulsive" else synth.assemble_switched
     problem, _ = assemble(model, cli.build_weights(cfg), cli.build_dwell(cfg), opts)
-    return problem, sdp.SdpOptions()
+    return problem
 
 
 _ORACLE_CASES = {
     "ex1": lambda: _design("example1"),
     "ex3": lambda: _design("example3"),
     "unstabilizable": lambda: _design("unstabilizable"),
-    "scalar_stable": lambda: (_scalar_problem(-1.0), sdp.SdpOptions()),
-    "scalar_unstable": lambda: (_scalar_problem(1.0), sdp.SdpOptions()),
-    "scalar_capped": lambda: (_scalar_problem(-600.0), sdp.SdpOptions()),
-    "scalar_wide_cap": lambda: (_scalar_problem(-1.0), sdp.SdpOptions(eps_cap=1e6)),
-    "scalar_deterministic": lambda: (_scalar_problem(-3.0), sdp.SdpOptions()),
-    "matrix_box": lambda: (_matrix_box(), sdp.SdpOptions()),
-    "oscillator": lambda: (_oscillator(), sdp.SdpOptions()),
-    "scaled": lambda: (_scaled_scalar(7.5), sdp.SdpOptions(eps_cap=1e6)),
-    "constant_block": lambda: (_constant_block(), sdp.SdpOptions()),
-    "distinct_shapes": lambda: (_distinct_shapes(), sdp.SdpOptions()),
-    "one_shape": lambda: (_one_shape(), sdp.SdpOptions()),
+    "scalar_stable": lambda: _scalar_problem(-1.0),
+    "scalar_unstable": lambda: _scalar_problem(1.0),
+    "scalar_capped": lambda: _scalar_problem(-600.0),
+    "scalar_deterministic": lambda: _scalar_problem(-3.0),
+    "matrix_box": _matrix_box,
+    "oscillator": _oscillator,
+    "scaled": lambda: _scaled_scalar(7.5),
+    "constant_block": _constant_block,
+    "distinct_shapes": _distinct_shapes,
+    "one_shape": _one_shape,
 }
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_stacked_solver_matches_blockwise_oracle_bitwise(case):
-    problem, options = _ORACLE_CASES[case]()
-    sol = sdp.solve(problem, options)
-    status, y, iters, gap, pinf, dinf = oracles.blockwise_iterate(
-        sdp._Scalarized(problem, options), options)
+    problem = _ORACLE_CASES[case]()
+    sol = sdp.solve(problem)
+    status, y, iters, gap, pinf, dinf = oracles.blockwise_iterate(sdp._Scalarized(problem))
     assert (sol.status, sol.iterations) == (status, iters)
     expected = sdp._unflatten(problem, y)
     for name, value in sol.values.items():
@@ -276,7 +275,7 @@ def test_sparse_schur_kernel_matches_dense_einsum_bitwise(case):
     if case == "edge":
         stacks = _edge_stacks()
     else:
-        stacks = sdp._Scalarized(*_KERNEL_CASES[case]()).stacks
+        stacks = sdp._Scalarized(_KERNEL_CASES[case]()).stacks
     rng = np.random.default_rng(15)
     for s in stacks:
         n, _, d, _ = s.G.shape
@@ -300,11 +299,11 @@ def test_schur_build_makes_no_three_operand_einsum(monkeypatch):
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spy)
-    problem, options = _distinct_shapes(), sdp.SdpOptions()
-    assert sdp.solve(problem, options).status == "optimal"
+    problem = _distinct_shapes()
+    assert sdp.solve(problem).status == "optimal"
     assert calls and all(count < 3 for _, count in calls)
     calls.clear()
-    oracles.blockwise_iterate(sdp._Scalarized(problem, options), options)
+    oracles.blockwise_iterate(sdp._Scalarized(problem))
     assert ("ab,kbc,cd->kad", 3) in calls
 
 
@@ -331,9 +330,9 @@ def test_nonfinite_iterate_ends_the_solve(monkeypatch):
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_scalarization_matches_loop_oracle_bytewise(case):
-    problem, options = _ORACLE_CASES[case]()
-    expected = oracles.loop_scalarize(problem, options)
-    stacks = sdp._Scalarized(problem, options).stacks
+    problem = _ORACLE_CASES[case]()
+    expected = oracles.loop_scalarize(problem)
+    stacks = sdp._Scalarized(problem).stacks
     assert sorted((s.G.shape[-1], s.G.shape[1]) for s in stacks) == sorted(expected)
     for s in stacks:
         want_fields = expected[s.G.shape[-1], s.G.shape[1]]
@@ -352,7 +351,7 @@ def test_asymmetric_contribution_names_block_and_scalar(scalarize):
                               label="skewed")]
     message = r"^block 'skewed': asymmetric contribution for scalar 2$"
     with pytest.raises(ConfigError, match=message):
-        scalarize(sdp.SdpProblem(variables, blocks), sdp.SdpOptions())
+        scalarize(sdp.SdpProblem(variables, blocks))
 
 
 def test_member_wise_steps_take_one_call_per_dimension(monkeypatch):
@@ -474,7 +473,7 @@ def test_inverse_factor_step_matches_solved_step(d):
 
 def test_edge_problems_stack_as_intended():
     def shapes(problem):
-        stacks = sdp._Scalarized(problem, sdp.SdpOptions()).stacks
+        stacks = sdp._Scalarized(problem).stacks
         return sorted((s.G.shape[-1], s.G.shape[1], len(s.blocks)) for s in stacks)
 
     assert shapes(_one_shape()) == [(1, 1, 4)]
@@ -513,7 +512,7 @@ def test_history_keeps_every_iteration():
     # the loop converged at its last record, before taking a step
     assert np.isnan([last.alpha_p, last.alpha_d, last.sigma]).all()
     assert (last.gap, last.pinf, last.eps) == (sol.gap, sol.primal_infeas, sol.eps)
-    assert max(last.pinf, last.dinf, last.gap) <= sdp.SdpOptions().tol
+    assert max(last.pinf, last.dinf, last.gap) <= sdp.TOL
 
 
 def test_history_records_the_schur_complement_jitter(monkeypatch):

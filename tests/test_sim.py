@@ -211,6 +211,18 @@ def test_diverging_switched_run_raises_without_a_warning():
     assert err.value.last_time == 0.5
 
 
+@pytest.mark.parametrize("name, bad", [("x0", np.nan), ("x0", -np.inf), ("u0", np.inf)])
+def test_non_finite_initial_state_is_refused(ex1_reference_model, ex1_reference_cert,
+                                             name, bad):
+    """A NaN or infinite x0 or u0 is bad input naming its vector, not a
+    divergence at t = 0."""
+    seq = gen_sequence(DwellRange(0.01, 0.05), "uniform_random", count=5, seed=1)
+    start = {"x0": np.ones(ex1_reference_model.n), "u0": np.zeros(ex1_reference_model.m)}
+    start[name][0] = bad
+    with pytest.raises(ConfigError, match=name):
+        sim.simulate(ex1_reference_model, ex1_reference_cert, seq, start["x0"], start["u0"])
+
+
 def test_initial_mode_validation(ex3_reference_model, ex3_reference_cert):
     from minjump.errors import ModelError
     seq = gen_sequence(DwellRange(0.01, 0.05), "uniform_random", count=5, seed=1)

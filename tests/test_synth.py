@@ -21,7 +21,7 @@ from minjump import (
 from minjump.checks import DwellGrid
 from minjump.linalg import inv_spd
 from minjump.synth import (
-    PTILDE_CAP,
+    FLOOR,
     SynthesisOptions,
     assemble_impulsive,
     assemble_switched,
@@ -37,12 +37,16 @@ def test_clock_node_grid_contains_dwell_floor():
     assert any(abs(t - 0.013) < 1e-12 for t in nodes)
 
 
-def test_options_hold_nodes_and_floor_only():
-    assert [f.name for f in fields(SynthesisOptions)] == ["clock_nodes", "delta_pd"]
-    for bad in ({"clock_nodes": 1}, {"delta_pd": -1e-6}, {"delta_pd": PTILDE_CAP},
-                {"delta_pd": np.nan}):
-        with pytest.raises(ConfigError):
-            SynthesisOptions(**bad)
+def test_options_hold_nodes_and_floor_only(ex1_open_model, ex1_dwell):
+    """The node count is the one option; the floor on every Ptilde_i and
+    S_i(tau_k) is the constant FLOOR."""
+    assert [f.name for f in fields(SynthesisOptions)] == ["clock_nodes"]
+    with pytest.raises(ConfigError):
+        SynthesisOptions(clock_nodes=1)
+    problem, nodes = assemble_impulsive(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell)
+    floors = [b for b in problem.blocks if b.label.startswith("floor")]
+    assert len(floors) == ex1_open_model.modes * (1 + len(nodes))
+    assert all(np.array_equal(b.constant, FLOOR * np.eye(b.dim)) for b in floors)
 
 
 def test_impulsive_codesign_end_to_end(ex1_open_model, ex1_dwell):
