@@ -543,7 +543,13 @@ def main(argv=None):
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit flushes again
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except MinjumpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DivergenceError):

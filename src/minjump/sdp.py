@@ -17,13 +17,15 @@ explicitly.  Inverses, Cholesky factors, step-length eigenvalues and updates
 run once per block dimension, on stacked arrays; contractions with the
 constraint matrices run per stack of equal dimension and number of active
 unknowns, X G_k S^-1 over G_k's nonzero entries only, in the dense einsum's
-order.  Every Cholesky factor is formed and inverted once per iteration, and
-solves with it are products with that inverse.  Stacked LAPACK and matmul
-calls compute member by member, and sums and scatters over blocks run in
-block order, so this reproduces a loop over single blocks bit for bit; the
-test suite keeps that loop as its reference.
-Each iteration's mu, residuals, gap, eps, step lengths, centering parameter
-and Schur-complement jitter are kept in SdpSolution.history.
+order.  One helper forms every Cholesky factor, of the Schur complement or
+of a stack of X and S members, jittering only a member that fails (b*1e-12*I,
+then tenfold, b = max(tr/d, 1)), and inverts it once per iteration; solves
+with it are products with that inverse.  Stacked LAPACK and matmul calls
+compute member by member, and sums and scatters over blocks run in block
+order, so this reproduces a loop over single blocks bit for bit; the test
+suite keeps that loop as its reference.  Each iteration's mu, residuals,
+gap, eps, step lengths, centering parameter and Schur-complement jitter are
+kept in SdpSolution.history, which the stop rules read.
 
 eps is always bounded above by EPS_CAP through an internally added 1x1
 block; without it the margin objective is unbounded whenever the remaining
@@ -374,30 +376,27 @@ _CAP_BLOCK = AffineBlock([[-EPS_CAP]], [BlockTerm(EPS_NAME, [[1.0]], [[1.0]])],
                          strict=False, label="margin-cap")
 
 
-def _chol_with_jitter(M):
-    """Cholesky factor of M + jitter I, and the jitter (0.0 when none)."""
-    jitter = 0.0
-    base = max(np.trace(M) / max(len(M), 1), 1.0)
-    for attempt in range(9):
-        try:
-            return np.linalg.cholesky(M + jitter * np.eye(len(M))), jitter
-        except np.linalg.LinAlgError:
-            jitter = base * (1e-12 if jitter == 0.0 else 0.0) + jitter * 10.0
-    raise np.linalg.LinAlgError("matrix not positive definite")
+def _inv_chol(A):
+    """L^-1 for the Cholesky factor L of A, or of each member of an (n, d,
+    d) stack, and the largest jitter used (0.0 when none).
 
-
-def _chol_stack(A):
-    """Cholesky factors of a (n, d, d) stack; only failing members get jitter."""
+    A is factored as it is.  A member that fails is refactored alone, at
+    jitter b*1e-12*I and ten times more on each failure, b = max(tr/d, 1):
+    nine factorizations in all, then LinAlgError.
+    """
     try:
-        return np.linalg.cholesky(A)
+        return np.linalg.inv(np.linalg.cholesky(A)), 0.0
     except np.linalg.LinAlgError:
-        L = np.empty_like(A)
-        for j, a in enumerate(A):
-            try:
-                L[j] = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                L[j] = _chol_with_jitter(a)[0]
-        return L
+        if A.ndim == 3:
+            Li, jitters = zip(*map(_inv_chol, A))
+            return np.array(Li), max(jitters)
+    jitter = max(np.trace(A) / len(A), 1.0) * 1e-12
+    for _ in range(8):
+        try:
+            return np.linalg.inv(np.linalg.cholesky(A + jitter * np.eye(len(A)))), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise np.linalg.LinAlgError("matrix not positive definite")
 
 
 def _schur_solve(Li, M, rhs):
@@ -492,8 +491,6 @@ def _iterate(sc):
     cnorm = 1.0 + max(nrm.max() for nrm in norms)
     status = "max_iterations"
     it = 0
-    slow = 0
-    hist = []
     history = []
     gap = pinf = dinf = np.inf
     best = None
@@ -513,14 +510,12 @@ def _iterate(sc):
         if pinf <= TOL and dinf <= TOL and gap <= TOL:
             status = "converged"
             break
-        worst = max(pinf, dinf, gap)
-        if worst < best_worst:
-            best_worst, best = worst, (y.copy(), gap, pinf, dinf)
-        hist.append(worst)
+        worst = [max(r.pinf, r.dinf, r.gap) for r in history]
+        if worst[-1] < best_worst:
+            best_worst, best = worst[-1], (y.copy(), gap, pinf, dinf)
         # rounding floor: already acceptably accurate, and the last 8 sweeps
         # failed to improve on the earlier best, so more polishing is futile
-        if (best_worst <= 1e-7 and len(hist) > 8
-                and min(hist[-8:]) > 0.9 * min(hist[:-8])):
+        if best_worst <= 1e-7 and len(worst) > 8 and min(worst[-8:]) > 0.9 * min(worst[:-8]):
             break
 
         try:
@@ -529,8 +524,7 @@ def _iterate(sc):
                 np.einsum("nkab,njab->nkj", s.left(x, Si), s.G)
                 for s, x, Si in zip(sc.stacks, sc.split(X), sc.split(Sinv))])
             M = 0.5 * (M + M.T)
-            L, jitter = _chol_with_jitter(M)
-            Li = np.linalg.inv(L)  # factored once; every solve below is a product
+            Li, jitter = _inv_chol(M)  # factored once; every solve below is a product
 
             t1 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(Sinv))
             t3 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(
@@ -551,8 +545,7 @@ def _iterate(sc):
             dX_aff, dS_aff = directions(dy_aff, 0.0)
 
             # Iterates can round to marginally indefinite near the boundary.
-            Lxs = [np.linalg.inv(_chol_stack(_sym(np.concatenate([x, Sl]))))
-                   for x, Sl in zip(X, S)]
+            Lxs = [_inv_chol(_sym(np.concatenate([x, Sl])))[0] for x, Sl in zip(X, S)]
             ap, ad = (min(1.0, a) for a in _steps(Lxs, dX_aff, dS_aff))
             mu_aff = sc.block_sum([
                 _inner(x + ap * dx, Sl + ad * ds)
@@ -571,12 +564,9 @@ def _iterate(sc):
             break
         history[-1] = history[-1]._replace(
             alpha_p=float(ap), alpha_d=float(ad), sigma=float(sigma), jitter=float(jitter))
-        if ap < 1e-10 and ad < 1e-10:
-            slow += 1
-            if slow >= 3:
-                break
-        else:
-            slow = 0
+        if len(history) >= 3 and all(r.alpha_p < 1e-10 and r.alpha_d < 1e-10
+                                     for r in history[-3:]):
+            break  # three steps in a row that barely moved
         X = [x + ap * dx for x, dx in zip(X, dX)]
         S = [Sl + ad * ds for Sl, ds in zip(S, dS)]
         y = y + ad * dy

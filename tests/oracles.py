@@ -515,7 +515,7 @@ def blockwise_iterate(sc):
                 T2 = np.einsum("ab,kbc,cd->kad", X[l], G[l], Sinv[l])
                 M[np.ix_(idxs[l], idxs[l])] += np.einsum("kab,jab->kj", T2, G[l])
             M = 0.5 * (M + M.T)
-            Li = np.linalg.inv(sdp._chol_with_jitter(M)[0])
+            Li = sdp._inv_chol(M)[0]
 
             t1 = np.zeros(sc.K)
             t3 = np.zeros(sc.K)
@@ -547,10 +547,8 @@ def blockwise_iterate(sc):
             dX_aff, dS_aff = directions(dy_aff, 0.0)
 
             # Iterates can round to marginally indefinite near the boundary.
-            Lx = [np.linalg.inv(sdp._chol_with_jitter(0.5 * (X[l] + X[l].T))[0])
-                  for l in range(nblk)]
-            Ls = [np.linalg.inv(sdp._chol_with_jitter(0.5 * (S[l] + S[l].T))[0])
-                  for l in range(nblk)]
+            Lx = [sdp._inv_chol(0.5 * (X[l] + X[l].T))[0] for l in range(nblk)]
+            Ls = [sdp._inv_chol(0.5 * (S[l] + S[l].T))[0] for l in range(nblk)]
             ap = min([1.0] + [_blockwise_max_step(Lx[l], dX_aff[l]) for l in range(nblk)])
             ad = min([1.0] + [_blockwise_max_step(Ls[l], dS_aff[l]) for l in range(nblk)])
             mu_aff = sum(

@@ -4,8 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +337,27 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["verify", "example2"], ["example", "1"]])
+def test_closed_stdout_exits_two(command):
+    """stdout is a pipe whose reader has closed: one error line and exit 2,
+    whatever the verdict, and no traceback from the interpreter's exit."""
+    sub, arg = command
+    argv = [sub, arg if sub == "example" else _fixture_path(arg)]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "minjump.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: cannot write standard output: ")
+    assert len(done.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, bad", [("x0", math.nan), ("u0", math.inf)])

@@ -416,9 +416,10 @@ def test_inverse_factor_schur_solve_is_as_accurate_as_two_lu_solves(n, decades, 
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     M = sdp._sym((Q * eigenvalues) @ Q.T)
     assert np.linalg.cond(M) >= 1e10
-    L, jitter = sdp._chol_with_jitter(M)
+    Li, jitter = sdp._inv_chol(M)
     assert (jitter > 0.0) == jittered
-    Li = np.linalg.inv(L)
+    L = np.linalg.cholesky(M + jitter * np.eye(n))
+    assert np.linalg.inv(L).tobytes() == Li.tobytes()
     for rhs in rng.standard_normal((3, n)):
         got = np.linalg.norm(M @ sdp._schur_solve(Li, M, rhs) - rhs)
         want = np.linalg.norm(M @ _two_lu_solve(L, M, rhs) - rhs)
@@ -454,8 +455,12 @@ def test_inverse_factor_step_matches_solved_step(d):
     X[2] = np.eye(d) - (1.0 + 1e-13) * np.outer(v, v)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(X[2])
-    L = sdp._chol_stack(X)
-    Li = np.linalg.inv(L)
+    Li, jitter = sdp._inv_chol(X)
+    assert jitter > 0.0
+    shift = np.zeros((6, 1, 1))
+    shift[2] = jitter  # the failing member's
+    L = np.linalg.cholesky(X + shift * np.eye(d))
+    assert np.linalg.inv(L).tobytes() == Li.tobytes()
     for binding in (False, True):
         D = sdp._sym(rng.standard_normal((6, d, d)))
         if binding:
@@ -488,18 +493,68 @@ def test_edge_problems_stack_as_intended():
 def test_cholesky_jitter_reaches_only_the_failing_member(monkeypatch):
     good = np.array([[4.0, 1.0], [1.0, 3.0]])
     bad = np.diag([1.0, -1e-13])
-    jitter = sdp._chol_with_jitter
+    inv_chol = sdp._inv_chol
     calls = []
 
-    def spy(M):
-        calls.append(M.copy())
-        return jitter(M)
+    def spy(A):
+        Li, jitter = inv_chol(A)
+        calls.append((A.copy(), jitter))
+        return Li, jitter
 
-    monkeypatch.setattr(sdp, "_chol_with_jitter", spy)
-    L = sdp._chol_stack(np.array([good, bad, 2.0 * good]))
-    assert len(calls) == 1 and np.array_equal(calls[0], bad)
-    expected = [np.linalg.cholesky(good), jitter(bad)[0], np.linalg.cholesky(2.0 * good)]
-    assert L.tobytes() == np.array(expected).tobytes()
+    monkeypatch.setattr(sdp, "_inv_chol", spy)
+    Li, jitter = inv_chol(np.array([good, bad, 2.0 * good]))
+    assert [A.tobytes() for A, _ in calls] == [A.tobytes() for A in (good, bad, 2.0 * good)]
+    assert [j > 0.0 for _, j in calls] == [False, True, False]
+    assert jitter == calls[1][1]
+    expected = [np.linalg.inv(np.linalg.cholesky(good)), inv_chol(bad)[0],
+                np.linalg.inv(np.linalg.cholesky(2.0 * good))]
+    assert Li.tobytes() == np.array(expected).tobytes()
+
+
+def test_inv_chol_climbs_the_jitter_ladder_once(monkeypatch):
+    """A matrix is factored as it is first; only a failing one is
+    refactored, at b*1e-12*I and ten times more on each failure, b =
+    max(tr/d, 1), nine factorizations in all; a stack is factored whole,
+    then member by member, and only its failing member climbs.  No matrix
+    is factored twice at the same jitter."""
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def spy(A):
+        calls.append(A.copy())
+        return cholesky(A)
+
+    def ladder(A, steps):
+        jitters = [max(np.trace(A) / len(A), 1.0) * 1e-12]
+        while len(jitters) < steps:
+            jitters.append(jitters[-1] * 10.0)
+        return jitters, [A + j * np.eye(len(A)) for j in jitters]
+
+    def distinct(mats):
+        return len({(A.shape, A.tobytes()) for A in mats}) == len(mats)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    bad = np.array([[40.0, 1.0], [1.0, 0.025 - 3e-9]])  # eigenvalue -3e-9, b = 20.0125
+    _, jitter = sdp._inv_chol(bad)
+    jitters, shifted = ladder(bad, 4)  # 2e-11, 2e-10 and 2e-9 fail
+    assert [A.tobytes() for A in calls] == [A.tobytes() for A in [bad] + shifted]
+    assert jitter == jitters[-1] and jitters[0] == pytest.approx(2.00125e-11) and distinct(calls)
+
+    calls.clear()
+    never = np.diag([1.0, -1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._inv_chol(never)
+    assert [A.tobytes() for A in calls] == [A.tobytes() for A in [never] + ladder(never, 8)[1]]
+    assert distinct(calls)
+
+    calls.clear()
+    good = np.array([[4.0, 1.0], [1.0, 3.0]])
+    stack = np.array([good, bad, 2.0 * good])
+    _, stacked_jitter = sdp._inv_chol(stack)
+    want = [stack, good, bad] + shifted + [2.0 * good]
+    assert [A.tobytes() for A in calls] == [A.tobytes() for A in want]
+    assert [A.shape for A in calls] == [(3, 2, 2)] + [(2, 2)] * 7
+    assert stacked_jitter == jitter and distinct(calls)
 
 
 def test_history_keeps_every_iteration():
