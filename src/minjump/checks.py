@@ -16,7 +16,8 @@ flow carries.  Two families of conditions are checked on them:
   condition.
 
 - clock-function tests: a piecewise-affine matrix family S_i(tau) on
-  [0, t_max] replaces the explicit exponentials.  The differential condition
+  [0, t_max], stored for every mode as one (modes, nodes, d, d) array,
+  replaces the explicit exponentials.  The differential condition
   is affine in tau on each interval, so checking both interval endpoints is
   exact, not a sampling approximation; the same holds for the theta-dependent
   blocks at the clock nodes covering [t_min, t_max].
@@ -34,7 +35,10 @@ full eigensolve would give, bit for bit.  A stack times one fixed matrix
 is a single 2-D GEMM (_times), bitwise the stacked per-member products on
 the BLAS in use, which the oracle tests hold.
 
-Both families reduce through one function, _verdict, over a (modes, R)
+Every entry point first asks rules._fit whether its model, certificate
+and clock fit together: the wrong kind is a ModelError, a certificate or
+clock of another mode count or dimension a CertificateError.  Both
+families reduce through one function, _verdict, over a (modes, R)
 margin array in the one record order, mode-major: every maximum is the
 first largest in that order, so an exact tie goes to the lowest mode.
 """
@@ -45,7 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import CertificateError, ConfigError, ModelError
+from .errors import ConfigError
+from .rules import _fit
 
 STRICT_TOL = 1e-7
 SLACK_TOL = 1e-9
@@ -123,14 +128,14 @@ class DwellGrid:
 class ClockFamily:
     """Piecewise-affine matrix functions on a shared node grid.
 
-    nodes run from 0 to the horizon; values[i] is the read-only
-    (len(nodes), d, d) stack of mode i, values[i][k] its symmetric matrix
+    nodes run from 0 to the horizon; values is the read-only
+    (modes, len(nodes), d, d) array, values[i, k] mode i's symmetric matrix
     at node k, and evaluation interpolates affinely between nodes, so the
     slope is piecewise constant.
     """
 
     nodes: tuple
-    values: tuple
+    values: np.ndarray
 
     def __init__(self, nodes, values):
         nds = tuple(float(t) for t in nodes)
@@ -140,25 +145,19 @@ class ClockFamily:
             raise ConfigError("clock nodes must start at 0")
         if any(b <= a for a, b in zip(nds, nds[1:])):
             raise ConfigError("clock nodes must be strictly increasing")
-        vals = []
-        dim = None
-        for i, per_mode in enumerate(values):
-            mats = [np.asarray(M, dtype=float) for M in per_mode]
-            if len(mats) != len(nds):
-                raise ConfigError(f"mode {i} has {len(mats)} values for {len(nds)} nodes")
-            for M in mats:
-                if dim is None:
-                    dim = M.shape[0]
-                if M.shape != (dim, dim):
-                    raise ConfigError("clock values must share one square dimension")
-            stack = np.stack(mats)
-            stack.setflags(write=False)
-            vals.append(stack)
+        try:
+            vals = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"clock values are not one numeric array: {exc}") from exc
+        if vals.ndim != 4 or vals.shape[1] != len(nds) or vals.shape[2] != vals.shape[3]:
+            raise ConfigError(
+                f"clock values of shape {vals.shape} are not (modes, {len(nds)}, d, d)")
+        vals.setflags(write=False)
         object.__setattr__(self, "nodes", nds)
-        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "values", vals)
 
-    def at(self, mode, taus):
-        """S_mode at each tau of a 1-D array: the (len(taus), d, d) stack."""
+    def at(self, taus):
+        """Every mode's S at each tau of a 1-D array: the (modes, len(taus), d, d) stack."""
         taus, nodes = np.asarray(taus, dtype=float), np.asarray(self.nodes)
         outside = (taus < nodes[0] - _COVER_TOL) | (taus > nodes[-1] + _COVER_TOL)
         if outside.any():
@@ -166,14 +165,11 @@ class ClockFamily:
         k = np.clip(np.searchsorted(nodes, taus, side="right") - 1, 0, len(nodes) - 2)
         a, b = nodes[k], nodes[k + 1]
         w = ((taus - a) / (b - a))[:, None, None]
-        return (1.0 - w) * self.values[mode][k] + w * self.values[mode][k + 1]
+        return (1.0 - w) * self.values[:, k] + w * self.values[:, k + 1]
 
-    def value(self, mode, tau):
-        return self.at(mode, [tau])[0]
-
-    def slopes(self, mode):
-        """The (len(nodes) - 1, d, d) stack of the slope on each interval."""
-        return np.diff(self.values[mode], axis=0) / np.diff(self.nodes)[:, None, None]
+    def slopes(self):
+        """The (modes, len(nodes) - 1, d, d) stack of the slope on each interval."""
+        return np.diff(self.values, axis=1) / np.diff(self.nodes)[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,22 +246,10 @@ def _verdict(margins, segments, thetas, passed, grid, strict_tol, slack_tol, fla
         grid=tuple(grid), strict_tol=strict_tol, slack_tol=slack_tol, flags=dict(flags or {}))
 
 
-def _require_kind(model, kind, what):
-    if model.kind != kind:
-        raise ModelError(f"{what} requires a {kind} model")
-
-
 def _loop_data(model, cert):
     """(F0, W): per mode, the map applied before the flow (I on a switched
     loop) and the weighted storage: the kind-specific data of every condition."""
-    if cert.dim != model.dim:
-        raise CertificateError(
-            f"certificate dimension {cert.dim} does not match model dimension {model.dim}"
-        )
-    if cert.modes != model.modes:
-        raise CertificateError(
-            f"certificate has {cert.modes} modes, model has {model.modes}"
-        )
+    _fit(model, cert)
     pi, N, J = cert.weights.pi, range(model.modes), model.jump_table
     if model.kind == "impulsive":
         return list(J[:, 0]), [sum(pi[j, i] * cert.P[j] for j in N) for i in N]
@@ -378,13 +362,13 @@ def _grid_verdict(margins, points, strict_tol):
 
 def check_impulsive(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
     """Dwell-grid contraction test for the impulsive loop (see _grid_verdict)."""
-    _require_kind(model, "impulsive", "check_impulsive")
+    _fit(model, kind="impulsive", what="check_impulsive")
     return _contraction_report(model, cert, dwell, grid, strict_tol)
 
 
 def check_switched(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
     """Dwell-grid contraction test for the switched loop (see _grid_verdict)."""
-    _require_kind(model, "switched", "check_switched")
+    _fit(model, kind="switched", what="check_switched")
     return _contraction_report(model, cert, dwell, grid, strict_tol)
 
 
@@ -418,24 +402,25 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
       flow      -Sdot_i + Abar_i' S_i(tau) + S_i(tau) Abar_i <= 0 on [0, t_max]
       jump      -P_i + F0_i' S_i(theta) F0_i + eps I <= 0 on the range
       coupling  W_i - S_i(0) <= 0
-    A positive eps is required for the certificate to count as passing.
-    Each condition is one stacked eigenvalue call over every mode; records
-    run mode-major: flow at both ends of each interval, jump, coupling.
+    A positive eps is required for the certificate to count as passing, and
+    a non-finite one is refused.  Each condition is one stacked eigenvalue
+    call over every mode; records run mode-major: flow at both ends of each
+    interval, jump, coupling.
     """
     _validate(STRICT_TOL, tol)  # before any eigenvalue work
+    if not math.isfinite(eps):
+        raise ConfigError(f"eps must be finite, got {eps}")
     F0, W = _loop_data(model, cert)
+    _fit(model, clock.values)
     thetas = _theta_nodes(clock, dwell)
     taus = np.repeat(clock.nodes, 2)[1:-1]
-    modes = range(model.modes)
-    A = np.stack([model.drift(i) for i in modes])[:, None]
-    S = np.stack([clock.at(i, taus) for i in modes])
-    Sdot = np.stack([np.repeat(clock.slopes(i), 2, axis=0) for i in modes])
+    A = np.stack([model.drift(i) for i in range(model.modes)])[:, None]
+    S, Sdot = clock.at(taus), np.repeat(clock.slopes(), 2, axis=1)
     flow = linalg.sym_eig_max(linalg.sym(-Sdot + np.swapaxes(A, -1, -2) @ S + S @ A))
-    F, S = np.stack(F0)[:, None], np.stack([clock.at(i, thetas) for i in modes])
+    F, S = np.stack(F0)[:, None], clock.at(thetas)
     M = -np.stack(cert.P)[:, None] + np.swapaxes(F, -1, -2) @ S @ F
     jump = linalg.sym_eig_max(linalg.sym(M) + eps * np.eye(model.dim))
-    coupling = linalg.sym_eig_max(linalg.sym(np.stack(W))
-                                  - np.stack([clock.value(i, 0.0) for i in modes]))
+    coupling = linalg.sym_eig_max(linalg.sym(np.stack(W)) - clock.at([0.0])[:, 0])
     margins = np.concatenate([flow, jump, coupling[:, None]], axis=1)
     return _verdict(margins, [("flow", len(taus)), ("jump", len(thetas)), ("coupling", 1)],
                     np.concatenate([taus, thetas, [0.0]]),

@@ -78,6 +78,26 @@ class MinJumpCertificate:
         return MinJumpCertificate([alpha * Pi for Pi in self.P], self.weights, self.eps * alpha)
 
 
+def _fit(model, cert=None, kind=None, mode=None, what="this call"):
+    """The one rule, for every entry point, on whether its inputs fit model.
+
+    The wrong kind, or a mode that is not an integer index, is a ModelError;
+    a certificate, or a clock's (modes, nodes, d, d) values, of another mode
+    count or dimension d is a CertificateError naming both shapes.
+    """
+    if kind is not None and model.kind != kind:
+        raise ModelError(f"{what} requires a model of kind {kind}, got {model.kind}")
+    if cert is not None:
+        clock = isinstance(cert, np.ndarray)
+        have = cert.shape if clock else cert.stacked.shape
+        want = (model.modes, *have[1:-2], model.dim, model.dim)
+        if have != want:
+            raise CertificateError(f"{'clock' if clock else 'certificate'} of shape {have}"
+                                   f" does not fit the model's {want}")
+    if mode is not None and not (isinstance(mode, numbers.Integral) and 0 <= mode < model.modes):
+        raise ModelError(f"mode {mode!r} out of range for a {model.modes}-mode model")
+
+
 def _check_state(chi, dim):
     chi = np.asarray(chi, dtype=float).reshape(-1)
     if chi.shape[0] != dim:
@@ -107,10 +127,7 @@ def select_impulsive(chi, cert):
 
 def select_switched(chi, current_mode, cert, model):
     """argmin_j of the post-jump forms from the current mode, ties to smallest j."""
-    if model.kind != "switched":
-        raise ModelError("select_switched requires a switched model")
-    if not 0 <= current_mode < model.modes:
-        raise ModelError(f"current mode {current_mode} out of range")
+    _fit(model, cert, "switched", current_mode, "select_switched")
     chi = _check_state(chi, cert.dim)
     with np.errstate(invalid="ignore", over="ignore"):  # judged by argmin_forms
         return argmin_forms(model.jump_table[:, current_mode] @ chi, cert.stacked)

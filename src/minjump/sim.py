@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, DivergenceError, ModelError, NumericError
 # select_switched is unused: pinned by test_tracer_restores_the_package, TRACED_NAMES["sim"]
-from .rules import _forms, argmin_forms, select_switched  # noqa: F401
+from .rules import _fit, _forms, argmin_forms, select_switched  # noqa: F401
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -164,15 +164,9 @@ def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
     selected mode for a switched one.  Every new state passes one guard,
     chi' chi <= DIVERGENCE_LIMIT^2, which also rejects inf and nan.
     """
-    if model.kind != kind:
-        raise ModelError(f"simulate_{kind} requires a {kind} model")
+    _fit(model, cert, kind, current, f"simulate_{kind}")
     if substeps < 1:
         raise ConfigError("substeps must be at least 1")
-    if (cert.modes, cert.dim) != (model.modes, model.dim):
-        raise ModelError(f"certificate has {cert.modes} modes of dimension {cert.dim},"
-                         f" model {model.modes} of dimension {model.dim}")
-    if not 0 <= current < model.modes:
-        raise ModelError(f"initial mode {current} out of range")
     chi = _initial_state(model, x0, u0)
     times = np.asarray(seq.times)
     K = len(times) - 1

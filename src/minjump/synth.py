@@ -41,10 +41,10 @@ import numpy as np
 from . import sdp
 # check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
 from .checks import DwellGrid, check, check_impulsive  # noqa: F401
-from .errors import CapacityError, ConfigError, ModelError, RecoveryError
+from .errors import CapacityError, ConfigError, RecoveryError
 from .linalg import inv_spd
 from .model import ModeWeights
-from .rules import MinJumpCertificate
+from .rules import MinJumpCertificate, _fit
 
 log = logging.getLogger("minjump.synth")
 
@@ -253,8 +253,7 @@ def assemble_impulsive(model, weights, dwell, opts=None):
     block at every in-range node, and the weighted coupling LMI.  Modes with
     fixed gains keep their jump map as data; free modes get a gain unknown.
     """
-    if model.kind != "impulsive":
-        raise ModelError("assemble_impulsive requires an impulsive model")
+    _fit(model, kind="impulsive", what="assemble_impulsive")
     return _assemble(model, weights, dwell, opts, _impulsive_blocks)
 
 
@@ -264,8 +263,7 @@ def assemble_switched(model, weights, dwell, opts=None):
     The dwell-dependent condition Ptilde_i - S_i(theta) + eps*I <= 0 is a
     plain d x d strict block; gains enter through the coupling block.
     """
-    if model.kind != "switched":
-        raise ModelError("assemble_switched requires a switched model")
+    _fit(model, kind="switched", what="assemble_switched")
     return _assemble(model, weights, dwell, opts, _switched_blocks)
 
 

@@ -439,11 +439,11 @@ def test_exact_clock_family_integrates_the_flow(
     clock = exact_clock_family(ex1_reference_cert, ex1_reference_model, nodes)
     A = ex1_reference_model.drift()
     for i in range(ex1_reference_model.modes):
-        S0 = clock.value(i, 0.0)
+        S0 = clock.at([0.0])[i, 0]
         for theta in np.linspace(0.0, ex1_dwell.t_max, 20):
             E = linalg.expm(A, float(theta))
             lhs = E.T @ S0 @ E
-            gap = linalg.sym_eig_max(linalg.sym(lhs - clock.value(i, theta)))
+            gap = linalg.sym_eig_max(linalg.sym(lhs - clock.at([theta])[i, 0]))
             assert gap <= 1e-6
 
 
@@ -511,6 +511,25 @@ def test_clock_check_rejects_bad_tolerance_before_eigenvalues(monkeypatch):
     with pytest.raises(ConfigError, match="tolerance"):
         check_clock(model, clock, cert, 0.1, dwell, tol=np.nan)
     assert calls == []
+
+
+def test_clock_check_rejects_non_finite_eps_before_eigenvalues(monkeypatch):
+    model, cert, dwell = _scalar_model(0.5), _scalar_cert(), DwellRange(0.1, 0.2)
+    clock = exact_clock_family(cert, model, clock_node_grid(dwell, 4))
+    calls = []
+    monkeypatch.setattr(linalg, "sym_eig_max", lambda *args: calls.append(args))
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="eps must be finite"):
+            check_clock(model, clock, cert, eps, dwell)
+    assert calls == []
+
+
+def test_clock_values_must_form_one_stack():
+    assert checks.ClockFamily((0.0, 1.0), [[np.eye(2)] * 2] * 3).values.shape == (3, 2, 2, 2)
+    for values in ([[np.eye(2)] * 3], [[np.eye(2)] * 2, [np.eye(2)]], [[np.ones((2, 3))] * 2],
+                   [[np.eye(2)] * 2, [np.eye(3)] * 2], [[["a"]] * 2], []):
+        with pytest.raises(ConfigError, match="clock values"):
+            checks.ClockFamily((0.0, 1.0), values)
 
 
 def test_dwell_grid_validation():

@@ -229,6 +229,12 @@ def test_simulate_overflow_exits_three(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_synth_stopped_by_the_iteration_cap_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(synth.sdp, "MAX_ITER", 5)
+    assert main(["synth", _fixture_path("example1")]) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "max_iterations"
+
+
 def test_simulate_without_x0_exits_two(tmp_path, capsys):
     cfg = _ex2_config()
     cfg["run"] = {"kind": "periodic", "period": 0.02, "steps": 10}

@@ -1,22 +1,35 @@
 """Certificate container and mode-selection rules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from minjump import (
+    ClockFamily,
     ImpulsiveSpec,
     MinJumpCertificate,
     ModeWeights,
     SwitchedSpec,
     augment_impulsive,
     augment_switched,
+    check,
+    check_clock,
+    check_impulsive,
+    check_switched,
+    exact_clock_family,
+    gen_sequence,
     select_impulsive,
     select_switched,
+    simulate_impulsive,
+    simulate_switched,
 )
-from minjump.errors import CertificateError, NumericError
+from minjump.errors import CertificateError, ModelError, NumericError
+from minjump.sim import simulate
+from minjump.synth import assemble_impulsive, assemble_switched
 
 import oracles
-from conftest import EX3_A, EX3_B, EX3_J, EX3_K, EX3_UPDATES, EX3_PI
+from conftest import EX1_PI, EX3_A, EX3_B, EX3_J, EX3_K, EX3_UPDATES, EX3_PI
 
 
 def _cert(P_list, N=None):
@@ -186,3 +199,63 @@ def test_overflowing_forms_raise_numeric_error():
     chi = np.array([0.0, 1e5])  # forms inf and 1e10, before and after either jump
     assert select_impulsive(chi, lopsided) == 1
     assert select_switched(chi, 0, lopsided, model) == 1
+
+
+def _clock(modes, dim):
+    return ClockFamily((0.0, 0.05), [[np.eye(dim)] * 2] * modes)
+
+
+# every entry point that takes a certificate, called on ex3 with certificate c
+_WITH_CERT = {
+    "check": lambda ex, c: check(ex.model, c, ex.dwell),
+    "check_clock": lambda ex, c: check_clock(ex.model, _clock(2, 4), c, 0.1, ex.dwell),
+    "exact_clock_family": lambda ex, c: exact_clock_family(c, ex.model, (0.0, 0.05)),
+    "simulate": lambda ex, c: simulate(ex.model, c, ex.seq, np.ones(ex.model.n)),
+    "select_switched": lambda ex, c: select_switched(np.ones(4), 0, c, ex.model),
+}
+
+# every entry point of one kind, called on a model of the other
+_OF_KIND = {
+    "check_impulsive": lambda ex: check_impulsive(ex.model, ex.cert, ex.dwell),
+    "check_switched": lambda ex: check_switched(ex.ex1, ex.ex1_cert, ex.dwell),
+    "simulate_impulsive": lambda ex: simulate_impulsive(ex.model, ex.cert, ex.seq, np.ones(2)),
+    "simulate_switched": lambda ex: simulate_switched(ex.ex1, ex.ex1_cert, ex.seq, np.ones(2)),
+    "select_switched": lambda ex: select_switched(np.ones(3), 0, ex.ex1_cert, ex.ex1),
+    "assemble_impulsive": lambda ex: assemble_impulsive(ex.model, EX3_PI, ex.dwell),
+    "assemble_switched": lambda ex: assemble_switched(ex.ex1, EX1_PI, ex.dwell),
+}
+
+_MISFITS = [
+    pytest.param(lambda ex, call=call, P=[np.eye(d)] * modes: call(ex, _cert(P)),
+                 CertificateError, rf"\({modes}, {d}, {d}\).*\(2, 4, 4\)",
+                 id=f"{name}-certificate{modes}x{d}")
+    for name, call in _WITH_CERT.items() for modes, d in ((3, 4), (2, 3))
+] + [
+    pytest.param(lambda ex, clock=_clock(modes, d): check_clock(ex.model, clock, ex.cert, 0.1,
+                                                                ex.dwell),
+                 CertificateError, rf"clock of shape \({modes}, 2, {d}, {d}\)",
+                 id=f"check_clock-clock{modes}x{d}")
+    for modes, d in ((2, 5), (1, 4), (3, 4))
+] + [
+    pytest.param(call, ModelError, f"{name} requires a model of kind", id=f"{name}-kind")
+    for name, call in _OF_KIND.items()
+] + [
+    pytest.param(lambda ex: select_switched(np.ones(4), 0.5, ex.cert, ex.model),
+                 ModelError, "mode 0.5 out of range", id="select_switched-current_mode"),
+    pytest.param(lambda ex: simulate(ex.model, ex.cert, ex.seq, np.ones(2), initial_mode=1.5),
+                 ModelError, "mode 1.5 out of range", id="simulate-initial_mode"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _MISFITS)
+def test_inputs_that_do_not_fit_the_model_are_refused_alike(
+        call, error, message, ex1_reference_model, ex1_reference_cert,
+        ex3_reference_model, ex3_reference_cert, ex3_dwell):
+    """Every entry point refuses the wrong kind or a non-integer mode index
+    with ModelError, and a certificate or clock of another mode count or
+    dimension with CertificateError naming both shapes."""
+    ex = SimpleNamespace(model=ex3_reference_model, cert=ex3_reference_cert, dwell=ex3_dwell,
+                         ex1=ex1_reference_model, ex1_cert=ex1_reference_cert,
+                         seq=gen_sequence(ex3_dwell, "uniform_random", count=3, seed=1))
+    with pytest.raises(error, match=message):
+        call(ex)

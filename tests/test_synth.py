@@ -18,6 +18,7 @@ from minjump import (
     scan_weights,
     synthesize,
 )
+from minjump import sdp
 from minjump.checks import DwellGrid
 from minjump.linalg import inv_spd
 from minjump.synth import (
@@ -170,3 +171,20 @@ def test_scan_weights_prefers_wider_margin(ex1_open_model, ex1_dwell):
         assert best.eps == top
     else:
         assert "success" not in statuses
+
+
+def test_scan_weights_keeps_the_wider_of_two_successes(ex1_open_model, ex1_dwell):
+    candidates = [ModeWeights([[0.2, 0.8], [0.8, 0.2]]), ModeWeights([[0.1, 0.9], [0.9, 0.1]]),
+                  ModeWeights([[0.5, 0.5], [0.5, 0.5]])]
+    best, best_pi, summary = scan_weights(ex1_open_model, candidates, ex1_dwell)
+    assert [status for _, status, _ in summary] == ["success", "success", "infeasible"]
+    assert summary[0][2] == pytest.approx(0.108164, abs=1e-6)
+    assert summary[1][2] == pytest.approx(0.147118, abs=1e-6)
+    assert best_pi is candidates[1] and best.eps == summary[1][2]
+
+
+def test_iteration_cap_ends_the_solve_as_max_iterations(ex1_open_model, ex1_dwell, monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITER", 5)
+    result = synthesize(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell)
+    assert result.status == "max_iterations" and result.cert is None
+    assert result.solution.iterations == 5 and len(result.solution.history) == 5
