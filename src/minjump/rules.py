@@ -3,10 +3,10 @@
 At each sample the controller measures chi = (x, u) and picks the next mode
 as the argmin of mode-indexed quadratic forms.  For the impulsive loop the
 forms are chi' P_i chi; for the switched loop each candidate's jump map is
-folded in first, chi' Jbar_{j,i}' P_j Jbar_{j,i} chi, so the score is the
-post-jump value of the candidate's own storage function.  All candidates
-are scored by one `argmin_forms` call, ties to the lowest index; select_*
-check their arguments on each call, the simulator validates a run once.
+folded in, chi' Jbar_{j,i}' P_j Jbar_{j,i} chi, so the score is the
+post-jump value of the candidate's own storage function.  `argmin_forms`
+scores all candidates with two dot products on their `_form_stack`, ties to
+the lowest index; select_* check their arguments and build it on each call.
 """
 
 import math
@@ -44,9 +44,7 @@ class MinJumpCertificate:
             Pi.setflags(write=False)
             mats.append(Pi)
         if len(mats) != weights.modes:
-            raise CertificateError(
-                f"{len(mats)} rule matrices for {weights.modes} weight columns"
-            )
+            raise CertificateError(f"{len(mats)} rule matrices for {weights.modes} weight columns")
         dims = {M.shape[0] for M in mats}
         if len(dims) > 1:
             raise CertificateError(f"rule matrices mix dimensions {sorted(dims)}")
@@ -98,36 +96,50 @@ def _fit(model, cert=None, kind=None, mode=None, what="this call"):
         raise ModelError(f"mode {mode!r} out of range for a {model.modes}-mode model")
 
 
-def _check_state(chi, dim):
-    chi = np.asarray(chi, dtype=float).reshape(-1)
-    if chi.shape[0] != dim:
-        raise ModelError(f"state has length {chi.shape[0]}, expected {dim}")
-    return chi
-
-
 def _forms(W, P):
     """w' P_k w for stacked P (..., d, d); W is one state (d,) or a row per P_k."""
     return np.einsum("...d,...de,...e->...", W, P, W)
 
 
-def argmin_forms(W, P):
-    """Index of the smallest form _forms(W, P), ties to the lowest index; the
-    arguments are unchecked.  A non-finite winner (bad state, overflow) raises."""
-    forms = _forms(W, P)
+def _form_stack(P, J=None):
+    """One C-contiguous (modes*d, d) array of the rows of the P_i, or of the
+    J_i' P_i J_i for one jump-table source column's maps J (modes, d, d)."""
+    if J is not None:
+        P = np.swapaxes(J, 1, 2) @ (P @ J)
+    return np.ascontiguousarray(P.reshape(-1, P.shape[-1]))
+
+
+def argmin_forms(Q, chi):
+    """Index of the smallest form chi' Q_i chi for a `_form_stack` Q, ties to
+    the lowest index; the arguments are unchecked.  Underflow cannot change
+    the choice: below 2^-900 (0 included) chi is scaled by an exact power of
+    two to max|chi| in [1/2, 1) and scored again.  A non-finite winner raises."""
+    forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)
     best = int(forms.argmin())
+    if forms[best] < 2.0 ** -900:
+        chi = np.ldexp(chi, -np.frexp(np.abs(chi).max())[1])
+        forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)
+        best = int(forms.argmin())
     if not math.isfinite(forms[best]):
         raise NumericError("state is not finite, or its quadratic forms overflow")
     return best
 
 
+def _select(Q, chi):
+    """argmin_forms(Q, chi) for a state chi of any shape, checked against Q."""
+    chi = np.asarray(chi, dtype=float).reshape(-1)
+    if chi.shape[0] != Q.shape[1]:
+        raise ModelError(f"state has length {chi.shape[0]}, expected {Q.shape[1]}")
+    with np.errstate(invalid="ignore", over="ignore"):  # judged by argmin_forms
+        return argmin_forms(Q, chi)
+
+
 def select_impulsive(chi, cert):
     """argmin_i chi' P_i chi, smallest index on ties."""
-    return argmin_forms(_check_state(chi, cert.dim), cert.stacked)
+    return _select(_form_stack(cert.stacked), chi)
 
 
 def select_switched(chi, current_mode, cert, model):
     """argmin_j of the post-jump forms from the current mode, ties to smallest j."""
     _fit(model, cert, "switched", current_mode, "select_switched")
-    chi = _check_state(chi, cert.dim)
-    with np.errstate(invalid="ignore", over="ignore"):  # judged by argmin_forms
-        return argmin_forms(model.jump_table[:, current_mode] @ chi, cert.stacked)
+    return _select(_form_stack(cert.stacked, model.jump_table[:, current_mode]), chi)

@@ -2,10 +2,10 @@
 
 Flows are computed with the matrix exponential only (no ODE integrator),
 so dense samples are exact up to rounding.  Both loops run through one
-sample kernel, which validates a run once.  It takes the stacked P_i, the
-model's jump table (assembled once per model) and one expm stack per drift
-over the distinct dwells only, so periodic sampling costs one exponential.
-Per sample it makes one `rules.argmin_forms` call, jumps, flows and guards.
+sample kernel, which validates a run once and holds one rule form stack
+per jump-table source column and one expm stack per drift over the
+distinct dwells only (periodic sampling costs one exponential).  A sample
+is one `rules.argmin_forms` call and one ndarray.dot per jump, substep and guard.
 Trajectories are recorded with both the pre-jump and the post-jump state
 at every sampling instant; the state stored at t_k in the dense arrays is
 the pre-jump limit.
@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, DivergenceError, ModelError, NumericError
 # select_switched is unused: pinned by test_tracer_restores_the_package, TRACED_NAMES["sim"]
-from .rules import _fit, _forms, argmin_forms, select_switched  # noqa: F401
+from .rules import _fit, _form_stack, _forms, argmin_forms, select_switched  # noqa: F401
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -43,24 +43,22 @@ class SamplingSequence:
 
     def __init__(self, times=None, dwell=None, dwells=None):
         if dwells is not None:
-            dwells = tuple(float(h) for h in dwells)
+            dwells = np.asarray(dwells, dtype=float).reshape(-1)
             times = np.concatenate([[0.0], np.cumsum(dwells)])
-        times = tuple(float(t) for t in times)
-        if not times or times[0] != 0.0:
+        times = np.asarray(times, dtype=float).reshape(-1)
+        if not times.size or times[0] != 0.0:
             raise ConfigError("sampling sequence must start at t = 0")
-        if any(not a < b for a, b in zip(times, times[1:])) or not np.isfinite(times[-1]):
+        if not (np.diff(times) > 0.0).all() or not np.isfinite(times[-1]):
             raise ConfigError("sampling times must be finite and strictly increasing")
-        if dwells is None:
-            dwells = tuple(b - a for a, b in zip(times, times[1:]))
+        dwells = np.diff(times) if dwells is None else dwells
         if dwell is not None:
             tol = 1e-12 * max(1.0, dwell.t_max)
-            for h in dwells:
-                if not (dwell.t_min - tol <= h <= dwell.t_max + tol):
-                    raise ConfigError(
-                        f"dwell {h!r} outside [{dwell.t_min}, {dwell.t_max}]"
-                    )
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "dwells", dwells)
+            bad = ~((dwell.t_min - tol <= dwells) & (dwells <= dwell.t_max + tol))
+            if bad.any():
+                raise ConfigError(f"dwell {float(dwells[bad.argmax()])!r} outside"
+                                  f" [{dwell.t_min}, {dwell.t_max}]")
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "dwells", tuple(dwells.tolist()))
 
 
 def gen_sequence(dwell, kind, count, seed=None, period=None):
@@ -79,9 +77,7 @@ def gen_sequence(dwell, kind, count, seed=None, period=None):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"period must be a number: {exc}") from exc
         if not dwell.t_min <= period <= dwell.t_max:
-            raise ConfigError(
-                f"period {period} outside [{dwell.t_min}, {dwell.t_max}]"
-            )
+            raise ConfigError(f"period {period} outside [{dwell.t_min}, {dwell.t_max}]")
         dwells = np.full(count, period)
     elif kind == "uniform_random":
         if isinstance(seed, (int, np.integer)) and seed < 0:
@@ -158,11 +154,11 @@ def _diverged(t, last_ok, E=None):
 def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
     """The sample loop both simulators share: fire the rule, jump, flow.
 
-    The run is validated here, once; each sample's rule is then one
-    argmin_forms call.  current is the jump table's source column and the
-    drift of the interval that follows: 0 for an impulsive model, the
-    selected mode for a switched one.  Every new state passes one guard,
-    chi' chi <= DIVERGENCE_LIMIT^2, which also rejects inf and nan.
+    The run is validated here, once; its form stacks, jump maps and flows
+    are lists of contiguous arrays.  current is the jump table's source
+    column and the drift of the interval that follows: 0 for an impulsive
+    model, the selected mode for a switched one.  Every new state passes
+    one guard, chi' chi <= DIVERGENCE_LIMIT^2, which also rejects inf and nan.
     """
     _fit(model, cert, kind, current, f"simulate_{kind}")
     if substeps < 1:
@@ -173,36 +169,39 @@ def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
     steps = np.asarray(seq.dwells) / substeps
     # one exponential per distinct step, made on the drift's first use
     distinct, where = np.unique(steps, return_inverse=True)
-    flows = {}
+    where = where.tolist()
     table, P = model.jump_table, cert.stacked
     switched = kind == "switched"
+    forms = [_form_stack(P, J if switched else None) for J in table.swapaxes(0, 1)]
+    jumps = [list(J) for J in table.swapaxes(0, 1)]
+    flows = [None] * model.modes
     limit = DIVERGENCE_LIMIT ** 2
-    modes = np.zeros(K + 1, dtype=int)
-    pre, post = np.zeros((2, K + 1, model.dim))
-    dense = np.zeros((K, substeps, model.dim))
+    modes, pre, post, dense = [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        if not chi @ chi <= limit:
+        if not chi.dot(chi) <= limit:
             _diverged(0.0, 0.0)
         for k in range(K + 1):
-            mode = argmin_forms(table[:, current] @ chi if switched else chi, P)
-            modes[k] = mode
-            pre[k] = chi
-            post[k] = chi = table[mode, current] @ chi
+            mode = argmin_forms(forms[current], chi)
+            modes.append(mode)
+            pre.append(chi)
+            chi = jumps[current][mode].dot(chi)
+            post.append(chi)
             if k == K:
                 break
             current = mode if switched else 0
-            if current not in flows:
-                flows[current] = _exponentials(model.drift(current), distinct)
+            if flows[current] is None:
+                flows[current] = list(_exponentials(model.drift(current), distinct))
             E = flows[current][where[k]]
             for q in range(substeps):
-                chi = E @ chi
-                if not chi @ chi <= limit:
+                chi = E.dot(chi)
+                if not chi.dot(chi) <= limit:
                     _diverged(times[k] + (q + 1) * steps[k], times[k] + q * steps[k], E)
-                dense[k, q] = chi
+                dense.append(chi)
+    modes, pre, post = np.array(modes), np.array(pre), np.array(post)
     dense_t = times[:-1, None] + np.arange(1, substeps + 1) * steps[:, None]
     arrays = (times, modes, pre, post,
-              _forms(post if switched else pre, cert.stacked[modes]),
-              dense_t.ravel(), dense.reshape(K * substeps, model.dim),
+              _forms(post if switched else pre, P[modes]),
+              dense_t.ravel(), np.array(dense).reshape(K * substeps, model.dim),
               np.repeat(modes[:-1], substeps))
     for a in arrays:
         a.setflags(write=False)
@@ -250,17 +249,13 @@ def write_csv(traj, path):
     column is the 1-based active mode; pre-jump rows carry the previous
     sample's mode and V.  Floats are written with 17 significant digits.
     """
-    def fmt(v):
-        return f"{v:.17g}"
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"x{j + 1}" for j in range(traj.n)]
                    + [f"u{j + 1}" for j in range(traj.m)] + ["sigma", "V", "post"])
 
         def row(t, state, sigma, value, post):
-            w.writerow([fmt(t)] + [fmt(s) for s in state]
-                       + [str(sigma + 1), fmt(value), str(post)])
+            w.writerow([f"{v:.17g}" for v in (t, *state)] + [sigma + 1, f"{value:.17g}", post])
 
         sub = traj.substeps
         for k in range(traj.samples):
@@ -270,8 +265,7 @@ def write_csv(traj, path):
             row(traj.times[k], traj.post_states[k], traj.modes[k],
                 traj.lyapunov[k], 1)
             if k < traj.samples - 1:
-                # interior flow samples; the interval endpoint is the next
-                # pre-jump row, so it is not repeated here
+                # interior flow samples; the endpoint is the next pre-jump row
                 for q in range(sub - 1):
                     at = k * sub + q
                     row(traj.dense_times[at], traj.dense_states[at],

@@ -87,6 +87,26 @@ def test_select_invariant_under_positive_scaling():
         assert select_impulsive(chi, cert) == select_impulsive(chi, cert.scaled(alpha))
 
 
+def test_choice_survives_underflowing_forms(ex1_reference_cert, ex3_reference_model,
+                                           ex3_reference_cert):
+    """At chi 2^-600 every form underflows to 0; the rule still picks the
+    unscaled state's mode, for both kinds and from either source mode."""
+    rng = np.random.default_rng(41)
+    picked = {"impulsive": set(), "switched": set()}
+    for chi in rng.standard_normal((60, 3)):
+        want = select_impulsive(chi, ex1_reference_cert)
+        assert select_impulsive(np.ldexp(chi, -600), ex1_reference_cert) == want
+        picked["impulsive"].add(want)
+    for chi in rng.standard_normal((60, 4)):
+        for i in range(2):
+            want = select_switched(chi, i, ex3_reference_cert, ex3_reference_model)
+            got = select_switched(np.ldexp(chi, -600), i, ex3_reference_cert,
+                                  ex3_reference_model)
+            assert got == want
+            picked["switched"].add(want)
+    assert picked == {"impulsive": {0, 1}, "switched": {0, 1}}
+
+
 def test_select_switched_scores_post_jump_forms():
     model = augment_switched(
         SwitchedSpec(EX3_A, EX3_B, EX3_J, updates=EX3_UPDATES), gains=EX3_K)

@@ -79,6 +79,14 @@ def test_sampling_sequence_validation():
         SamplingSequence(times=(0.0, 0.2, 0.3), dwell=DwellRange(0.15, 0.18))
 
 
+def test_out_of_range_dwells_name_the_first():
+    dwell = DwellRange(0.01, 0.1)
+    with pytest.raises(ConfigError, match=r"^dwell 0\.3 outside \[0\.01, 0\.1\]$"):
+        SamplingSequence(dwells=(0.02, 0.3, 0.05, 0.5), dwell=dwell)
+    with pytest.raises(ConfigError, match=r"^dwell 0\.25 outside"):
+        SamplingSequence(times=(0.0, 0.25, 0.3, 0.5), dwell=dwell)
+
+
 def test_lyapunov_strictly_decreases(ex2_loop):
     model, cert, seq = ex2_loop
     traj = simulate_impulsive(model, cert, seq, [1.0, 1.0])
@@ -172,16 +180,21 @@ def test_divergence_raises():
     assert err.value.last_time is not None
 
 
+def _example_loop(request, case):
+    """(model, cert, dwell) of worked example case, with its published rule."""
+    prefix = {"ex1": "ex1_reference", "ex2": "ex2", "ex3": "ex3_reference"}[case]
+    return (request.getfixturevalue(f"{prefix}_model"),
+            request.getfixturevalue(f"{prefix}_cert"),
+            request.getfixturevalue(f"{case}_dwell"))
+
+
 @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3"])
 def test_march_picks_the_public_rules_choice(request, case):
     """Every sample's mode is the public rule's choice at that sample's
     pre-jump state, from the mode before it: the march's own selection
     cannot drift from select_impulsive/select_switched."""
-    prefix = {"ex1": "ex1_reference", "ex2": "ex2", "ex3": "ex3_reference"}[case]
-    model = request.getfixturevalue(f"{prefix}_model")
-    cert = request.getfixturevalue(f"{prefix}_cert")
-    seq = gen_sequence(request.getfixturevalue(f"{case}_dwell"), "uniform_random",
-                       count=200, seed=5)
+    model, cert, dwell = _example_loop(request, case)
+    seq = gen_sequence(dwell, "uniform_random", count=200, seed=5)
     u0 = np.full(model.m, 0.5) if model.m else None
     for initial_mode in range(model.modes if model.kind == "switched" else 1):
         traj = sim.simulate(model, cert, seq, np.ones(model.n), u0, initial_mode)
@@ -193,6 +206,46 @@ def test_march_picks_the_public_rules_choice(request, case):
                 assert mode == select_switched(chi, current, cert, model)
                 current = mode
         assert len(set(traj.modes)) == model.modes  # every mode is chosen somewhere
+
+
+@pytest.mark.parametrize("scale", [400, 520, 560])
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3"])
+def test_scaled_initial_state_gives_the_scaled_run(request, case, scale):
+    """The loop is linear and the rule homogeneous, so x0 and u0 times 2^-s
+    give the same modes and exactly the scaled states, also where the forms
+    underflow (|chi| below about 2^-512)."""
+    model, cert, dwell = _example_loop(request, case)
+    seq = gen_sequence(dwell, "uniform_random", count=100, seed=5)
+    x0, u0 = np.ones(model.n), np.full(model.m, 0.5)
+    base = sim.simulate(model, cert, seq, x0, u0)
+    tiny = sim.simulate(model, cert, seq, np.ldexp(x0, -scale), np.ldexp(u0, -scale))
+    assert np.array_equal(tiny.modes, base.modes)
+    assert np.array_equal(tiny.pre_states, np.ldexp(base.pre_states, -scale))
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex3"])
+def test_kernel_makes_one_rule_call_and_no_einsum_per_sample(request, case, monkeypatch):
+    """A run of K intervals calls argmin_forms K + 1 times, and its einsum
+    count does not grow with K: the only one is the V pass after the loop."""
+    model, cert, dwell = _example_loop(request, case)
+    calls = {}
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(sim, "argmin_forms", spy("argmin_forms", sim.argmin_forms))
+    monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
+    einsums = []
+    for K in (10, 200):
+        calls.update(argmin_forms=0, einsum=0)
+        seq = gen_sequence(dwell, "uniform_random", count=K, seed=3)
+        sim.simulate(model, cert, seq, np.ones(model.n), substeps=2)
+        assert calls["argmin_forms"] == K + 1
+        einsums.append(calls["einsum"])
+    assert einsums[0] == einsums[1]
 
 
 def test_diverging_switched_run_raises_without_a_warning():
