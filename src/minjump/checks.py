@@ -27,11 +27,11 @@ slack tolerance above zero.  Eigenvalue margins come from LAPACK's
 symmetric eigensolver through linalg.sym_eig_max, a code path separate
 from the interior-point solver that produced the data.  Every field of a
 dwell-grid report is a maximum over the grid, so on a large grid the
-eigensolver runs only where a mode's maximum can be: at spaced samples and
-around the best of them.  One stacked Cholesky factorization then proves
-every other member strictly below that maximum (it holds -inf), and where
-the proof fails every member gets its eigenvalue; the report is the one a
-full eigensolve would give, bit for bit.  A stack times one fixed matrix
+eigensolver runs only where a mode's maximum can be: one call takes
+spaced samples of every mode, linalg.proven_below proves each other member
+strictly below its own mode's best sample (it holds -inf), and one more
+call takes the members it could not clear; the report is the one a full
+eigensolve would give, bit for bit.  A stack times one fixed matrix
 is a single 2-D GEMM (_times), bitwise the stacked per-member products on
 the BLAS in use, which the oracle tests hold.
 
@@ -56,28 +56,6 @@ STRICT_TOL = 1e-7
 SLACK_TOL = 1e-9
 DEFAULT_GRID_POINTS = 200
 
-# The dwell-grid search (_max_search) prunes member k of a (G, d, d) stack M once
-# Cholesky succeeds on A = (top - tau) I - M_k, top being the largest
-# eigenvalue computed for the stack.  It must then hold that the value a
-# full eigensolve would compute, lam^_k, is strictly below top.  Write
-# m = max |M_ij|, so ||M_k||_2 <= d m, and u = 2^-53.
-# - Cholesky (Demmel, LAWN 14, 1989): a factorization that runs to the end
-#   gives A + dA = L L' >= 0 with |dA| <= gamma_{d+1} |L||L'|, and
-#   || |L||L'| ||_2 <= ||L||_F^2 <= tr(A) / (1 - gamma_{d+1}) (Rump, BIT
-#   46, 2006).  With tr(A) <= d (|top| + tau + m), and the rounding of A's
-#   diagonal, lam_max(M_k) <= top - tau + ((d+1) d + 2)(1 + O(u)) u
-#   (|top| + tau + m).
-# - Eigensolver: LAPACK's lam^_k is an exact eigenvalue of M_k + E with
-#   ||E||_2 <= p(d) u ||M_k||_2, p(d) of order d^2 for the Householder
-#   tridiagonalization (Higham, ASNA, 19.3), so lam^_k <= lam_max(M_k)
-#   + p(d) u d m.
-# Both are covered, for any p(d) <= 6 d^2, by
-#   tau = 8 (d+1)^2 (u (|top| + d m) + eta),
-# where eta = 2^-1074, the subnormal spacing, bounds each underflowed
-# product in either factorization.  Where tau is not finite (an entry is
-# not, or is near overflow), the proof is not attempted.
-_CERT_GROWTH = 8.0
-_U, _ETA = math.ldexp(1.0, -53), math.ldexp(1.0, -1074)
 # Below this many stacked entries (G d^2) one eigensolve of the whole
 # stack costs less than the search.
 _SEARCH_MIN_ENTRIES = 2048
@@ -264,53 +242,31 @@ def _flows(model, times):
     return [stacks[i if model.kind == "switched" else 0] for i in range(model.modes)]
 
 
-def _below(M, top):
-    """True when one stacked Cholesky proves every member's computed
-    largest eigenvalue strictly below top (see _CERT_GROWTH)."""
-    d, m = M.shape[-1], float(np.abs(M).max())
-    tau = _CERT_GROWTH * (d + 1) ** 2 * (_U * (abs(top) + d * m) + _ETA)
-    if not math.isfinite(abs(top) + tau + m):  # also keeps every entry of A finite
-        return False
-    A = -M
-    A.reshape(len(A), d * d)[:, ::d + 1] += top - tau
-    try:
-        np.linalg.cholesky(A)  # exactly symmetric, as every M here is
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _max_search(M):
     """lambda_max of each member of the symmetric (..., G, d, d) stack M
     where its (G, d, d) stack's maximum can be; -inf where proven below it.
 
-    The first largest value and its index are those of sym_eig_max(M) bit
-    for bit.  Below _SEARCH_MIN_ENTRIES entries per stack, M is one
-    eigensolve; otherwise eigenvalues are taken at every s-th member and
-    the last, s = floor(sqrt(G / 2)), then within s of the best of them;
-    _below proves the rest below the largest so far, or they are all computed.
+    Each stack's first largest value and its index are those of
+    sym_eig_max(M) bit for bit.  Below _SEARCH_MIN_ENTRIES entries per
+    stack, M is one eigensolve.  Otherwise one eigensolve over every stack
+    takes every s-th member and the last, s = floor(sqrt(G / 2)); one
+    linalg.proven_below call clears members strictly below their own
+    stack's best sample, and one more eigensolve takes the other members
+    it did not clear.  A cleared member is never a maximum, nor ties one.
     """
     G, d = M.shape[-3], M.shape[-1]
     if G * d * d < _SEARCH_MIN_ENTRIES:
         return linalg.sym_eig_max(M)
-    if M.ndim > 3:
-        return np.array([_max_search(Mi) for Mi in M])
-    step = max(math.isqrt(G // 2), 1)
-    out = np.full(G, -np.inf)
+    shape, M = M.shape[:-2], M.reshape(-1, G, d, d)
+    out = np.full(M.shape[:2], -np.inf)
     known = np.zeros(G, dtype=bool)
-    known[::step] = known[-1] = True
-    out[known] = linalg.sym_eig_max(M[known])
-    best = int(out.argmax())
-    near = np.zeros(G, dtype=bool)
-    near[max(best - step, 0):best + step + 1] = True
-    near &= ~known
-    if near.any():
-        out[near] = linalg.sym_eig_max(M[near])
-        known |= near
-    rest = ~known
-    if rest.any() and not _below(M[rest], float(out.max())):
-        out[rest] = linalg.sym_eig_max(M[rest])
-    return out
+    known[::max(math.isqrt(G // 2), 1)] = known[-1] = True
+    out[:, known] = linalg.sym_eig_max(M[:, known])
+    cleared = linalg.proven_below(M.reshape(-1, d, d), np.repeat(out.max(axis=1), G))
+    solve = ~known & ~cleared.reshape(out.shape)
+    if solve.any():
+        out[solve] = linalg.sym_eig_max(M[solve])
+    return out.reshape(shape)
 
 
 def _times(S, B):

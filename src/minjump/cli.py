@@ -340,9 +340,11 @@ def _trajectory(cfg, args, model, cert, dwell):
 
 
 def _summary(traj, model):
-    """Simulation summary; V is monotone when its nonzero values fall."""
+    """Simulation summary; V is monotone when its normal values fall.
+
+    A subnormal V has lost its precision: it repeats or rises by rounding."""
     v = traj.lyapunov
-    nz = v > 0
+    nz = v >= np.finfo(float).tiny
     return {
         "status": "completed",
         "samples": traj.samples,

@@ -15,6 +15,10 @@ favor robustness and auditability over large-scale performance:
   eigensolver as an independent oracle.
 - positive definiteness, of one matrix or of a whole stack at once, and
   SPD inversion go through Cholesky.
+- proven_below gives one verdict per member of a stack: a Cholesky
+  factorization run members-last in numpy, each step one vector op over
+  every member, proves the member's computed largest eigenvalue strictly
+  below its own bound.
 """
 
 import math
@@ -27,6 +31,29 @@ from .errors import DimensionError, FactorizationError, NumericError
 # the module docstring; a larger argument is halved until it is below.
 _TAYLOR12_THETA = 0.3103544816243631
 _TAYLOR12_COEF = tuple(1.0 / math.factorial(k) for k in range(13))
+
+# proven_below clears member k of a symmetric (n, d, d) stack M when Cholesky
+# runs to the end on A = (t_k - tau_k) I - M_k.  It must then hold that the
+# value LAPACK's eigensolver computes, lam^_k, is strictly below t_k.  Write
+# m = max |M_k,ij|, so ||M_k||_2 <= d m, and u = 2^-53.
+# - Cholesky (Demmel, LAWN 14, 1989): a factorization that runs to the end,
+#   its inner products summed in any order, gives A + dA = L L' >= 0 with
+#   |dA| <= gamma_{d+1} |L||L'|, and
+#   || |L||L'| ||_2 <= ||L||_F^2 <= tr(A) / (1 - gamma_{d+1}) (Rump, BIT
+#   46, 2006).  With tr(A) <= d (|t_k| + tau_k + m), and the rounding of A's
+#   diagonal, lam_max(M_k) <= t_k - tau_k + ((d+1) d + 2)(1 + O(u)) u
+#   (|t_k| + tau_k + m).
+# - Eigensolver: lam^_k is an exact eigenvalue of M_k + E with
+#   ||E||_2 <= p(d) u ||M_k||_2, p(d) of order d^2 for the Householder
+#   tridiagonalization (Higham, ASNA, 19.3), so lam^_k <= lam_max(M_k)
+#   + p(d) u d m.
+# Both are covered, for any p(d) <= 6 d^2, by
+#   tau_k = 8 (d+1)^2 (u (|t_k| + d m) + eta),
+# where eta = 2^-1074, the subnormal spacing, bounds each underflowed
+# product in either factorization.  Where tau_k is not finite (an entry or
+# t_k is not, or is near overflow), the member is not cleared.
+_CERT_GROWTH = 8.0
+_U, _ETA = math.ldexp(1.0, -53), math.ldexp(1.0, -1074)
 
 
 def _as_square(M, name="matrix", stacked=False):
@@ -126,6 +153,33 @@ def sym_eig_max(S):
         raise DimensionError("eig argument is empty")
     top = np.linalg.eigvalsh(S)[..., -1]
     return float(top) if top.ndim == 0 else top
+
+
+def proven_below(M, t):
+    """Per member of a symmetric (n, d, d) stack M, True where its computed
+    largest eigenvalue (sym_eig_max's) is proven strictly below t_k.
+
+    t holds one bound per member.  The proof is a Cholesky factorization
+    of (t_k - tau_k) I - M_k that runs to the end (see _CERT_GROWTH).  The
+    stack is transposed once to d^2 contiguous length-n vectors, so each
+    step is one vector op over every member, and each member's rounding
+    is that of its own factorization: every column is divided by the
+    square root of its pivot.  A non-finite member or bound is not cleared.
+    """
+    M = np.asarray(M, dtype=float)
+    n, d = M.shape[0], M.shape[-1]
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    A = np.negative(M.reshape(n, d * d).T, order="C")  # members last
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        m = np.maximum(A.max(axis=0), -A.min(axis=0))
+        tau = _CERT_GROWTH * (d + 1) ** 2 * (_U * (np.abs(t) + d * m) + _ETA)
+        ok = np.isfinite(np.abs(t) + tau + m)  # also keeps every entry of A finite
+        A[::d + 1] += t - tau
+        A = A.reshape(d, d, n)
+        for j in range(d):  # column j of L from the finished columns left of it
+            A[j:, j] -= np.einsum("ikn,kn->in", A[j:, :j], A[j, :j])
+            A[j + 1:, j] /= np.sqrt(A[j, j])
+    return ok & (A.reshape(d * d, n)[::d + 1] > 0.0).all(axis=0)  # every pivot
 
 
 def is_pd(S):

@@ -7,6 +7,7 @@ numeric drift anywhere in the expm / eigenvalue chain.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -281,19 +282,31 @@ def _assert_search_matches_dense(M):
     return not kept.all()
 
 
+def _solved_off_samples(M):
+    """The members off the samples (s = 22 at G = 1000) that the search eigensolves."""
+    solved = checks._max_search(M) > -np.inf
+    solved[::22] = solved[-1] = False
+    return set(np.flatnonzero(solved).tolist())
+
+
 def test_max_search_matches_dense_on_planted_stacks():
     # s = floor(sqrt(1000 / 2)) = 22: samples at 0, 22, ..., 990 and 999
     between = _hump_stack([(510, 100.0)])  # 506 and 528 are the nearest samples
     assert _assert_search_matches_dense(between)
-    # one ulp above the best the samples and their neighbours can find
+    # the crest above sample 506, up to 514 where the hump is back at its value
+    crest = set(range(507, 515))
+    assert _solved_off_samples(between) == crest
+    # one ulp above the stack's maximum: only that member joins the crest
     above = between.copy()
     above[900] = np.diag([np.nextafter(linalg.sym_eig_max(between).max(), np.inf), -1.0, -2.0])
-    assert not _assert_search_matches_dense(above)
+    assert _assert_search_matches_dense(above)
+    assert _solved_off_samples(above) == crest | {900}
     assert int(linalg.sym_eig_max(above).argmax()) == 900
     # equal humps: the samples see only the wide one, the narrow one comes first
     humps = _hump_stack([(115, 2.0), (510, 100.0)])
     humps[115] = humps[510]
-    assert not _assert_search_matches_dense(humps)
+    assert _assert_search_matches_dense(humps)
+    assert _solved_off_samples(humps) == crest | {115}
     assert int(checks._max_search(humps).argmax()) == 115
     # every member ties: the first one wins
     assert not _assert_search_matches_dense(np.broadcast_to(between[3], between.shape).copy())
@@ -311,6 +324,60 @@ def test_max_search_matches_dense_on_planted_stacks():
     # a small stack takes one dense call: 227 * 3^2 < 2048 <= 228 * 3^2
     assert not _assert_search_matches_dense(between[:227])
     assert _assert_search_matches_dense(between[:228])
+
+
+def test_max_search_proves_each_mode_below_its_own_top():
+    # mode 0 tops out near 0, mode 1 near -10; member 300 of mode 1 sits at
+    # -5: below mode 0's top, above its own mode's, so it is eigensolved
+    low = _hump_stack([(510, 100.0)])
+    M = np.stack([low, low - 10.0 * np.eye(3)])
+    M[1, 300] = np.diag([-5.0, -11.0, -12.0])
+    want, got = linalg.sym_eig_max(M), checks._max_search(M)
+    kept = got > -np.inf
+    assert got[kept].tobytes() == want[kept].tobytes()
+    for w, g in zip(want, got):
+        k = int(w.argmax())
+        assert int(g.argmax()) == k and (w[g == -np.inf] < w[k]).all()
+    assert got[1, 300] == -5.0 and int(got[1].argmax()) == 300
+    assert not kept.all()
+
+
+def test_search_takes_two_eigensolves_and_one_proof_per_slice(monkeypatch):
+    """Each call of a slice takes every mode together: one eigensolve of
+    the samples, one proof over the slice, and at most one more
+    eigensolve of what the proof did not clear.  A 1500-point grid is
+    two slices, 1024 and 476 points."""
+    model, cert = _random_system("switched", 4, modes=3)
+    calls = []
+    dense, proven = linalg.sym_eig_max, linalg.proven_below
+
+    def eig_spy(S):
+        calls.append(("eig", np.shape(S)))
+        return dense(S)
+
+    def proof_spy(M, t):
+        calls.append(("proof", np.shape(M)))
+        return proven(M, t)
+
+    monkeypatch.setattr(linalg, "sym_eig_max", eig_spy)
+    monkeypatch.setattr(linalg, "proven_below", proof_spy)
+    dwell = DwellRange(0.01, 0.3)
+    grid = DwellGrid.uniform(dwell, 1500)
+    report = check(model, cert, dwell, grid=grid)
+    monkeypatch.undo()
+    slices = []
+    for call in calls:
+        if call[0] == "eig" and len(call[1]) == 4:  # a slice's samples open it
+            slices.append([])
+        slices[-1].append(call)
+    assert len(slices) == 2
+    for g, (samples, proof, *more) in zip((1024, 476), slices):
+        s = math.isqrt(g // 2)
+        n = len(range(0, g, s)) + ((g - 1) % s != 0)
+        assert samples == ("eig", (3, n, 4, 4))
+        assert proof == ("proof", (3 * g, 4, 4))
+        assert len(more) <= 1 and all(kind == "eig" for kind, _ in more)
+    _assert_same_report(report, _dense_report(model, cert, grid))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

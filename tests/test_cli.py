@@ -275,6 +275,16 @@ def test_example_two_exits_zero(capsys):
     assert "simulation" in out
 
 
+def test_long_decaying_run_is_monotone(capsys):
+    """V of a 10^4-step example2 run turns subnormal near sample 5466 and
+    then repeats or rises by rounding on its way to 0; only its normal
+    values count."""
+    assert main(["simulate", _fixture_path("example2"), "--steps", "10000"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["samples"] == 10001 and summary["value_last"] == 0.0
+    assert summary["value_monotone"] is True
+
+
 def _table(text):
     """example's table rows as {label: value}; a label ends at two spaces."""
     rows = [line.strip().split("  ", 1) for line in text.splitlines() if line.startswith("  ")]

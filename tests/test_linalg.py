@@ -284,6 +284,77 @@ def test_is_pd():
     assert not linalg.is_pd(stack)
 
 
+def _tau(M, t):
+    """The kernel's margin tau_k, as linalg's comment derives it."""
+    d = M.shape[-1]
+    m = np.abs(M).reshape(len(M), -1).max(axis=1)
+    return 8.0 * (d + 1) ** 2 * (2.0 ** -53 * (np.abs(t) + d * m) + 2.0 ** -1074)
+
+
+def _rotated(rng, tops, d):
+    """One member Q diag(top, top - 1 - ..., ...) Q' per top, Q random orthogonal."""
+    Q = np.linalg.qr(rng.standard_normal((len(tops), d, d)))[0]
+    lam = np.asarray(tops)[:, None] - np.concatenate(
+        [np.zeros((len(tops), 1)), 1.0 + rng.uniform(0.0, 2.0, (len(tops), d - 1))], axis=1)
+    return linalg.sym(Q @ (lam[:, :, None] * np.swapaxes(Q, -1, -2)))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_proven_below_refuses_at_and_just_above_t_and_clears_well_below(d):
+    rng = np.random.default_rng(100 + d)
+    t = np.array([3.0, -2.5, 1e-3, 40.0])
+    # a top planted at t: rotated, and exactly on a diagonal
+    M = _rotated(rng, t, d)
+    assert not linalg.proven_below(M, t).any()
+    diag = np.stack([np.diag(np.r_[tk, tk - 1.0 - np.arange(d - 1)]) for tk in t])
+    assert not linalg.proven_below(diag, t).any()
+    # a top within tau above t
+    M = _rotated(rng, t, d)
+    M = _rotated(rng, t + 0.5 * _tau(M, t), d)
+    assert not linalg.proven_below(M, t).any()
+    # tops well below t
+    assert linalg.proven_below(_rotated(rng, t - 1e-6, d), t).all()
+    assert linalg.proven_below(diag, t + 1e-6).all()
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_proven_below_agrees_with_lapack_cholesky_away_from_the_boundary(d):
+    rng = np.random.default_rng(200 + d)
+    M = linalg.sym(rng.standard_normal((400, d, d)))
+    t = rng.uniform(-1.0, 1.0, 400) * np.sqrt(d)
+    A = (t - _tau(M, t))[:, None, None] * np.eye(d) - M
+    lam = np.linalg.eigvalsh(A)[:, 0]
+    away = np.abs(lam) > 1e-6
+    assert away.sum() > 350 and 0 < (lam > 0).sum() < 400
+    want = []
+    for Ak in A[away]:
+        try:
+            np.linalg.cholesky(Ak)
+            want.append(True)
+        except np.linalg.LinAlgError:
+            want.append(False)
+    got = linalg.proven_below(M[away], t[away])
+    assert got.tolist() == want == (lam[away] > 0).tolist()
+    # each verdict is the member's own, whatever the stack around it
+    assert [bool(linalg.proven_below(M[k:k + 1], t[k:k + 1])[0])
+            for k in np.flatnonzero(away)[:20]] == want[:20]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_proven_below_never_clears_a_non_finite_member(d):
+    M = np.stack([-np.eye(d)] * 10)
+    t = np.zeros(10)
+    M[0, 0, 0] = np.nan
+    M[1, 0, d - 1] = M[1, d - 1, 0] = np.nan
+    M[2, 0, 0] = np.inf
+    M[3, d - 1, d - 1] = -np.inf
+    M[4, 0, d - 1] = M[4, d - 1, 0] = np.inf
+    t[5], t[6], t[7] = np.nan, np.inf, -np.inf
+    # finite, but t_k - M_k overflows: no proof is attempted
+    M[8], t[8] = -1e308 * np.eye(d), 1e308
+    assert linalg.proven_below(M, t).tolist() == [False] * 9 + [True]
+
+
 def test_inv_spd_round_trip():
     rng = np.random.default_rng(5)
     W = rng.standard_normal((4, 4))
