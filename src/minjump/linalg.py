@@ -8,7 +8,9 @@ favor robustness and auditability over large-scale performance:
   halved until its 1-norm is at most theta = 0.3104, the largest norm with
   remainder sum_{k>12} theta^k/k! <= (u/2) e^{-theta}, u = 2^-53 the unit
   roundoff; below it the truncation is under the rounding of the result.
-  A stack of times shares the powers of M, formed once per call.
+  A stack of times shares the powers of M, formed once per call; its
+  Taylor coefficients are built members last, one vector product per
+  power.
 - both expm and the largest symmetric eigenvalue take stacks, so a check
   over many dwell lengths is one batched call, not a Python loop.
 - symmetric eigenvalues come from LAPACK; the test suite keeps a Jacobi
@@ -30,7 +32,8 @@ from .errors import DimensionError, FactorizationError, NumericError
 # Largest 1-norm at which the degree-12 Taylor remainder meets the bound in
 # the module docstring; a larger argument is halved until it is below.
 _TAYLOR12_THETA = 0.3103544816243631
-_TAYLOR12_COEF = tuple(1.0 / math.factorial(k) for k in range(13))
+_TAYLOR12_COEF = np.array([1.0 / math.factorial(k) for k in range(13)])
+_TAYLOR12_COEF.setflags(write=False)  # every expm call reads it
 
 # proven_below clears member k of a symmetric (n, d, d) stack M when Cholesky
 # runs to the end on A = (t_k - tau_k) I - M_k.  It must then hold that the
@@ -80,7 +83,9 @@ def _as_symmetric(S, name="matrix", stacked=False):
 def sym(M):
     """Symmetric part (M + M^T)/2, of each matrix in a (..., n, n) stack."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    S = M + np.swapaxes(M, -1, -2)
+    S *= 0.5
+    return S
 
 
 def expm(M, t=1.0):
@@ -92,28 +97,31 @@ def expm(M, t=1.0):
     |t_g| ||M||_1 / 2^s_g <= theta (see the module docstring).  Then
     W_g = M t_g / 2^s_g = alpha_g Mhat, with Mhat = 2^-e M of 1-norm below 1
     so that no power overflows.  Mhat^0..Mhat^12 are formed once per call,
-    alpha_g^k = alpha_g^(k-1) alpha_g by 12 products over all members, and
-    member g's polynomial is the (1, 13) @ (13, n^2) product of its
-    alpha_g^k / k! with them, highest power first.  So every member equals
-    its scalar call bitwise, which one 2-D GEMM over all rows would not.
-    Squaring rounds run on the members sorted by count, each on a tail
-    slice.  An argument whose exponential overflows raises NumericError.
+    alpha_g^k = alpha_g^(k-1) alpha_g members last, one product over all
+    members per power, and member g's polynomial is the (1, 13) @ (13, n^2)
+    product of its alpha_g^k / k! with them, highest power first.  So every
+    member equals its scalar call bitwise, which one 2-D GEMM over all rows
+    would not.  Squaring rounds run on the members sorted by count, each on
+    a tail slice.  An argument whose exponential overflows raises
+    NumericError; that is tested once, on the largest |t_g| ||M||_1.
     """
     M = _as_square(M, "expm argument")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise DimensionError(f"expm times must be a scalar or 1-D, got shape {ts.shape}")
-    if not np.all(np.isfinite(ts)):
-        raise NumericError("expm time must be finite")
     flat, d = ts.reshape(-1), len(M)
-    norm = np.abs(M).sum(axis=0).max(initial=0.0)
-    with np.errstate(over="ignore"):
-        nrm = np.abs(flat) * norm
-    if not np.all(np.isfinite(nrm)):
+    tmax = float(np.abs(flat).max(initial=0.0))  # nan or inf if any time is
+    if not math.isfinite(tmax):
+        raise NumericError("expm time must be finite")
+    norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
+    # the largest |t| ||M||_1, in Python floats: the product is monotone in
+    # |t|, so it overflows iff some member's does; once it is finite, no
+    # member's product below can overflow
+    if not math.isfinite(tmax * norm):
         raise NumericError("expm overflowed; argument norm too large")
-    squarings = np.ceil(np.log2(np.maximum(nrm, _TAYLOR12_THETA))
+    squarings = np.ceil(np.log2(np.maximum(np.abs(flat) * norm, _TAYLOR12_THETA))
                         - np.log2(_TAYLOR12_THETA)).astype(int)
-    e = np.frexp(norm)[1]
+    e = math.frexp(norm)[1]
     # highest power first (P[k] = Mhat^k), so a row product adds small terms first
     R = np.empty((13, d, d))
     P = R[::-1]
@@ -122,12 +130,14 @@ def expm(M, t=1.0):
     P[3:5] = P[1:3] @ P[2]
     P[5:9] = P[1:5] @ P[4]
     P[9:] = P[1:5] @ P[8]
-    coef = np.ones((len(flat), 13))  # column 12 - k: alpha^k / k!, highest power first
+    # members last: row k is alpha^k = alpha^(k-1) alpha, then scaled by 1/k!
     # at M = 0 take alpha = 0: a huge t would make alpha^12 Mhat^12 = inf * 0
-    coef[:, 11] = np.ldexp(flat, e - squarings) if norm else 0.0 * flat
-    for k in range(10, -1, -1):
-        coef[:, k] = coef[:, k + 1] * coef[:, 11]
-    coef *= _TAYLOR12_COEF[::-1]
+    coef = np.empty((13, len(flat)))
+    coef[0], coef[1] = 1.0, np.ldexp(flat, e - squarings) if norm else 0.0 * flat
+    for k in range(2, 13):
+        np.multiply(coef[k - 1], coef[1], out=coef[k])
+    coef *= _TAYLOR12_COEF[:, None]
+    coef = coef[::-1].T.copy()  # member g's (1, 13) row, highest power first
     E = (coef[:, None, :] @ R.reshape(13, d * d)).reshape(len(flat), d, d)
     if squarings.any():  # members by squaring count: each round squares a tail slice
         order = np.argsort(squarings, kind="stable")

@@ -430,7 +430,9 @@ def _sym(A):
     # linalg.sym's arithmetic, kept private: the loop calls it dozens of
     # times an iteration, and linalg's public functions are what a trace
     # of the package records.
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
+    S = A + np.swapaxes(A, -1, -2)
+    S *= 0.5
+    return S
 
 
 def _inner(A, B):

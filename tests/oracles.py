@@ -26,6 +26,7 @@ products with a fixed matrix as single 2-D GEMMs and solves only where a
 maximum can be.
 """
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -68,21 +69,26 @@ def series_expm(M, t=1.0, terms=30):
 
 
 def exact_taylor_expm(M, terms=30):
-    """e^M from a Taylor sum of `terms` terms in exact rational arithmetic,
+    """e^M from a Taylor sum of `terms` terms in exact integer arithmetic,
     rounded once to floats at the end.
 
-    Meant for 1-norms below about 1, where the truncation error is far
-    below the last bit; no scaling, no squaring, no rounding on the way.
+    Every entry of M is an integer over 2^E, so with A = 2^E M the sum
+    sum_k M^k / k! is the integer matrix sum_k A^k 2^((terms - k) E)
+    terms! / k! over the one denominator 2^(terms E) terms!.  Meant for
+    1-norms below about 1, where the truncation error is far below the last
+    bit; no scaling, no squaring, no rounding on the way.
     """
-    F = [[Fraction(float(x)) for x in row] for row in np.asarray(M, dtype=float)]
-    d = len(F)
-    term = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    total = [row[:] for row in term]
+    fracs = [Fraction(float(x)) for x in np.asarray(M, dtype=float).ravel()]
+    E = max((f.denominator.bit_length() - 1 for f in fracs), default=0)
+    A = np.array([f.numerator << (E - f.denominator.bit_length() + 1) for f in fracs],
+                 dtype=object).reshape(np.shape(M))
+    term = np.identity(len(A), dtype=object)  # A^k, in Python integers
+    total = term * (math.factorial(terms) << (terms * E))
     for k in range(1, terms + 1):
-        term = [[sum(term[i][m] * F[m][j] for m in range(d)) / k for j in range(d)]
-                for i in range(d)]
-        total = [[total[i][j] + term[i][j] for j in range(d)] for i in range(d)]
-    return np.array([[float(x) for x in row] for row in total])
+        term = term @ A
+        total = total + term * (math.factorial(terms) // math.factorial(k) << (terms - k) * E)
+    den = math.factorial(terms) << (terms * E)
+    return np.array([[float(Fraction(x, den)) for x in row] for row in total])
 
 
 def power_iter_max(S, iters=20000, tol=1e-14, seed=7):

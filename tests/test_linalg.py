@@ -79,7 +79,8 @@ def test_taylor_threshold_meets_its_remainder_bound():
     theta, half_u = linalg._TAYLOR12_THETA, 2.0 ** -54
     assert remainder(theta) <= half_u * math.exp(-theta)
     assert remainder(theta * (1 + 1e-6)) > half_u * math.exp(-theta * (1 + 1e-6))
-    assert linalg._TAYLOR12_COEF == tuple(1.0 / math.factorial(k) for k in range(13))
+    assert linalg._TAYLOR12_COEF.tolist() == [1.0 / math.factorial(k) for k in range(13)]
+    assert not linalg._TAYLOR12_COEF.flags.writeable
 
 
 def test_expm_accuracy_across_the_squaring_switch(monkeypatch):
@@ -167,6 +168,33 @@ def test_expm_stack_edges_zero_negative_at_theta_and_across_a_switch():
     for E, t in zip(stack, ts):
         ref = oracles.series_expm(M, t)
         assert np.linalg.norm(E - ref, 1) <= 20 * u * max(1.0, abs(t)) * np.linalg.norm(ref, 1)
+
+
+def test_expm_squares_nothing_up_to_theta_and_once_just_above(monkeypatch):
+    """A stack whose largest |t| ||M||_1 is exactly theta takes no squaring
+    round and sets no floating-point flag; with that |t| at the next float
+    above theta, one round squares that member alone."""
+    theta = linalg._TAYLOR12_THETA
+    M = np.array([[-3.0, 1.0, 2.0], [2.0, -1.0, -4.0], [-3.0, 0.0, 1.0]]) / 8.0  # 1-norm 1
+    rounds, searchsorted = [], np.searchsorted
+
+    def spy(a, v, **kwargs):  # expm asks for one index per squaring round
+        rounds.append(len(v))
+        return searchsorted(a, v, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    ts = np.array([0.0, -0.5 * theta, theta, 0.25, -theta])
+    above = ts.copy()
+    above[2] = np.nextafter(theta, 1.0)
+    with np.errstate(all="raise"):
+        stack = _assert_members_are_their_scalar_calls(M, ts)
+        assert rounds == []
+        squared = _assert_members_are_their_scalar_calls(M, above)
+        half = linalg.expm(M, above[2:3] / 2)  # the member's polynomial, before its round
+    assert rounds and set(rounds) == {1}
+    np.testing.assert_array_equal(squared[2], (half @ half)[0])
+    others = [0, 1, 3, 4]
+    np.testing.assert_array_equal(squared[others], stack[others])
 
 
 def test_expm_zero_and_one_by_one_arguments():
