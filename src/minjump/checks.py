@@ -50,6 +50,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError
+from .model import _numeric
 from .rules import _fit
 
 STRICT_TOL = 1e-7
@@ -123,16 +124,9 @@ class ClockFamily:
             raise ConfigError("clock nodes must start at 0")
         if any(b <= a for a, b in zip(nds, nds[1:])):
             raise ConfigError("clock nodes must be strictly increasing")
-        try:
-            vals = np.array(values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"clock values are not one numeric array: {exc}") from exc
-        if vals.ndim != 4 or vals.shape[1] != len(nds) or vals.shape[2] != vals.shape[3]:
-            raise ConfigError(
-                f"clock values of shape {vals.shape} are not (modes, {len(nds)}, d, d)")
-        vals.setflags(write=False)
         object.__setattr__(self, "nodes", nds)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _numeric(values, "clock values",
+                                                  ("modes", len(nds), "d", "d"), ConfigError))
 
     def at(self, taus):
         """Every mode's S at each tau of a 1-D array: the (modes, len(taus), d, d) stack."""
@@ -281,7 +275,7 @@ def _contraction_margins(model, cert, F0, W, thetas):
     Every report field is a maximum over the grid, so the report is the
     one of the full array.  F = E on a switched loop, where F0_i = I.
     """
-    P = linalg.sym(cert.stacked)[:, None]  # exactly symmetric, so every M below is too
+    P = linalg.sym(cert.P)[:, None]  # exactly symmetric, so every M below is too
     margins = np.empty((model.modes, len(thetas)))
     for lo in range(0, len(thetas), _THETA_SLICE):
         hi = min(lo + _THETA_SLICE, len(thetas))
@@ -377,7 +371,7 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
     S, Sdot = clock.at(taus), np.repeat(clock.slopes(), 2, axis=1)
     flow = linalg.sym_eig_max(linalg.sym(-Sdot + np.swapaxes(A, -1, -2) @ S + S @ A))
     F, S = np.stack(F0)[:, None], clock.at(thetas)
-    M = -np.stack(cert.P)[:, None] + np.swapaxes(F, -1, -2) @ S @ F
+    M = -cert.P[:, None] + np.swapaxes(F, -1, -2) @ S @ F
     jump = linalg.sym_eig_max(linalg.sym(M) + eps * np.eye(model.dim))
     coupling = linalg.sym_eig_max(linalg.sym(np.stack(W)) - clock.at([0.0])[:, 0])
     margins = np.concatenate([flow, jump, coupling[:, None]], axis=1)

@@ -17,7 +17,6 @@ import contextlib
 import json
 import logging
 import math
-import numbers
 import os
 import sys
 from importlib import resources
@@ -34,10 +33,13 @@ from .errors import (
     RecoveryError,
 )
 from .model import (
+    MAX_ENTRIES,
     DwellRange,
     ImpulsiveSpec,
     ModeWeights,
     SwitchedSpec,
+    _num,
+    _numeric,
     augment_impulsive,
     augment_switched,
 )
@@ -49,9 +51,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-# no float array has more entries: its byte count must fit a signed index
-_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -138,7 +137,7 @@ def build_dwell(cfg):
     d = _require(cfg, "dwell", "to bound the sampling intervals")
     if "t_min" not in d or "t_max" not in d:
         raise ConfigError("dwell block needs t_min and t_max")
-    return DwellRange(_num(d["t_min"], "dwell.t_min"), _num(d["t_max"], "dwell.t_max"))
+    return DwellRange(d["t_min"], d["t_max"])
 
 
 def build_weights(cfg):
@@ -152,10 +151,7 @@ def build_cert(cfg, weights):
     rule = cfg.get("rule")
     if rule is None or "P" not in rule:
         raise ConfigError("config needs rule.P with one matrix per mode")
-    try:
-        return MinJumpCertificate(rule["P"], weights, eps=rule.get("eps", 0.0))
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise CertificateError(f"rule matrices rejected: {exc}") from exc
+    return MinJumpCertificate(rule["P"], weights, eps=rule.get("eps", 0.0))
 
 
 def _plain(obj):
@@ -184,38 +180,15 @@ def _emit(payload, out=None):
 
 
 def _run_value(cfg, args, key, default=None, conv=None):
-    """run.<key>, a flag of that name first; a number as conv through _num."""
+    """run.<key>, a flag of that name first, default when neither is given;
+    a number as conv through _num."""
     v = getattr(args, key, None)
     if v is None:
-        v = cfg.get("run", {}).get(key, default)
+        run = cfg.get("run", {})
+        if key not in run:
+            return default
+        v = run[key]
     return v if conv is None else _num(v, f"run.{key}", conv)
-
-
-def _num(value, what, conv=float):
-    """A JSON number as conv.  Bools and strings are refused, and a count
-    (conv int) must be whole and small enough to size an array."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        out = conv(value)
-    except (ValueError, OverflowError) as exc:  # int(nan), int(inf), float(10**400)
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if conv is int and out != value:
-        raise ConfigError(f"{what} must be a whole number, got {value!r}")
-    if conv is int and abs(out) > _MAX_ENTRIES:
-        raise ConfigError(f"{what} is out of range, got {value!r}")
-    return out
-
-
-def _vec(value, what):
-    if value is None:
-        return None
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a numeric vector: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +227,7 @@ def _full_input_maps(model):
 def _synth_payload(result, weights, model):
     out = {"status": result.status, "eps": float(result.eps)}
     if result.cert is not None:
-        out["P"] = [Pi for Pi in result.cert.P]
+        out["P"] = result.cert.P
         out["weights"] = weights.pi
         out["gains"] = _full_input_maps(model.with_gains(result.gains))
         out["report"] = result.report.to_dict() if result.report else None
@@ -326,16 +299,14 @@ def _trajectory(cfg, args, model, cert, dwell):
     run = cfg.get("run", {})
     if "x0" not in run:
         raise ConfigError("run block needs x0 for simulation")
-    x0 = _vec(run["x0"], "run.x0")
-    u0 = _vec(run.get("u0"), "run.u0")
     steps = _run_value(cfg, args, "steps", 100, int)
     substeps = _run_value(cfg, args, "substeps", 1, int)
-    if steps * substeps * model.dim > _MAX_ENTRIES:  # the dense trajectory's entries
+    if steps * substeps * model.dim > MAX_ENTRIES:  # the dense trajectory's entries
         raise ConfigError(f"run.steps x run.substeps = {steps} x {substeps} is out of range")
     seq = sim.gen_sequence(dwell, run.get("kind", "uniform_random"), count=steps,
                            seed=_run_value(cfg, args, "seed", conv=int),
                            period=_run_value(cfg, args, "period", conv=float))
-    return sim.simulate(model, cert, seq, x0, u0=u0, substeps=substeps,
+    return sim.simulate(model, cert, seq, run["x0"], u0=run.get("u0"), substeps=substeps,
                         initial_mode=_run_value(cfg, args, "initial_mode", 0, int))
 
 
@@ -414,8 +385,8 @@ def _reference_design(cfg, weights):
     """
     ref = cfg.get("reference", {})
     if "P" in ref or "Ptilde" in ref:
-        P = ref["P"] if "P" in ref else [np.linalg.inv(np.asarray(Pt, dtype=float))
-                                         for Pt in ref["Ptilde"]]
+        P = ref["P"] if "P" in ref else np.linalg.inv(
+            _numeric(ref["Ptilde"], "reference.Ptilde", ("N", "d", "d"), CertificateError))
         cert = MinJumpCertificate(P, weights)
     elif "rule" in cfg:
         cert = build_cert(cfg, weights)
@@ -554,8 +525,6 @@ def main(argv=None):
         return EXIT_CONFIG
     except MinjumpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, DivergenceError):
-            return EXIT_FAIL
         return EXIT_NUMERIC if isinstance(exc, (NumericError, RecoveryError)) else EXIT_CONFIG
     except MemoryError:
         print("error: not enough memory for the requested sizes", file=sys.stderr)

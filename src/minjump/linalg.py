@@ -113,7 +113,8 @@ def expm(M, t=1.0):
     tmax = float(np.abs(flat).max(initial=0.0))  # nan or inf if any time is
     if not math.isfinite(tmax):
         raise NumericError("expm time must be finite")
-    norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
     # the largest |t| ||M||_1, in Python floats: the product is monotone in
     # |t|, so it overflows iff some member's does; once it is finite, no
     # member's product below can overflow

@@ -10,8 +10,15 @@ The lift produces
 and splits Jbar_i = Jbar0_i + Jbar1 K_i so gains stay an affine factor.
 The switched variant carries one drift per mode and one jump map per
 ordered mode pair (new mode j, previous mode i).
+
+Every value from outside the program (a JSON config, a result file or a
+library caller) is converted here, by one of two readers: _num takes a
+number, _numeric an array of an exact shape.  Each refuses what it cannot
+read with the error class its caller names, so the other modules only
+ever see floats, ints and read-only float arrays.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem
@@ -23,12 +30,45 @@ from .errors import ConfigError, ModelError
 WEIGHT_ENTRY_TOL = 1e-14
 WEIGHT_COLSUM_TOL = 1e-12
 
+# no float array has more entries: its byte count must fit a signed index
+MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
-def _numeric(value, name):
+
+def _num(value, what, conv=float, error=ConfigError):
+    """A number as conv.  None, bools and strings are refused, and a count
+    (conv int) must be whole and small enough to size an array."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a number, got {value!r}")
     try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{name} is not a numeric matrix: {exc}") from exc
+        out = conv(value)
+    except (ValueError, OverflowError) as exc:  # int(nan), int(inf), float(10**400)
+        raise error(f"{what} must be a number, got {value!r}") from exc
+    if conv is int and out != value:
+        raise error(f"{what} must be a whole number, got {value!r}")
+    if conv is int and abs(out) > MAX_ENTRIES:
+        raise error(f"{what} is out of range, got {value!r}")
+    return out
+
+
+def _numeric(value, what, shape, error=ModelError):
+    """A finite array of exactly shape, as a read-only float copy.
+
+    An int in shape is that length; a name is any length, the same at each
+    place it appears, so ("d", "d") is a square matrix.
+    """
+    try:
+        M = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} is not a numeric array: {exc}") from exc
+    named = {}  # the length each name took where it first appeared
+    if M.ndim != len(shape) or not all(
+            named.setdefault(want, have) == have if isinstance(want, str) else want == have
+            for want, have in zip(shape, M.shape)):
+        raise error(f"{what} must have shape ({', '.join(map(str, shape))}), got {M.shape}")
+    if not np.isfinite(M).all():
+        raise error(f"{what} contains non-finite entries")
+    M.setflags(write=False)
+    return M
 
 
 def _items(value, name, error=ModelError):
@@ -37,16 +77,6 @@ def _items(value, name, error=ModelError):
         return list(value)
     except TypeError as exc:
         raise error(f"{name} must be a list, got {value!r}") from exc
-
-
-def _mat(value, rows, cols, name):
-    M = _numeric(value, name)
-    if M.shape != (rows, cols):
-        raise ModelError(f"{name} must have shape ({rows}, {cols}), got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ModelError(f"{name} contains non-finite entries")
-    M.setflags(write=False)
-    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,24 +88,14 @@ class ImpulsiveSpec:
     J: tuple
 
     def __init__(self, A, B=None, J=()):
-        A = _numeric(A, "A")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ModelError(f"A must be square, got shape {A.shape}")
-        n = A.shape[0]
-        if B is None:
-            B = np.zeros((n, 0))
-        B = _numeric(B, "B")
-        if B.ndim == 1:
-            B = B.reshape(n, -1)
-        if B.ndim != 2:
-            raise ModelError(f"B must be a matrix, got {B.ndim} dimensions")
-        m = B.shape[1]
-        object.__setattr__(self, "A", _mat(A, n, n, "A"))
-        object.__setattr__(self, "B", _mat(B, n, m, "B"))
-        maps = tuple(_mat(Ji, n, n, f"J[{i}]") for i, Ji in enumerate(_items(J, "J")))
-        if not maps:
+        A = _numeric(A, "A", ("n", "n"))
+        n = len(A)
+        B = np.zeros((n, 0)) if B is None else B
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", _numeric(B, "B", (n, "m")))
+        object.__setattr__(self, "J", tuple(_numeric(J, "J", ("modes", n, n))))
+        if not self.J:
             raise ModelError("at least one jump map is required")
-        object.__setattr__(self, "J", maps)
 
     @property
     def n(self):
@@ -105,36 +125,15 @@ class SwitchedSpec:
     updates: tuple
 
     def __init__(self, A, B=None, J=(), updates=None):
-        drifts = [_numeric(Ai, f"A[{i}]") for i, Ai in enumerate(_items(A, "A"))]
-        if not drifts:
+        A = _numeric(A, "A", ("modes", "n", "n"))
+        N, n = A.shape[:2]
+        if not N:
             raise ModelError("at least one mode is required")
-        n = drifts[0].shape[0]
-        N = len(drifts)
-        if B is None:
-            B = [np.zeros((n, 0))] * N
-        inputs = [_numeric(Bi, f"B[{i}]") for i, Bi in enumerate(_items(B, "B"))]
-        if len(inputs) != N:
-            raise ModelError(f"expected {N} input maps, got {len(inputs)}")
-        for i, Bi in enumerate(inputs):
-            if Bi.ndim == 1:
-                inputs[i] = Bi.reshape(n, -1)
-        if inputs[0].ndim != 2:
-            raise ModelError("B entries must be matrices")
-        m = inputs[0].shape[1]
-        object.__setattr__(
-            self, "A", tuple(_mat(Ai, n, n, f"A[{i}]") for i, Ai in enumerate(drifts))
-        )
-        object.__setattr__(
-            self, "B", tuple(_mat(Bi, n, m, f"B[{i}]") for i, Bi in enumerate(inputs))
-        )
-        J = [_items(row, f"J[{j}]") for j, row in enumerate(_items(J, "J"))]
-        if len(J) != N or any(len(row) != N for row in J):
-            raise ModelError("jump table must be N x N (new mode j, old mode i)")
-        table = tuple(
-            tuple(_mat(J[j][i], n, n, f"J[{j}][{i}]") for i in range(N))
-            for j in range(N)
-        )
-        object.__setattr__(self, "J", table)
+        B = _numeric(np.zeros((N, n, 0)) if B is None else B, "B", (N, n, "m"))
+        m = B.shape[2]
+        object.__setattr__(self, "A", tuple(A))
+        object.__setattr__(self, "B", tuple(B))
+        object.__setattr__(self, "J", tuple(map(tuple, _numeric(J, "J", (N, N, n, n)))))
         if updates is None:
             updates = [range(m)] * N
         updates = _items(updates, "updates")
@@ -142,10 +141,8 @@ class SwitchedSpec:
             raise ModelError(f"expected {N} update index lists, got {len(updates)}")
         checked = []
         for j, idx in enumerate(updates):
-            try:
-                idx = tuple(int(k) for k in idx)
-            except (TypeError, ValueError) as exc:
-                raise ModelError(f"updates[{j}] must hold channel indices: {exc}") from exc
+            idx = tuple(_num(k, f"updates[{j}]", int, ModelError)
+                        for k in _items(idx, f"updates[{j}]"))
             if len(set(idx)) != len(idx) or any(k < 0 or k >= m for k in idx):
                 raise ModelError(f"updates[{j}] must be distinct channels below {m}")
             checked.append(idx)
@@ -172,11 +169,8 @@ class DwellRange:
     t_max: float
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "t_min", float(self.t_min))
-            object.__setattr__(self, "t_max", float(self.t_max))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dwell bounds must be numbers: {exc}") from exc
+        object.__setattr__(self, "t_min", _num(self.t_min, "dwell.t_min"))
+        object.__setattr__(self, "t_max", _num(self.t_max, "dwell.t_max"))
         if not (0.0 < self.t_min <= self.t_max < np.inf):
             raise ConfigError(
                 f"dwell range must satisfy 0 < t_min <= t_max, got "
@@ -197,14 +191,7 @@ class ModeWeights:
     pi: np.ndarray
 
     def __init__(self, pi):
-        try:
-            P = np.array(pi, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"weight matrix is not numeric: {exc}") from exc
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ConfigError(f"weight matrix must be square, got shape {P.shape}")
-        if not np.isfinite(P).all():
-            raise ConfigError("invalid mode weights: non-finite entry")
+        P = _numeric(pi, "weight matrix", ("N", "N"), ConfigError)
         low = P.min() if P.size else 0.0
         problems = [f"negative entry {low:.3e}"] if low < -WEIGHT_ENTRY_TOL else []
         bad = ", ".join(f"col {i}: {s:.12f}" for i, s in enumerate(P.sum(axis=0))
@@ -213,7 +200,6 @@ class ModeWeights:
             problems.append("column sums off unity: " + bad)
         if problems:
             raise ConfigError("invalid mode weights: " + "; ".join(problems))
-        P.setflags(write=False)
         object.__setattr__(self, "pi", P)
 
     @property
@@ -309,7 +295,7 @@ def _check_gains(kind, gains, N, rows, dim):
     def one(g, r, label):
         if g is None:
             return None
-        return _mat(g, r, dim, f"gain {label}")
+        return _numeric(g, f"gain {label}", (r, dim))
 
     if gains is None:
         if kind == "impulsive":

@@ -12,47 +12,40 @@ the lowest index; select_* check their arguments and build it on each call.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import CertificateError, ModelError, NumericError
-from .model import ModeWeights, _items
+from .model import ModeWeights, _num, _numeric
 
 
 @dataclass(frozen=True, eq=False)
 class MinJumpCertificate:
     """Rule data: positive definite matrices P_i plus the mode weights.
 
-    eps records the margin the certificate was verified or synthesized
-    with; it does not enter mode selection.
+    P is one read-only (modes, d, d) array, P[i] mode i's matrix.  eps
+    records the margin the certificate was verified or synthesized with;
+    it does not enter mode selection.
     """
 
-    P: tuple
+    P: np.ndarray
     weights: ModeWeights
     eps: float = 0.0
 
     def __init__(self, P, weights, eps=0.0):
         if not isinstance(weights, ModeWeights):
             weights = ModeWeights(weights)
-        mats = []
-        for i, Pi in enumerate(_items(P, "P", CertificateError)):
-            Pi = np.array(Pi, dtype=float)
+        P = _numeric(P, "P", (weights.modes, "d", "d"), CertificateError)
+        for i, Pi in enumerate(P):
             if not linalg.is_pd(Pi):
                 raise CertificateError(f"P[{i}] is not positive definite")
-            Pi.setflags(write=False)
-            mats.append(Pi)
-        if len(mats) != weights.modes:
-            raise CertificateError(f"{len(mats)} rule matrices for {weights.modes} weight columns")
-        dims = {M.shape[0] for M in mats}
-        if len(dims) > 1:
-            raise CertificateError(f"rule matrices mix dimensions {sorted(dims)}")
-        if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0 <= eps < np.inf):
+        eps = _num(eps, "eps", float, CertificateError)
+        if not 0.0 <= eps < np.inf:
             raise CertificateError(f"eps must be a finite nonnegative number, got {eps!r}")
-        object.__setattr__(self, "P", tuple(mats))
+        object.__setattr__(self, "P", P)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "eps", float(eps))
+        object.__setattr__(self, "eps", eps)
 
     @property
     def modes(self):
@@ -60,20 +53,13 @@ class MinJumpCertificate:
 
     @property
     def dim(self):
-        return self.P[0].shape[0]
-
-    @cached_property
-    def stacked(self):
-        """The P_i as one read-only (modes, dim, dim) array."""
-        S = np.stack(self.P)
-        S.setflags(write=False)
-        return S
+        return self.P.shape[1]
 
     def scaled(self, alpha):
         """Same rule with every P_i multiplied by alpha > 0."""
         if alpha <= 0.0:
             raise CertificateError("scale must be positive")
-        return MinJumpCertificate([alpha * Pi for Pi in self.P], self.weights, self.eps * alpha)
+        return MinJumpCertificate(alpha * self.P, self.weights, self.eps * alpha)
 
 
 def _fit(model, cert=None, kind=None, mode=None, what="this call"):
@@ -87,7 +73,7 @@ def _fit(model, cert=None, kind=None, mode=None, what="this call"):
         raise ModelError(f"{what} requires a model of kind {kind}, got {model.kind}")
     if cert is not None:
         clock = isinstance(cert, np.ndarray)
-        have = cert.shape if clock else cert.stacked.shape
+        have = (cert if clock else cert.P).shape
         want = (model.modes, *have[1:-2], model.dim, model.dim)
         if have != want:
             raise CertificateError(f"{'clock' if clock else 'certificate'} of shape {have}"
@@ -136,10 +122,10 @@ def _select(Q, chi):
 
 def select_impulsive(chi, cert):
     """argmin_i chi' P_i chi, smallest index on ties."""
-    return _select(_form_stack(cert.stacked), chi)
+    return _select(_form_stack(cert.P), chi)
 
 
 def select_switched(chi, current_mode, cert, model):
     """argmin_j of the post-jump forms from the current mode, ties to smallest j."""
     _fit(model, cert, "switched", current_mode, "select_switched")
-    return _select(_form_stack(cert.stacked, model.jump_table[:, current_mode]), chi)
+    return _select(_form_stack(cert.P, model.jump_table[:, current_mode]), chi)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, NumericError
 
 log = logging.getLogger("minjump.sdp")
 
@@ -442,12 +442,18 @@ def _inner(A, B):
 
 
 def solve(problem):
-    """Run the interior-point iteration; never raises on numerical breakdown.
+    """Run the interior-point iteration; never raises on its numerical breakdown.
 
     Returns an SdpSolution whose status is one of optimal, infeasible,
-    max_iterations, numerical_failure.
+    max_iterations, numerical_failure.  Data whose scalarization overflows
+    (entries near the top of the float range) raise NumericError before
+    the iteration starts.
     """
-    sc = _Scalarized(problem)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sc = _Scalarized(problem)
+    except FloatingPointError as exc:
+        raise NumericError(f"problem data overflow when scaled ({exc})") from exc
     try:
         status, y, iters, gap, pinf, dinf, history = _iterate(sc)
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DivergenceError, ModelError, NumericError
+from .errors import ConfigError, DivergenceError, NumericError
+from .model import _num, _numeric
 # select_switched is unused: pinned by test_tracer_restores_the_package, TRACED_NAMES["sim"]
 from .rules import _fit, _form_stack, _forms, argmin_forms, select_switched  # noqa: F401
 
@@ -72,10 +73,7 @@ def gen_sequence(dwell, kind, count, seed=None, period=None):
     if kind == "periodic":
         if period is None:
             raise ConfigError("periodic sequences need a period")
-        try:
-            period = float(period)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"period must be a number: {exc}") from exc
+        period = _num(period, "period")
         if not dwell.t_min <= period <= dwell.t_max:
             raise ConfigError(f"period {period} outside [{dwell.t_min}, {dwell.t_max}]")
         dwells = np.full(count, period)
@@ -121,13 +119,10 @@ class Trajectory:
 
 
 def _initial_state(model, x0, u0):
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    u0 = np.zeros(model.m) if u0 is None else np.asarray(u0, dtype=float).reshape(-1)
-    for v, size, name in ((x0, model.n, "x0"), (u0, model.m, "u0")):
-        if v.shape[0] != size:
-            raise ModelError(f"{name} has length {v.shape[0]}, expected {size}")
-        if not np.isfinite(v).all():
-            raise ConfigError(f"{name} has a non-finite entry")
+    """chi(0) = (x0, u0), vectors of exactly n and m entries (u0 None: zero),
+    named by their config keys."""
+    x0 = _numeric(x0, "run.x0", (model.n,), ConfigError)
+    u0 = np.zeros(model.m) if u0 is None else _numeric(u0, "run.u0", (model.m,), ConfigError)
     return np.concatenate([x0, u0])
 
 
@@ -170,7 +165,7 @@ def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
     # one exponential per distinct step, made on the drift's first use
     distinct, where = np.unique(steps, return_inverse=True)
     where = where.tolist()
-    table, P = model.jump_table, cert.stacked
+    table, P = model.jump_table, cert.P
     switched = kind == "switched"
     forms = [_form_stack(P, J if switched else None) for J in table.swapaxes(0, 1)]
     jumps = [list(J) for J in table.swapaxes(0, 1)]
@@ -238,7 +233,7 @@ def simulate(model, cert, seq, x0, u0=None, initial_mode=0, substeps=1):
 def lyapunov_trace(traj, cert):
     """Recompute V(k) from the recorded states and selected modes."""
     states = traj.pre_states if traj.kind == "impulsive" else traj.post_states
-    return _forms(states, cert.stacked[traj.modes])
+    return _forms(states, cert.P[traj.modes])
 
 
 def write_csv(traj, path):

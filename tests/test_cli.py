@@ -456,16 +456,28 @@ _DROP = object()
     ("simulate", "ex2", ("run", "result"), 0),
     ("simulate", "ex2", ("run", "result"), ["result.json"]),
     ("simulate", "ex2", ("run", "result"), ""),
+    ("simulate", "result", ("P", 0, 0, 0), "x"),
+    ("verify", "ex3", ("system", "updates", 0, 0), 0.9),
+    ("verify", "ex3", ("system", "updates", 0, 0), True),
+    ("simulate", "ex2", ("run", "x0"), [[1.0], [1.0]]),
+    ("verify", "ex1", ("system", "B"), [0.0, 1.0, 2.0]),
+    pytest.param("verify", "ex2", ("system", "A", 0, 0), 10**400,
+                 id="verify-ex2-system-A-0-0-10**400"),
+    ("simulate", "ex2", ("run", "steps"), None),
+    ("verify", "ex2", ("run", "tol"), None),
+    ("synth", "ex2", ("run", "nodes"), None),
 ], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
    else "dropped" if v is _DROP else str(v).replace(" ", ""))
 def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
     """A scalar where a per-mode list belongs, a result file that is not an
-    object holding P and weights, an eps that is not a JSON number (in rule
-    or in a result file), a run count, tolerance, dwell bound or period
-    that is a bool, a string or a count with a fraction, or a run.result
-    that is not a non-empty path string (open() would take an int as a
-    file descriptor) is refused with one error line; a run or dwell field
-    names its key."""
+    object holding P and weights or whose P holds a string, an eps that is
+    not a JSON number (in rule or in a result file), a run count,
+    tolerance, dwell bound or period that is null, a bool, a string or a
+    count with a fraction, an update channel that is a bool or a
+    fraction, an x0 that is not a vector, a B that is not a matrix, a
+    plant entry too large for a float, or a run.result that is not a
+    non-empty path string (open() would take an int as a file descriptor)
+    is refused with one error line; a run or dwell field names its key."""
     if base == "ex1":
         with open(_fixture_path("example1")) as fh:
             cfg = json.load(fh)
@@ -491,6 +503,19 @@ def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, val
     assert "Traceback" not in err
     if where[:1] in (("run",), ("dwell",)):
         assert ".".join(where) in err
+
+
+@pytest.mark.parametrize("command", ["verify", "synth", "simulate"])
+def test_plant_near_overflow_exits_three(tmp_path, capsys, command):
+    """Entries of 1e308 overflow the expm norm, the solver's scaled data
+    and the flow: each is one error line and exit 3, with no RuntimeWarning
+    (the suite makes one an error) and no traceback."""
+    cfg = _ex2_fixture()
+    cfg["system"]["A"] = [[1e308, 1e308], [1e308, 1e308]]
+    assert main([command, _write(tmp_path, "job.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "overflow" in err
 
 
 @pytest.mark.parametrize("key", ["grid", "steps", "substeps"])

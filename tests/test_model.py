@@ -6,12 +6,13 @@ import pytest
 from minjump import (
     DwellRange,
     ImpulsiveSpec,
+    MinJumpCertificate,
     ModeWeights,
     SwitchedSpec,
     augment_impulsive,
     augment_switched,
 )
-from minjump.errors import ConfigError, ModelError
+from minjump.errors import CertificateError, ConfigError, ModelError
 
 from conftest import EX1_A, EX1_B, EX1_J, EX3_A, EX3_B, EX3_J, EX3_UPDATES
 
@@ -145,9 +146,12 @@ def test_non_numeric_input_raises_typed_errors():
     # a bare ValueError past the typed error hierarchy
     with pytest.raises(ModelError):
         ImpulsiveSpec([["x", 0.0], [1.0, 1.0]], J=[np.eye(2)])
-    with pytest.raises(ModelError):
-        SwitchedSpec(EX3_A, EX3_B, EX3_J, updates=[["a"], [1]])
+    for updates in ([["a"], [1]], [[0.9], [1]], [[True], [1]]):
+        with pytest.raises(ModelError):
+            SwitchedSpec(EX3_A, EX3_B, EX3_J, updates=updates)
     with pytest.raises(ConfigError):
         ModeWeights([["y", 0.0], [1.0, 1.0]])
     with pytest.raises(ConfigError):
         DwellRange("soon", 0.05)
+    with pytest.raises(CertificateError):
+        MinJumpCertificate([[["z", 0.0], [0.0, 1.0]]], ModeWeights([[1.0]]))
