@@ -117,7 +117,7 @@ class ClockFamily:
     values: np.ndarray
 
     def __init__(self, nodes, values):
-        nds = tuple(float(t) for t in nodes)
+        nds = tuple(_numeric(nodes, "clock nodes", ("nodes",), ConfigError).tolist())
         if len(nds) < 2:
             raise ConfigError("clock family needs at least two nodes")
         if abs(nds[0]) > _COVER_TOL:

@@ -11,6 +11,15 @@ and splits Jbar_i = Jbar0_i + Jbar1 K_i so gains stay an affine factor.
 The switched variant carries one drift per mode and one jump map per
 ordered mode pair (new mode j, previous mode i).
 
+One lift serves both kinds.  It keeps every base map Jbar0, gain K and
+injection Jbar1 in one [target][source] table: Jbar0[j][s] and K[j][s]
+for target mode j and source column s, Jbar1[j] per target mode.  A
+switched model has a column per previous mode; an impulsive one is the
+case of the single column s = 0, every channel updated on every jump.
+Only the drifts (one, or one per mode), the gain slots with their nesting
+in configs and result files, and the reading of a gains argument stay per
+kind.
+
 Every value from outside the program (a JSON config, a result file or a
 library caller) is converted here, by one of two readers: _num takes a
 number, _numeric an array of an exact shape.  Each refuses what it cannot
@@ -19,9 +28,8 @@ ever see floats, ints and read-only float arrays.
 """
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import getitem
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,13 +61,21 @@ def _num(value, what, conv=float, error=ConfigError):
 def _numeric(value, what, shape, error=ModelError):
     """A finite array of exactly shape, as a read-only float copy.
 
-    An int in shape is that length; a name is any length, the same at each
-    place it appears, so ("d", "d") is a square matrix.
+    Every entry must be a real number: a string or a bool is refused, not
+    read as one.  An int in shape is that length; a name is any length, the
+    same at each place it appears, so ("d", "d") is a square matrix.
     """
-    try:
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         M = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{what} is not a numeric array: {exc}") from exc
+    else:
+        try:
+            M = np.array(value, dtype=object)
+            for t in dict.fromkeys(map(type, M.flat)):  # each type once, in order
+                if issubclass(t, bool) or not issubclass(t, numbers.Real):
+                    raise TypeError(f"an entry of type {t.__name__} is not a real number")
+            M = M.astype(float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{what} is not a numeric array: {exc}") from exc
     named = {}  # the length each name took where it first appeared
     if M.ndim != len(shape) or not all(
             named.setdefault(want, have) == have if isinstance(want, str) else want == have
@@ -209,12 +225,15 @@ class ModeWeights:
 
 @dataclass(frozen=True, eq=False)
 class AugmentedModel:
-    """Lifted closed loop on chi = (x, u).
+    """Lifted closed loop on chi = (x, u), in one [target][source] table.
 
-    kind is "impulsive" (one drift, per-mode jumps) or "switched" (per-mode
-    drifts, jump table indexed [new mode][old mode]).  gains entries may be
-    None for modes whose feedback is still to be designed; jump() requires
-    the gain (or m = 0) for the mode it is asked about.
+    jbar0[j][s] is the base map into mode j from source column s,
+    gains[j][s] its gain (None while it is to be designed) and jbar1[j] the
+    injection of target mode j.  A switched model has a column per previous
+    mode and slots (j, s); an impulsive one the single column s = 0, its
+    slot (i,) meaning (i, 0).  Per kind stay abar (one drift, or one per
+    mode), the gain slots with their nesting in configs and result files,
+    and the reading of a gains argument.
     """
 
     kind: str
@@ -223,7 +242,7 @@ class AugmentedModel:
     modes: int
     abar: tuple
     jbar0: tuple
-    jbar1: object  # impulsive: one injection matrix; switched: tuple per target mode
+    jbar1: tuple
     gains: tuple
 
     @property
@@ -235,11 +254,11 @@ class AugmentedModel:
 
     def gain(self, *idx):
         """Gain K of slot idx, None while it is to be designed."""
-        return reduce(getitem, idx, self.gains)
+        return _at(self.gains, idx)
 
     def base(self, *idx):
         """Jbar0 of gain slot idx: the jump map before its gain enters."""
-        return reduce(getitem, idx, self.jbar0)
+        return _at(self.jbar0, idx)
 
     @property
     def gain_slots(self):
@@ -248,19 +267,20 @@ class AugmentedModel:
         return [(i,) for i in N] if self.kind == "impulsive" else [(j, i) for j in N for i in N]
 
     def nest(self, flat):
-        """One value per gain slot, nested like gains: [i] or [j][i]."""
+        """One value per gain slot, nested like gains in a config: [i] or [j][i]."""
         if self.kind == "impulsive":
             return list(flat)
         return [list(flat[j:j + self.modes]) for j in range(0, len(flat), self.modes)]
 
-    def injection(self, j=None):
-        """Input-injection matrix: columns reach the channels updated on a jump."""
-        return self.jbar1 if self.kind == "impulsive" else self.jbar1[j]
+    def injection(self, j=0):
+        """Input-injection matrix of target mode j: its columns reach the
+        channels updated on a jump into j."""
+        return self.jbar1[j]
 
     def jump(self, *idx):
         """Assembled jump map Jbar0 + Jbar1 K of gain slot idx: (i,) when
         impulsive, (j, i) when switched."""
-        base, inj = self.base(*idx), self.injection(*idx[:-1])
+        base, inj = self.base(*idx), self.injection(idx[0])
         if inj.shape[1] == 0:
             return base
         gain = self.gain(*idx)
@@ -278,101 +298,70 @@ class AugmentedModel:
         table.setflags(write=False)
         return table
 
+    def _unnest(self, gains):
+        """nest's inverse: one entry of gains per slot.  None is every slot
+        open; a table of the wrong shape raises ModelError."""
+        N = self.modes
+        if gains is None:
+            return [None] * len(self.gain_slots)
+        if self.kind == "impulsive":
+            flat = _items(gains, "gains")
+            if len(flat) != N:
+                raise ModelError(f"expected {N} gains, got {len(flat)}")
+            return flat
+        rows = [_items(row, f"gains[{j}]") for j, row in enumerate(_items(gains, "gains"))]
+        if len(rows) != N or any(len(row) != N for row in rows):
+            raise ModelError("switched gains must form an N x N table")
+        return [g for row in rows for g in row]
+
     def with_gains(self, gains):
-        rows = self.jbar1.shape[1] if self.kind == "impulsive" else [
-            jb.shape[1] for jb in self.jbar1
-        ]
-        checked = _check_gains(self.kind, gains, self.modes, rows, self.dim)
-        return AugmentedModel(
-            kind=self.kind, n=self.n, m=self.m, modes=self.modes,
-            abar=self.abar, jbar0=self.jbar0, jbar1=self.jbar1, gains=checked,
-        )
+        """The same plant with gains nested as nest() makes them, each
+        None or a finite (updated channels) x dim matrix."""
+        flat = [None if g is None else _numeric(
+                    g, f"gain {idx[0] if len(idx) == 1 else idx}",
+                    (self.injection(idx[0]).shape[1], self.dim))
+                for idx, g in zip(self.gain_slots, self._unnest(gains))]
+        S = len(self.jbar0[0])
+        return replace(self, gains=tuple(tuple(flat[k:k + S]) for k in range(0, len(flat), S)))
 
 
-def _check_gains(kind, gains, N, rows, dim):
-    """rows: gain row count, per target mode for switched (list) else scalar."""
-
-    def one(g, r, label):
-        if g is None:
-            return None
-        return _numeric(g, f"gain {label}", (r, dim))
-
-    if gains is None:
-        if kind == "impulsive":
-            return (None,) * N
-        return tuple((None,) * N for _ in range(N))
-    gains = _items(gains, "gains")
-    if kind == "impulsive":
-        if len(gains) != N:
-            raise ModelError(f"expected {N} gains, got {len(gains)}")
-        return tuple(one(g, rows, str(i)) for i, g in enumerate(gains))
-    gains = [_items(row, f"gains[{j}]") for j, row in enumerate(gains)]
-    if len(gains) != N or any(len(row) != N for row in gains):
-        raise ModelError("switched gains must form an N x N table")
-    return tuple(
-        tuple(one(gains[j][i], rows[j], f"({j}, {i})") for i in range(N))
-        for j in range(N)
-    )
+def _at(table, idx):
+    """Cell idx of a [target][source] table; an impulsive slot (i,) is (i, 0)."""
+    j, s = (*idx, 0)[:2]
+    return table[j][s]
 
 
-def _lift_drift(A, B):
-    n, m = A.shape[0], B.shape[1]
-    Ab = np.zeros((n + m, n + m))
-    Ab[:n, :n] = A
-    Ab[:n, n:] = B
-    return Ab
+def _lift(kind, A, B, J, updates, gains):
+    """The one lift: drifts A[i], B[i], base maps J[j][s] into target mode
+    j from source column s, and updates[j] the channels reassigned on a
+    jump into j.  Every other channel gets an identity hold row in mode
+    j's base maps; the reassigned ones enter through its injection."""
+    n, m = B[0].shape
 
+    def lifted(top, held=()):
+        """top's n rows over m zero rows, with a 1 on each held channel."""
+        out = np.zeros((n + m, n + m))
+        out[:n, :top.shape[1]] = top
+        out[held, held] = 1.0
+        return out
 
-def _lift_jump(J, n, m):
-    Jb = np.zeros((n + m, n + m))
-    Jb[:n, :n] = J
-    return Jb
+    eye = np.eye(n + m)
+    return AugmentedModel(
+        kind=kind, n=n, m=m, modes=len(J),
+        abar=tuple(lifted(np.hstack([Ai, Bi])) for Ai, Bi in zip(A, B)),
+        jbar0=tuple(tuple(lifted(Jjs, [n + k for k in range(m) if k not in upd]) for Jjs in Jj)
+                    for Jj, upd in zip(J, updates)),
+        jbar1=tuple(eye[:, [n + k for k in upd]] for upd in updates),
+        gains=None,
+    ).with_gains(gains)
 
 
 def augment_impulsive(spec, gains=None):
-    """Lift an impulsive plant to the augmented state chi = (x, u)."""
-    n, m, N = spec.n, spec.m, spec.modes
-    jbar1 = np.vstack([np.zeros((n, m)), np.eye(m)])
-    return AugmentedModel(
-        kind="impulsive",
-        n=n,
-        m=m,
-        modes=N,
-        abar=(_lift_drift(spec.A, spec.B),),
-        jbar0=tuple(_lift_jump(Ji, n, m) for Ji in spec.J),
-        jbar1=jbar1,
-        gains=_check_gains("impulsive", gains, N, m, n + m),
-    )
+    """Lift an impulsive plant: one drift, one source column, every channel updated."""
+    return _lift("impulsive", [spec.A], [spec.B], [[Ji] for Ji in spec.J],
+                 [range(spec.m)] * spec.modes, gains)
 
 
 def augment_switched(spec, gains=None):
-    """Lift a switched-impulsive plant; jump table stays indexed [j][i].
-
-    Input channels outside spec.updates[j] get identity hold rows in the
-    base jump map for target mode j; the designed rows enter through a
-    per-mode injection matrix.
-    """
-    n, m, N = spec.n, spec.m, spec.modes
-    eye = np.eye(n + m)
-    jbar1 = tuple(eye[:, [n + k for k in spec.updates[j]]] for j in range(N))
-    jbar0 = []
-    for j in range(N):
-        hold = np.zeros((n + m, n + m))
-        for k in range(m):
-            if k not in spec.updates[j]:
-                hold[n + k, n + k] = 1.0
-        jbar0.append(
-            tuple(_lift_jump(spec.J[j][i], n, m) + hold for i in range(N))
-        )
-    return AugmentedModel(
-        kind="switched",
-        n=n,
-        m=m,
-        modes=N,
-        abar=tuple(_lift_drift(spec.A[i], spec.B[i]) for i in range(N)),
-        jbar0=tuple(jbar0),
-        jbar1=jbar1,
-        gains=_check_gains(
-            "switched", gains, N, [len(spec.updates[j]) for j in range(N)], n + m
-        ),
-    )
+    """Lift a switched-impulsive plant; its jump table stays indexed [j][i]."""
+    return _lift("switched", spec.A, spec.B, spec.J, spec.updates, gains)

@@ -44,12 +44,14 @@ class SamplingSequence:
 
     def __init__(self, times=None, dwell=None, dwells=None):
         if dwells is not None:
-            dwells = np.asarray(dwells, dtype=float).reshape(-1)
-            times = np.concatenate([[0.0], np.cumsum(dwells)])
-        times = np.asarray(times, dtype=float).reshape(-1)
+            dwells = _numeric(dwells, "dwells", ("K",), ConfigError)
+            with np.errstate(over="ignore"):  # a sum past the float range is refused below
+                times = np.concatenate([[0.0], np.cumsum(dwells)])
+        else:
+            times = _numeric(times, "sampling times", ("K",), ConfigError)
         if not times.size or times[0] != 0.0:
             raise ConfigError("sampling sequence must start at t = 0")
-        if not (np.diff(times) > 0.0).all() or not np.isfinite(times[-1]):
+        if not np.isfinite(times[-1]) or not (np.diff(times) > 0.0).all():
             raise ConfigError("sampling times must be finite and strictly increasing")
         dwells = np.diff(times) if dwells is None else dwells
         if dwell is not None:

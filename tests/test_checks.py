@@ -599,6 +599,13 @@ def test_clock_values_must_form_one_stack():
             checks.ClockFamily((0.0, 1.0), values)
 
 
+def test_clock_nodes_must_be_finite_numbers():
+    # a nan or inf node would reach the eigensolver; a string is not parsed
+    for nodes in ((0.0, np.nan), (0.0, np.inf), (0.0, "x")):
+        with pytest.raises(ConfigError, match="clock nodes"):
+            checks.ClockFamily(nodes, [[np.eye(2)] * 2])
+
+
 def test_dwell_grid_validation():
     assert DwellGrid([0.1, 0.2]).points == (0.1, 0.2)
     # any iterable of floats, each converted by float(): a tuple of Python floats

@@ -461,6 +461,8 @@ _DROP = object()
     ("verify", "ex3", ("system", "updates", 0, 0), True),
     ("simulate", "ex2", ("run", "x0"), [[1.0], [1.0]]),
     ("verify", "ex1", ("system", "B"), [0.0, 1.0, 2.0]),
+    ("verify", "ex2", ("system", "A"), [["2.0", "3.0"], ["1.0", "1.0"]]),
+    ("verify", "ex2", ("system", "A"), [[2.0, True], [True, 1.0]]),
     pytest.param("verify", "ex2", ("system", "A", 0, 0), 10**400,
                  id="verify-ex2-system-A-0-0-10**400"),
     ("simulate", "ex2", ("run", "steps"), None),
@@ -474,7 +476,8 @@ def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, val
     not a JSON number (in rule or in a result file), a run count,
     tolerance, dwell bound or period that is null, a bool, a string or a
     count with a fraction, an update channel that is a bool or a
-    fraction, an x0 that is not a vector, a B that is not a matrix, a
+    fraction, an x0 that is not a vector, a B that is not a matrix, an A
+    holding numeric strings or bools, a
     plant entry too large for a float, or a run.result that is not a
     non-empty path string (open() would take an int as a file descriptor)
     is refused with one error line; a run or dwell field names its key."""

@@ -26,8 +26,8 @@ def test_impulsive_lift_layout():
     assert np.allclose(Ab[2:, :], 0.0)
     # injection reaches only the input rows
     assert np.allclose(model.injection(), [[0.0], [0.0], [1.0]])
-    assert np.allclose(model.jbar0[1][:2, :2], EX1_J[1])
-    assert np.allclose(model.jbar0[1][2, :], 0.0)
+    assert np.allclose(model.base(1)[:2, :2], EX1_J[1])
+    assert np.allclose(model.base(1)[2, :], 0.0)
 
 
 def test_impulsive_jump_assembly():
@@ -112,6 +112,27 @@ def test_switched_spec_validation():
         SwitchedSpec(EX3_A, EX3_B, EX3_J, updates=[(2,), (1,)])  # out of range
     with pytest.raises(ModelError):
         SwitchedSpec([EX3_A[0]], EX3_B, EX3_J)  # one drift for two modes
+
+
+@pytest.mark.parametrize("name", ["ex1_open_model", "ex1_reference_model", "ex3_reference_model"])
+def test_one_table_rebuilds_from_its_slots(request, name):
+    """Every jump map, injection and gain sits in one [target][source] table:
+    a model rebuilt from its own gain slots has the same table bit for bit,
+    and each slot's map is its base plus its target mode's injected gain."""
+    model = request.getfixturevalue(name)
+    rebuilt = model.with_gains(model.nest([model.gain(*s) for s in model.gain_slots]))
+    for s in model.gain_slots:
+        K = model.gain(*s)
+        if K is None:
+            assert rebuilt.gain(*s) is None
+            for m in (model, rebuilt):
+                with pytest.raises(ModelError, match="no gain"):
+                    m.jump(*s)
+            continue
+        assert rebuilt.gain(*s).tobytes() == K.tobytes()
+        assert np.array_equal(model.jump(*s), model.base(*s) + model.injection(s[0]) @ K)
+    if all(model.gain(*s) is not None for s in model.gain_slots):
+        assert rebuilt.jump_table.tobytes() == model.jump_table.tobytes()
 
 
 def test_switched_gains_table_shape():

@@ -77,6 +77,14 @@ def test_sampling_sequence_validation():
             SamplingSequence(times=bad)
     with pytest.raises(ConfigError):
         SamplingSequence(times=(0.0, 0.2, 0.3), dwell=DwellRange(0.15, 0.18))
+    # one flat list of numbers: no nesting is flattened, no string parsed
+    with pytest.raises(ConfigError, match="sampling times"):
+        SamplingSequence(times=[[0.0, 0.1], [0.2, 0.3]])
+    with pytest.raises(ConfigError, match="dwells"):
+        SamplingSequence(dwells=["0.1", "0.2"])
+    # finite dwells whose sum overflows: refused, with no RuntimeWarning
+    with pytest.raises(ConfigError, match="finite"):
+        SamplingSequence(dwells=(1e308, 1e308))
 
 
 def test_out_of_range_dwells_name_the_first():
