@@ -336,16 +336,21 @@ def check(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
     return check_switched(model, cert, dwell, grid, strict_tol)
 
 
+def _covering(nodes, dwell):
+    """Indices of the clock nodes in [t_min, t_max], to within _COVER_TOL:
+    the nodes where the dwell-dependent conditions are imposed."""
+    return [k for k, t in enumerate(nodes)
+            if dwell.t_min - _COVER_TOL <= t <= dwell.t_max + _COVER_TOL]
+
+
 def _theta_nodes(clock, dwell):
     if clock.nodes[-1] < dwell.t_max - _COVER_TOL:
         raise ConfigError(
             f"clock nodes end at {clock.nodes[-1]}, short of t_max = {dwell.t_max}"
         )
-    thetas = {dwell.t_min, dwell.t_max}
-    for t in clock.nodes:
-        if dwell.t_min - _COVER_TOL <= t <= dwell.t_max + _COVER_TOL:
-            thetas.add(min(max(t, dwell.t_min), dwell.t_max))
-    return sorted(thetas)
+    inside = (min(max(clock.nodes[k], dwell.t_min), dwell.t_max)
+              for k in _covering(clock.nodes, dwell))
+    return sorted({dwell.t_min, dwell.t_max, *inside})
 
 
 def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):

@@ -54,17 +54,18 @@ EXIT_NUMERIC = 3
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-_TOP_KEYS = {"description", "system", "dwell", "weights", "rule", "gains", "run", "reference"}
-_SYSTEM_KEYS = {"type", "A", "B", "J", "updates"}
-_DWELL_KEYS = {"t_min", "t_max"}
-_WEIGHTS_KEYS = {"pi"}
-_RULE_KEYS = {"P", "eps"}
-_GAINS_KEYS = {"K"}
-_RUN_KEYS = {
-    "grid", "tol", "nodes", "seed", "steps", "substeps", "period",
-    "kind", "x0", "u0", "initial_mode", "result",
+# Each block of the config: the keys a reader needs, then the keys it may
+# also hold.  Any other key is refused, at the top level as in a block.
+_SCHEMA = {
+    "system": (("A", "J"), ("type", "B", "updates")),
+    "dwell": (("t_min", "t_max"), ()),
+    "weights": (("pi",), ()),
+    "rule": (("P",), ("eps",)),
+    "gains": ((), ("K",)),
+    "run": ((), ("grid", "tol", "nodes", "seed", "steps", "substeps", "period",
+                 "kind", "x0", "u0", "initial_mode", "result")),
+    "reference": ((), ("P", "Ptilde", "K")),
 }
-_REFERENCE_KEYS = {"P", "Ptilde", "K", "worst_margin"}
 
 
 def _check_keys(block, allowed, where):
@@ -88,69 +89,52 @@ def _read_json(path, what):
 def load_config(path):
     """Read and structurally validate a job config; values stay raw JSON."""
     cfg = _read_json(path, "config")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    for name, keys in (
-        ("system", _SYSTEM_KEYS),
-        ("dwell", _DWELL_KEYS),
-        ("weights", _WEIGHTS_KEYS),
-        ("rule", _RULE_KEYS),
-        ("gains", _GAINS_KEYS),
-        ("run", _RUN_KEYS),
-        ("reference", _REFERENCE_KEYS),
-    ):
+    _check_keys(cfg, {"description", *_SCHEMA}, "config")
+    for name, (needs, may) in _SCHEMA.items():
         if name in cfg:
-            _check_keys(cfg[name], keys, name)
+            _check_keys(cfg[name], {*needs, *may}, name)
     return cfg
 
 
-def _require(cfg, block, why):
-    if block not in cfg:
-        raise ConfigError(f"config needs a '{block}' block {why}")
-    return cfg[block]
-
-
-def build_spec(cfg):
-    sysb = _require(cfg, "system", "to define the plant")
-    kind = sysb.get("type")
-    if kind not in ("impulsive", "switched"):
-        raise ConfigError(f"system.type must be 'impulsive' or 'switched', got {kind!r}")
-    if "A" not in sysb or "J" not in sysb:
-        raise ConfigError("system block needs A and J")
-    if kind == "impulsive":
-        if "updates" in sysb:
-            raise ConfigError("system.updates only applies to switched systems")
-        return ImpulsiveSpec(A=sysb["A"], B=sysb.get("B"), J=sysb["J"])
-    return SwitchedSpec(A=sysb["A"], B=sysb.get("B"), J=sysb["J"], updates=sysb.get("updates"))
+def _block(cfg, name, why):
+    """cfg[name], once it holds every key the schema says a reader needs."""
+    if name not in cfg:
+        raise ConfigError(f"config needs a '{name}' block {why}")
+    for key in _SCHEMA[name][0]:
+        if key not in cfg[name]:
+            raise ConfigError(f"config needs {name}.{key}")
+    return cfg[name]
 
 
 def build_model(cfg, gains="config"):
     """Lift the configured plant.  gains: "config" | None | explicit value."""
-    spec = build_spec(cfg)
+    sysb = _block(cfg, "system", "to define the plant")
+    kind = sysb.get("type")
+    if kind not in ("impulsive", "switched"):
+        raise ConfigError(f"system.type must be 'impulsive' or 'switched', got {kind!r}")
     if gains == "config":
         gains = cfg.get("gains", {}).get("K")
-    if isinstance(spec, ImpulsiveSpec):
-        return augment_impulsive(spec, gains=gains)
-    return augment_switched(spec, gains=gains)
+    if kind == "switched":
+        spec = SwitchedSpec(A=sysb["A"], B=sysb.get("B"), J=sysb["J"],
+                            updates=sysb.get("updates"))
+        return augment_switched(spec, gains=gains)
+    if "updates" in sysb:
+        raise ConfigError("system.updates only applies to switched systems")
+    return augment_impulsive(ImpulsiveSpec(A=sysb["A"], B=sysb.get("B"), J=sysb["J"]),
+                             gains=gains)
 
 
 def build_dwell(cfg):
-    d = _require(cfg, "dwell", "to bound the sampling intervals")
-    if "t_min" not in d or "t_max" not in d:
-        raise ConfigError("dwell block needs t_min and t_max")
+    d = _block(cfg, "dwell", "to bound the sampling intervals")
     return DwellRange(d["t_min"], d["t_max"])
 
 
 def build_weights(cfg):
-    w = _require(cfg, "weights", "to weigh the candidate modes")
-    if "pi" not in w:
-        raise ConfigError("weights block needs pi")
-    return ModeWeights(w["pi"])
+    return ModeWeights(_block(cfg, "weights", "to weigh the candidate modes")["pi"])
 
 
 def build_cert(cfg, weights):
-    rule = cfg.get("rule")
-    if rule is None or "P" not in rule:
-        raise ConfigError("config needs rule.P with one matrix per mode")
+    rule = _block(cfg, "rule", "with one matrix P per mode")
     return MinJumpCertificate(rule["P"], weights, eps=rule.get("eps", 0.0))
 
 
@@ -248,7 +232,8 @@ def _load_scan(path):
 
 
 def _synth_options(cfg, args):
-    return synth.SynthesisOptions(clock_nodes=_run_value(cfg, args, "nodes", 6, int))
+    nodes = _run_value(cfg, args, "nodes", synth.SynthesisOptions.clock_nodes, int)
+    return synth.SynthesisOptions(clock_nodes=nodes)
 
 
 def cmd_synth(args):

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import sdp
 # check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
-from .checks import DwellGrid, check, check_impulsive  # noqa: F401
+from .checks import _COVER_TOL, DwellGrid, _covering, check, check_impulsive  # noqa: F401
 from .errors import CapacityError, ConfigError, RecoveryError
 from .linalg import inv_spd
 from .model import ModeWeights
@@ -48,7 +48,6 @@ from .rules import MinJumpCertificate, _fit
 
 log = logging.getLogger("minjump.synth")
 
-_NODE_SNAP = 1e-12
 FLOOR = 1e-6
 BOUND = 1e6
 PTILDE_CAP = 1e3
@@ -94,20 +93,13 @@ class SynthesisResult:
 
 
 def clock_node_grid(dwell, count):
-    """Uniform nodes on [0, t_max] with t_min snapped in as a node."""
+    """Uniform nodes on [0, t_max] with t_min inserted unless a node lies
+    within _COVER_TOL of it, so some node always covers [t_min, t_max]."""
     nodes = list(np.linspace(0.0, dwell.t_max, count))
-    if not any(abs(t - dwell.t_min) <= _NODE_SNAP for t in nodes):
+    if not any(abs(t - dwell.t_min) <= _COVER_TOL for t in nodes):
         nodes.append(dwell.t_min)
         nodes.sort()
     return tuple(nodes)
-
-
-def _range_node_indices(nodes, dwell):
-    out = [k for k, t in enumerate(nodes)
-           if dwell.t_min - _NODE_SNAP <= t <= dwell.t_max + _NODE_SNAP]
-    if not out:
-        raise ConfigError("no clock nodes inside the dwell range")
-    return out
 
 
 def _weights(model, weights):
@@ -152,16 +144,14 @@ def _common_blocks(model, nodes):
     boxes for all S, Ptilde."""
     d = model.dim
     I = np.eye(d)
-    blocks = []
-    variables = []
-    for i in range(model.modes):
-        variables.append(sdp.VarSpec(f"Pt{i}", "sym", d, d))
-        for k in range(len(nodes)):
-            variables.append(sdp.VarSpec(f"S{i}n{k}", "sym", d, d))
+    boxed = [[(f"Pt{i}", PTILDE_CAP)] + [(f"S{i}n{k}", BOUND) for k in range(len(nodes))]
+             for i in range(model.modes)]  # every matrix unknown with its cap
+    variables = [sdp.VarSpec(var, "sym", d, d) for caps in boxed for var, _ in caps]
     variables += [sdp.VarSpec(_gain_name(*idx), "rect", model.injection(*idx[:-1]).shape[1], d)
                   for idx in model.gain_slots if _free(model, *idx)]
     variables.append(sdp.VarSpec("eps", "scalar"))
-    for i in range(model.modes):
+    blocks = []
+    for i, caps in enumerate(boxed):
         A = model.drift(i)
         for k in range(len(nodes) - 1):
             h = nodes[k + 1] - nodes[k]
@@ -173,17 +163,11 @@ def _common_blocks(model, nodes):
                 ]
                 blocks.append(sdp.AffineBlock(
                     np.zeros((d, d)), terms, label=f"flow i={i} k={k} v={v}"))
-        blocks.append(sdp.AffineBlock(
-            FLOOR * I, [sdp.BlockTerm(f"Pt{i}", -I, I)], label=f"floor Pt{i}"))
-        blocks.append(sdp.AffineBlock(
-            -PTILDE_CAP * I, [sdp.BlockTerm(f"Pt{i}", I, I)],
-            label=f"box Pt{i}"))
-        for k in range(len(nodes)):
+        for var, cap in caps:
             blocks.append(sdp.AffineBlock(
-                FLOOR * I, [sdp.BlockTerm(f"S{i}n{k}", -I, I)], label=f"floor S{i}n{k}"))
+                FLOOR * I, [sdp.BlockTerm(var, -I, I)], label=f"floor {var}"))
             blocks.append(sdp.AffineBlock(
-                -BOUND * I, [sdp.BlockTerm(f"S{i}n{k}", I, I)],
-                label=f"box S{i}n{k}"))
+                -cap * I, [sdp.BlockTerm(var, I, I)], label=f"box {var}"))
     return variables, blocks
 
 
@@ -239,7 +223,7 @@ def _assemble(model, weights, dwell, opts, mode_blocks):
     opts = opts or SynthesisOptions()
     pi = _weights(model, weights).pi
     nodes = clock_node_grid(dwell, opts.clock_nodes)
-    in_range = _range_node_indices(nodes, dwell)
+    in_range = _covering(nodes, dwell)
     variables, blocks = _common_blocks(model, nodes)
     for i in range(model.modes):
         blocks += mode_blocks(model, pi, i, in_range)

@@ -72,11 +72,17 @@ def test_verify_stable_flow_identity_jump(tmp_path):
     assert main(["verify", _write(tmp_path, "stable.json", cfg)]) == 0
 
 
-def test_unknown_keys_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("block, key", [
+    ("rule", "Q"),
+    ("reference", "worst_margin"),  # nothing reads it, so it is refused like a typo
+    (None, "rules"),
+])
+def test_unknown_keys_rejected(tmp_path, capsys, block, key):
     cfg = _ex2_config()
-    cfg["rule"]["Q"] = []
+    (cfg if block is None else cfg.setdefault(block, {}))[key] = []
     assert main(["verify", _write(tmp_path, "extra.json", cfg)]) == 2
-    assert "unknown key" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown key" in err and key in err
 
 
 def test_malformed_json_exits_two(tmp_path):
@@ -468,6 +474,12 @@ _DROP = object()
     ("simulate", "ex2", ("run", "steps"), None),
     ("verify", "ex2", ("run", "tol"), None),
     ("synth", "ex2", ("run", "nodes"), None),
+    ("verify", "ex2", ("system", "A"), _DROP),
+    ("verify", "ex2", ("system", "J"), _DROP),
+    ("verify", "ex2", ("dwell", "t_min"), _DROP),
+    ("verify", "ex2", ("dwell", "t_max"), _DROP),
+    ("verify", "ex2", ("weights", "pi"), _DROP),
+    ("verify", "ex2", ("rule", "P"), _DROP),
 ], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
    else "dropped" if v is _DROP else str(v).replace(" ", ""))
 def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
@@ -480,7 +492,8 @@ def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, val
     holding numeric strings or bools, a
     plant entry too large for a float, or a run.result that is not a
     non-empty path string (open() would take an int as a file descriptor)
-    is refused with one error line; a run or dwell field names its key."""
+    is refused with one error line; a run or dwell field names its key, and
+    so does a key the config needs that is missing."""
     if base == "ex1":
         with open(_fixture_path("example1")) as fh:
             cfg = json.load(fh)
@@ -504,7 +517,7 @@ def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, val
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
-    if where[:1] in (("run",), ("dwell",)):
+    if where[:1] in (("run",), ("dwell",)) or (value is _DROP and base != "result"):
         assert ".".join(where) in err
 
 

@@ -19,7 +19,7 @@ from minjump import (
     synthesize,
 )
 from minjump import sdp
-from minjump.checks import DwellGrid
+from minjump.checks import _COVER_TOL, DwellGrid, _covering
 from minjump.linalg import inv_spd
 from minjump.synth import (
     FLOOR,
@@ -33,9 +33,21 @@ from conftest import EX1_PI, EX3_PI
 
 
 def test_clock_node_grid_contains_dwell_floor():
-    nodes = clock_node_grid(DwellRange(0.013, 0.05), 6)
-    assert nodes[0] == 0.0 and nodes[-1] == 0.05
-    assert any(abs(t - 0.013) < 1e-12 for t in nodes)
+    """Some node lies within _COVER_TOL of t_min, so the dwell blocks always
+    have a covering node: off the grid, on it, a hair off a linspace node,
+    and for a single-point range."""
+    on_grid = float(np.linspace(0.0, 0.05, 6)[2])
+    for t_min, t_max in ((0.013, 0.05), (on_grid, 0.05), (on_grid + 1e-13, 0.05),
+                         (on_grid - 1e-13, 0.05), (0.05, 0.05), (0.02, 0.02),
+                         (1e-9, 3.0), (5e-13, 0.05)):
+        for count in (2, 3, 6, 17):
+            dwell = DwellRange(t_min, t_max)
+            nodes = clock_node_grid(dwell, count)
+            assert nodes[0] == 0.0 and nodes[-1] == t_max
+            assert all(b > a for a, b in zip(nodes, nodes[1:]))
+            assert len(nodes) in (count, count + 1)
+            assert any(abs(t - t_min) <= _COVER_TOL for t in nodes)
+            assert _covering(nodes, dwell)
 
 
 def test_options_hold_nodes_and_floor_only(ex1_open_model, ex1_dwell):
