@@ -25,15 +25,13 @@ flow carries.  Two families of conditions are checked on them:
 Strict conditions must clear -STRICT_TOL; non-strict ones may sit up to the
 slack tolerance above zero.  Eigenvalue margins come from LAPACK's
 symmetric eigensolver through linalg.sym_eig_max, a code path separate
-from the interior-point solver that produced the data.  Every field of a
-dwell-grid report is a maximum over the grid, so on a large grid the
-eigensolver runs only where a mode's maximum can be: one call takes
-spaced samples of every mode, linalg.proven_below proves each other member
-strictly below its own mode's best sample (it holds -inf), and one more
-call takes the members it could not clear; the report is the one a full
-eigensolve would give, bit for bit.  A stack times one fixed matrix
-is a single 2-D GEMM (_times), bitwise the stacked per-member products on
-the BLAS in use, which the oracle tests hold.
+from the interior-point solver that produced the data.  On a large dwell
+grid the eigensolver runs only where a mode's maximum can be (_max_search):
+at each mode's two dwell ends, then where linalg.proven_below cannot prove
+a point below its mode's best so far; every report field is a maximum, so
+the report is a full eigensolve's, bit for bit.  A stack times one fixed
+matrix is one 2-D GEMM (_times), bitwise the stacked per-member products
+on the BLAS in use, which the oracle tests hold.
 
 Every entry point first asks rules._fit whether its model, certificate
 and clock fit together: the wrong kind is a ModelError, a certificate or
@@ -57,9 +55,9 @@ STRICT_TOL = 1e-7
 SLACK_TOL = 1e-9
 DEFAULT_GRID_POINTS = 200
 
-# Below this many stacked entries (G d^2) one eigensolve of the whole
-# stack costs less than the search.
-_SEARCH_MIN_ENTRIES = 2048
+# Below this many points or stacked entries (G d^2), or at d = 1, one
+# eigensolve costs less than the search (timed at d = 1..12, G = 4..1024).
+_SEARCH_MIN_POINTS, _SEARCH_MIN_ENTRIES = 20, 512
 
 _COVER_TOL = 1e-12
 # dwell points per batched grid evaluation.  The stacked temporaries of a
@@ -70,12 +68,9 @@ _THETA_SLICE = 1024
 
 @dataclass(frozen=True)
 class DwellGrid:
-    """Sorted dwell-length samples inside [t_min, t_max], endpoints included.
-
-    A degenerate range (t_min == t_max, periodic sampling) collapses to a
-    single point; otherwise at least two strictly increasing points are
-    required.
-    """
+    """Sorted dwell-length samples inside [t_min, t_max], endpoints included:
+    one point on a degenerate range (t_min == t_max, periodic sampling),
+    else at least two, strictly increasing."""
 
     points: tuple
 
@@ -109,8 +104,7 @@ class ClockFamily:
 
     nodes run from 0 to the horizon; values is the read-only
     (modes, len(nodes), d, d) array, values[i, k] mode i's symmetric matrix
-    at node k, and evaluation interpolates affinely between nodes, so the
-    slope is piecewise constant.
+    at node k, interpolated affinely between nodes (a piecewise constant slope).
     """
 
     nodes: tuple
@@ -146,13 +140,10 @@ class ClockFamily:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Outcome of a certificate check.
-
-    worst_margin is the largest eigenvalue margin found anywhere; a check
-    passes when every strict condition clears -strict_tol and every
-    non-strict condition stays within slack_tol of zero, with any required
-    positivity flags satisfied.
-    """
+    """Outcome of a certificate check: worst_margin is the largest eigenvalue
+    margin found anywhere; it passes when every strict condition clears
+    -strict_tol, every non-strict one stays within slack_tol of zero and
+    every required positivity flag holds."""
 
     passed: bool
     worst_margin: float
@@ -236,30 +227,42 @@ def _flows(model, times):
     return [stacks[i if model.kind == "switched" else 0] for i in range(model.modes)]
 
 
+def _searched(G, d):
+    """Whether the search pays on a (G, d, d) stack."""
+    return d > 1 and G >= _SEARCH_MIN_POINTS and G * d * d >= _SEARCH_MIN_ENTRIES
+
+
 def _max_search(M):
     """lambda_max of each member of the symmetric (..., G, d, d) stack M
     where its (G, d, d) stack's maximum can be; -inf where proven below it.
 
     Each stack's first largest value and its index are those of
-    sym_eig_max(M) bit for bit.  Below _SEARCH_MIN_ENTRIES entries per
-    stack, M is one eigensolve.  Otherwise one eigensolve over every stack
-    takes every s-th member and the last, s = floor(sqrt(G / 2)); one
-    linalg.proven_below call clears members strictly below their own
-    stack's best sample, and one more eigensolve takes the other members
-    it did not clear.  A cleared member is never a maximum, nor ties one.
+    sym_eig_max(M) bit for bit.  Each round is one call over every stack.
+    Round 1 eigensolves the two ends; linalg.proven_below clears members
+    strictly below their stack's best end.  If the most any stack left, c,
+    pays a search, round 2 eigensolves every s-th member left, s =
+    floor(sqrt(c / 2)), and, if that raised a best, proves the rest again.
+    A last eigensolve takes what is open.  A cleared member never ties.
     """
     G, d = M.shape[-3], M.shape[-1]
-    if G * d * d < _SEARCH_MIN_ENTRIES:
+    if not _searched(G, d):
         return linalg.sym_eig_max(M)
     shape, M = M.shape[:-2], M.reshape(-1, G, d, d)
     out = np.full(M.shape[:2], -np.inf)
-    known = np.zeros(G, dtype=bool)
-    known[::max(math.isqrt(G // 2), 1)] = known[-1] = True
-    out[:, known] = linalg.sym_eig_max(M[:, known])
-    cleared = linalg.proven_below(M.reshape(-1, d, d), np.repeat(out.max(axis=1), G))
-    solve = ~known & ~cleared.reshape(out.shape)
-    if solve.any():
-        out[solve] = linalg.sym_eig_max(M[solve])
+    out[:, ::G - 1] = linalg.sym_eig_max(M[:, ::G - 1])
+    flat, best = M.reshape(-1, d, d), out.max(axis=1)
+    left = ~linalg.proven_below(flat, np.repeat(best, G)).reshape(out.shape)
+    left[:, ::G - 1] = False
+    most = int(left.sum(axis=1).max())
+    if _searched(most, d):
+        idx = np.flatnonzero(left)[::math.isqrt(most // 2)]
+        out.reshape(-1)[idx] = linalg.sym_eig_max(flat[idx])
+        left.reshape(-1)[idx] = False
+        top = out.max(axis=1)
+        if (top > best).any():  # else the proof would clear nothing new
+            left[left] = ~linalg.proven_below(M[left], np.repeat(top, left.sum(axis=1)))
+    if left.any():
+        out[left] = linalg.sym_eig_max(M[left])
     return out.reshape(shape)
 
 
@@ -270,11 +273,8 @@ def _times(S, B):
 
 def _contraction_margins(model, cert, F0, W, thetas):
     """(modes, len(thetas)) array of lambda_max(F_i(theta)' W_i F_i(theta) - P_i)
-    wherever it can be a slice's maximum, -inf elsewhere (see _max_search).
-
-    Every report field is a maximum over the grid, so the report is the
-    one of the full array.  F = E on a switched loop, where F0_i = I.
-    """
+    where it can be a slice's maximum, -inf elsewhere (_max_search), so the
+    report is the full array's.  F = E on a switched loop, where F0_i = I."""
     P = linalg.sym(cert.P)[:, None]  # exactly symmetric, so every M below is too
     margins = np.empty((model.modes, len(thetas)))
     for lo in range(0, len(thetas), _THETA_SLICE):

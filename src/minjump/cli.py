@@ -282,13 +282,15 @@ def _load_result_design(cfg, path):
 def _trajectory(cfg, args, model, cert, dwell):
     """Closed-loop run of the config's run block, flags first."""
     run = cfg.get("run", {})
-    if "x0" not in run:
-        raise ConfigError("run block needs x0 for simulation")
+    kind = run.get("kind", "uniform_random")
+    for key in ("x0", "period") if kind == "periodic" else ("x0",):
+        if key not in run:
+            raise ConfigError(f"config needs run.{key}")
     steps = _run_value(cfg, args, "steps", 100, int)
     substeps = _run_value(cfg, args, "substeps", 1, int)
     if steps * substeps * model.dim > MAX_ENTRIES:  # the dense trajectory's entries
         raise ConfigError(f"run.steps x run.substeps = {steps} x {substeps} is out of range")
-    seq = sim.gen_sequence(dwell, run.get("kind", "uniform_random"), count=steps,
+    seq = sim.gen_sequence(dwell, kind, count=steps,
                            seed=_run_value(cfg, args, "seed", conv=int),
                            period=_run_value(cfg, args, "period", conv=float))
     return sim.simulate(model, cert, seq, run["x0"], u0=run.get("u0"), substeps=substeps,

@@ -32,6 +32,7 @@ from .errors import DimensionError, FactorizationError, NumericError
 # Largest 1-norm at which the degree-12 Taylor remainder meets the bound in
 # the module docstring; a larger argument is halved until it is below.
 _TAYLOR12_THETA = 0.3103544816243631
+_LOG2_THETA = np.log2(_TAYLOR12_THETA)
 _TAYLOR12_COEF = np.array([1.0 / math.factorial(k) for k in range(13)])
 _TAYLOR12_COEF.setflags(write=False)  # every expm call reads it
 
@@ -64,7 +65,7 @@ def _as_square(M, name="matrix", stacked=False):
     if (M.ndim < 2 or (M.ndim > 2 and not stacked)
             or M.shape[-1] != M.shape[-2]):
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericError(f"{name} contains non-finite entries")
     return M
 
@@ -72,7 +73,7 @@ def _as_square(M, name="matrix", stacked=False):
 def _as_symmetric(S, name="matrix", stacked=False):
     S = _as_square(S, name, stacked)
     St = np.swapaxes(S, -1, -2)
-    if np.array_equal(S, St):
+    if (S == St).all():
         return S
     scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1), initial=0.0))
     if np.any(np.abs(S - St).max(axis=(-2, -1), initial=0.0) > 1e-9 * scale):
@@ -121,7 +122,7 @@ def expm(M, t=1.0):
     if not math.isfinite(tmax * norm):
         raise NumericError("expm overflowed; argument norm too large")
     squarings = np.ceil(np.log2(np.maximum(np.abs(flat) * norm, _TAYLOR12_THETA))
-                        - np.log2(_TAYLOR12_THETA)).astype(int)
+                        - _LOG2_THETA).astype(int)
     e = math.frexp(norm)[1]
     # highest power first (P[k] = Mhat^k), so a row product adds small terms first
     R = np.empty((13, d, d))
@@ -147,7 +148,7 @@ def expm(M, t=1.0):
             for a in np.searchsorted(squarings[order], range(squarings.max()), side="right"):
                 S[a:] = S[a:] @ S[a:]
         E[order] = S
-    if not np.all(np.isfinite(E)):
+    if not np.isfinite(E).all():
         raise NumericError("expm overflowed; argument norm too large")
     return E if ts.ndim else E[0]
 

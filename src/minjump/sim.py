@@ -73,9 +73,7 @@ def gen_sequence(dwell, kind, count, seed=None, period=None):
     if count < 1:
         raise ConfigError("count must be at least 1")
     if kind == "periodic":
-        if period is None:
-            raise ConfigError("periodic sequences need a period")
-        period = _num(period, "period")
+        period = _num(period, "period")  # None too: "period must be a number"
         if not dwell.t_min <= period <= dwell.t_max:
             raise ConfigError(f"period {period} outside [{dwell.t_min}, {dwell.t_max}]")
         dwells = np.full(count, period)

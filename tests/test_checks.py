@@ -7,7 +7,6 @@ numeric drift anywhere in the expm / eigenvalue chain.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -192,11 +191,11 @@ def test_grid_check_matches_dense_oracle_across_dimensions(kind, d):
     """Reports equal the record-by-record verdict over the dense oracle's
     stacked products bit for bit, on grids just below the search's size
     rule (one eigensolve over every mode) and at and above it (the search
-    per mode).  This is what holds the 2-D GEMMs of the check to the
-    stacked per-member products on the BLAS in use."""
+    per mode; never at d = 1).  This is what holds the 2-D GEMMs of the
+    check to the stacked per-member products on the BLAS in use."""
     model, cert = _random_system(kind, d, modes=2 + d % 2)
     dwell = DwellRange(0.01, 0.3)
-    edge = -(-checks._SEARCH_MIN_ENTRIES // d ** 2)  # least G with G d^2 >= the rule
+    edge = next((G for G in range(2, 300) if checks._searched(G, d)), 300)  # least G searched
     for points in (max(edge - 1, 2), edge, 300):
         grid = DwellGrid.uniform(dwell, points)
         _assert_same_report(check(model, cert, dwell, grid=grid), _dense_report(model, cert, grid))
@@ -258,14 +257,20 @@ def test_array_reducer_margin_at_strict_tol_fails():
     assert all(r.passed for r in _fabricated_verdicts(margins, (0.1, 0.2, 0.3)))
 
 
+def _planted_stack(top, d=3, seed=4):
+    """A (len(top), d, d) stack whose top eigenvalue is top, member by
+    member, rotated by one random orthogonal Q."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    lam = np.asarray(top, dtype=float)[:, None] - np.arange(d)  # well separated
+    return linalg.sym(Q @ (lam[:, :, None] * Q.T))
+
+
 def _hump_stack(peaks, G=1000, d=3, seed=4):
     """A (G, d, d) stack whose top eigenvalue is the max over peaks (k0, w)
-    of -((k - k0) / w)^2, rotated by one random orthogonal Q."""
-    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    of -((k - k0) / w)^2."""
     k = np.arange(G)[:, None]
-    top = np.max([-((k - k0) / w) ** 2 for k0, w in peaks], axis=0)
-    lam = top - np.arange(d)  # top, top - 1, ...: a well separated maximum
-    return linalg.sym(Q @ (lam[:, :, None] * Q.T))
+    return _planted_stack(np.max([-((k - k0) / w) ** 2 for k0, w in peaks], axis=0)[:, 0],
+                          d, seed)
 
 
 def _assert_search_matches_dense(M):
@@ -282,48 +287,88 @@ def _assert_search_matches_dense(M):
     return not kept.all()
 
 
-def _solved_off_samples(M):
-    """The members off the samples (s = 22 at G = 1000) that the search eigensolves."""
+# A 1000-member hump stack: round 1 clears 1..20, below end 999 (member 21
+# ties it), so round 2 samples every s-th of the 978 left, s = 22
+_SAMPLES = set(range(21, 999, 22))
+
+
+def _crest(M):
+    """The members the search eigensolves besides the ends and _SAMPLES."""
     solved = checks._max_search(M) > -np.inf
-    solved[::22] = solved[-1] = False
-    return set(np.flatnonzero(solved).tolist())
+    return set(np.flatnonzero(solved).tolist()) - _SAMPLES - {0, 999}
 
 
 def test_max_search_matches_dense_on_planted_stacks():
-    # s = floor(sqrt(1000 / 2)) = 22: samples at 0, 22, ..., 990 and 999
-    between = _hump_stack([(510, 100.0)])  # 506 and 528 are the nearest samples
+    between = _hump_stack([(510, 100.0)])  # 505 and 527 are the nearest samples
     assert _assert_search_matches_dense(between)
-    # the crest above sample 506, up to 514 where the hump is back at its value
-    crest = set(range(507, 515))
-    assert _solved_off_samples(between) == crest
+    # round 2 eigensolves _SAMPLES; then the crest above sample 505, up to
+    # 515 where the hump is back at its value
+    assert set(np.flatnonzero(checks._max_search(between) > -np.inf)) >= _SAMPLES
+    crest = set(range(506, 516))
+    assert _crest(between) == crest
     # one ulp above the stack's maximum: only that member joins the crest
     above = between.copy()
     above[900] = np.diag([np.nextafter(linalg.sym_eig_max(between).max(), np.inf), -1.0, -2.0])
     assert _assert_search_matches_dense(above)
-    assert _solved_off_samples(above) == crest | {900}
+    assert _crest(above) == crest | {900}
     assert int(linalg.sym_eig_max(above).argmax()) == 900
     # equal humps: the samples see only the wide one, the narrow one comes first
     humps = _hump_stack([(115, 2.0), (510, 100.0)])
     humps[115] = humps[510]
     assert _assert_search_matches_dense(humps)
-    assert _solved_off_samples(humps) == crest | {115}
+    assert _crest(humps) == crest | {115}
     assert int(checks._max_search(humps).argmax()) == 115
     # every member ties: the first one wins
     assert not _assert_search_matches_dense(np.broadcast_to(between[3], between.shape).copy())
     # M = 0, where the certificate has nothing to spare
     assert not _assert_search_matches_dense(np.zeros((1000, 3, 3)))
-    # signed zeros: -0.0 at 7 (a neighbour) ties 0.0 at 22 (a sample) and
+    # signed zeros on a flat -1: round 1 clears nothing, round 2 samples
+    # 1, 23, 45, ...  -0.0 at 7 (a neighbour) ties 0.0 at 23 (a sample) and
     # is kept; then at 100 and 500, off the samples
-    for first, second in ((7, 22), (100, 500)):
+    for first, second in ((7, 23), (100, 500)):
         zeros = np.broadcast_to(np.diag([-1.0, -2.0, -3.0]), (1000, 3, 3)).copy()
         zeros[first], zeros[second] = np.diag([-1.0, -0.0, -2.0]), np.diag([0.0, -1.0, -2.0])
         assert json.dumps(linalg.sym_eig_max(zeros[first])) == "-0.0"
         _assert_search_matches_dense(zeros)
         got = checks._max_search(zeros)
         assert json.dumps(float(got[got.argmax()])) == "-0.0"
-    # a small stack takes one dense call: 227 * 3^2 < 2048 <= 228 * 3^2
-    assert not _assert_search_matches_dense(between[:227])
-    assert _assert_search_matches_dense(between[:228])
+    # a small stack takes one dense call: 56 * 3^2 < 512 <= 57 * 3^2, and
+    # 1 x 1 members never pay a search
+    assert not _assert_search_matches_dense(between[:56])
+    assert _assert_search_matches_dense(between[:57])
+    assert not _assert_search_matches_dense(between[:1000, :1, :1])
+
+
+_K = np.arange(1000.0)
+
+
+@pytest.mark.parametrize("top", [
+    _K / 1000.0 - 1.0,  # monotone rising: the last point
+    -_K / 1000.0,  # monotone falling: the first point
+    -((_K - 600.0) / 700.0) ** 2,  # concave, its maximum inside
+    np.maximum(-((_K - 300.0) / 2.0) ** 2, -1.0 - _K / 1000.0),  # a sharp hump inside
+    np.full(1000, -0.5),  # flat: M constant, as at zero drift
+    np.where(_K % 97 == 5, 0.0, -1.0),  # zeros among -1, signed below
+], ids=["rising", "falling", "concave", "sharp", "flat", "signed_zeros"])
+@pytest.mark.parametrize("d", [3, 4, 12])
+def test_planted_search_report_matches_dense_oracle(top, d):
+    """Two modes, the second 1/4 below the first, at G = 1000: the report
+    over the search's margins is the record oracle's over dense margins."""
+    M = np.stack([_planted_stack(top, d), _planted_stack(top - 0.25, d, seed=5)])
+    if not np.ptp(top):  # flat: every member one matrix, bit for bit
+        M = np.ascontiguousarray(np.broadcast_to(M[:, :1], M.shape))
+    signed = (top == 0.0).any()
+    if signed:  # exact zeros, the first of mode 0 a -0.0 that the 0.0s after it tie
+        zeros, rest = np.flatnonzero(top == 0.0), -1.0 - np.arange(d - 1)
+        M[:, zeros] = np.diag(np.r_[0.0, rest])
+        M[0, zeros[0]] = np.diag(np.r_[-0.0, rest])
+    points = tuple(np.linspace(0.01, 0.3, 1000))
+    got = checks._grid_verdict(checks._max_search(M), points, checks.STRICT_TOL)
+    want = oracles.record_report(oracles.grid_records(linalg.sym_eig_max(M), points),
+                                 2, checks.STRICT_TOL, checks.SLACK_TOL, points)
+    _assert_same_report(got, want)
+    if signed:
+        assert json.dumps([got.worst_margin, *got.mode_margins]) == "[-0.0, -0.0, 0.0]"
 
 
 def test_max_search_proves_each_mode_below_its_own_top():
@@ -342,12 +387,8 @@ def test_max_search_proves_each_mode_below_its_own_top():
     assert not kept.all()
 
 
-def test_search_takes_two_eigensolves_and_one_proof_per_slice(monkeypatch):
-    """Each call of a slice takes every mode together: one eigensolve of
-    the samples, one proof over the slice, and at most one more
-    eigensolve of what the proof did not clear.  A 1500-point grid is
-    two slices, 1024 and 476 points."""
-    model, cert = _random_system("switched", 4, modes=3)
+def _spied_calls(monkeypatch, run):
+    """run() with every eigensolve and proof recorded as (kind, shape)."""
     calls = []
     dense, proven = linalg.sym_eig_max, linalg.proven_below
 
@@ -361,23 +402,38 @@ def test_search_takes_two_eigensolves_and_one_proof_per_slice(monkeypatch):
 
     monkeypatch.setattr(linalg, "sym_eig_max", eig_spy)
     monkeypatch.setattr(linalg, "proven_below", proof_spy)
+    result = run()
+    monkeypatch.undo()
+    return calls, result
+
+
+def test_search_rounds_take_every_mode_in_one_call(monkeypatch):
+    """Each round takes every mode in one call.  On a random system's
+    1500-point grid, two slices of 1024 and 476 points, round 1 settles
+    every slice: one eigensolve of each mode's two ends, one proof over
+    the slice.  A planted two-mode hump stack runs every round."""
+    model, cert = _random_system("switched", 4, modes=3)
     dwell = DwellRange(0.01, 0.3)
     grid = DwellGrid.uniform(dwell, 1500)
-    report = check(model, cert, dwell, grid=grid)
-    monkeypatch.undo()
-    slices = []
-    for call in calls:
-        if call[0] == "eig" and len(call[1]) == 4:  # a slice's samples open it
-            slices.append([])
-        slices[-1].append(call)
-    assert len(slices) == 2
-    for g, (samples, proof, *more) in zip((1024, 476), slices):
-        s = math.isqrt(g // 2)
-        n = len(range(0, g, s)) + ((g - 1) % s != 0)
-        assert samples == ("eig", (3, n, 4, 4))
-        assert proof == ("proof", (3 * g, 4, 4))
-        assert len(more) <= 1 and all(kind == "eig" for kind, _ in more)
+    calls, report = _spied_calls(monkeypatch, lambda: check(model, cert, dwell, grid=grid))
+    assert calls == [("eig", (3, 2, 4, 4)), ("proof", (3 * 1024, 4, 4)),
+                     ("eig", (3, 2, 4, 4)), ("proof", (3 * 476, 4, 4))]
     _assert_same_report(report, _dense_report(model, cert, grid))
+    # mode 1 is mode 0 less 10 I: each leaves 21..998 after round 1; round 2
+    # takes every 22nd of the 1956 left in mode-major order, 45 in mode 0
+    # (21, 43, ..., 989) and 44 in mode 1 (33, 55, ..., 979); each mode's
+    # crest lies between its best sample (505, 517) and the hump's mirror
+    hump = _hump_stack([(510, 100.0)])
+    M = np.stack([hump, hump - 10.0 * np.eye(3)])
+    calls, got = _spied_calls(monkeypatch, lambda: checks._max_search(M))
+    assert calls == [("eig", (2, 2, 3, 3)), ("proof", (2000, 3, 3)), ("eig", (89, 3, 3)),
+                     ("proof", (1956 - 89, 3, 3)), ("eig", (10 + 14, 3, 3))]
+    solved = [set(np.flatnonzero(row > -np.inf).tolist()) for row in got]
+    assert solved[0] == {0, 999} | _SAMPLES | set(range(506, 516))
+    assert solved[1] == {0, 999} | set(range(33, 999, 22)) | set(range(503, 517))
+    want, kept = linalg.sym_eig_max(M), got > -np.inf
+    assert got[kept].tobytes() == want[kept].tobytes()
+    assert got.argmax(axis=1).tolist() == want.argmax(axis=1).tolist() == [510, 510]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

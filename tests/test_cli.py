@@ -480,6 +480,8 @@ _DROP = object()
     ("verify", "ex2", ("dwell", "t_max"), _DROP),
     ("verify", "ex2", ("weights", "pi"), _DROP),
     ("verify", "ex2", ("rule", "P"), _DROP),
+    ("simulate", "ex2", ("run", "x0"), _DROP),
+    ("simulate", "ex2", ("run", "period"), _DROP),
 ], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
    else "dropped" if v is _DROP else str(v).replace(" ", ""))
 def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
