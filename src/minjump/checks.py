@@ -48,7 +48,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError
-from .model import _numeric
+from .model import _increasing, _num, _numeric
 from .rules import _fit
 
 STRICT_TOL = 1e-7
@@ -59,7 +59,7 @@ DEFAULT_GRID_POINTS = 200
 # eigensolve costs less than the search (timed at d = 1..12, G = 4..1024).
 _SEARCH_MIN_POINTS, _SEARCH_MIN_ENTRIES = 20, 512
 
-_COVER_TOL = 1e-12
+_COVER_TOL = 1e-12  # a clock family's own slack: first node to 0, a tau to the node span
 # dwell points per batched grid evaluation.  The stacked temporaries of a
 # 2-mode check peak near 1.0 KB per point at d = 4 and 7 KB at d = 12, so
 # a slice stays near 1 MB and 7 MB however dense the user's grid is.
@@ -68,26 +68,19 @@ _THETA_SLICE = 1024
 
 @dataclass(frozen=True)
 class DwellGrid:
-    """Sorted dwell-length samples inside [t_min, t_max], endpoints included:
-    one point on a degenerate range (t_min == t_max, periodic sampling),
-    else at least two, strictly increasing."""
+    """Dwell-length samples, strictly increasing; uniform() spans [t_min, t_max]
+    with one point on a degenerate range (periodic sampling), else count."""
 
     points: tuple
 
     def __init__(self, points):
-        pts = tuple(map(float, points))
-        arr = np.array(pts)
-        if not pts:
-            raise ConfigError("dwell grid needs at least one point")
-        if not np.isfinite(arr).all():
-            raise ConfigError("dwell grid contains non-finite points")
-        if (arr[1:] <= arr[:-1]).any():
-            raise ConfigError("dwell grid must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        arr = _increasing(points, "dwell grid")
+        object.__setattr__(self, "points", tuple(arr.tolist()))
         object.__setattr__(self, "_array", arr)  # the points as floats, made once
 
     @classmethod
     def uniform(cls, dwell, count=DEFAULT_GRID_POINTS):
+        count = _num(count, "grid count", int)
         if dwell.t_min == dwell.t_max:
             return cls((dwell.t_min,))
         if count < 2:
@@ -111,13 +104,11 @@ class ClockFamily:
     values: np.ndarray
 
     def __init__(self, nodes, values):
-        nds = tuple(_numeric(nodes, "clock nodes", ("nodes",), ConfigError).tolist())
+        nds = tuple(_increasing(nodes, "clock nodes").tolist())
         if len(nds) < 2:
             raise ConfigError("clock family needs at least two nodes")
         if abs(nds[0]) > _COVER_TOL:
             raise ConfigError("clock nodes must start at 0")
-        if any(b <= a for a, b in zip(nds, nds[1:])):
-            raise ConfigError("clock nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nds)
         object.__setattr__(self, "values", _numeric(values, "clock values",
                                                   ("modes", len(nds), "d", "d"), ConfigError))
@@ -180,10 +171,12 @@ class VerificationReport:
         }
 
 
-def _validate(strict_tol, slack_tol):
-    for name, tol in (("strict", strict_tol), ("slack", slack_tol)):
-        if not 0.0 <= tol < np.inf:  # a NaN or negative tol would pass failing margins
-            raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
+def _tol(value, name):
+    """A tolerance as a float; a NaN or negative one would pass failing margins."""
+    tol = _num(value, f"{name} tolerance")
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def _verdict(margins, segments, thetas, passed, grid, strict_tol, slack_tol, flags=None):
@@ -291,16 +284,14 @@ def _contraction_margins(model, cert, F0, W, thetas):
 
 def _contraction_report(model, cert, dwell, grid, strict_tol):
     """The contraction margin at every grid point, reduced by _grid_verdict."""
-    _validate(strict_tol, SLACK_TOL)  # before the grid is evaluated
+    strict_tol = _tol(strict_tol, "strict")  # before the grid is evaluated
     F0, W = _loop_data(model, cert)
-    if grid is None:
-        grid = DwellGrid.uniform(dwell)
+    if not isinstance(grid, DwellGrid):
+        grid = DwellGrid.uniform(dwell) if grid is None else DwellGrid(grid)
     thetas = grid._array
-    if thetas[0] < dwell.t_min - _COVER_TOL or thetas[-1] > dwell.t_max + _COVER_TOL:
-        raise ConfigError(
-            f"dwell grid [{thetas[0]}, {thetas[-1]}] leaves the dwell range "
-            f"[{dwell.t_min}, {dwell.t_max}]"
-        )
+    if dwell.outside((thetas[0], thetas[-1])).any():
+        raise ConfigError(f"dwell grid [{thetas[0]}, {thetas[-1]}] leaves the dwell range "
+                          f"[{dwell.t_min}, {dwell.t_max}]")
     margins = _contraction_margins(model, cert, F0, W, thetas)
     return _grid_verdict(margins, grid.points, strict_tol)
 
@@ -328,26 +319,21 @@ def check_switched(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
 def check(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
     """Dwell-grid contraction test of the model's kind.
 
-    A grid point outside [t_min, t_max] raises ConfigError; a grid inside
-    the range need not reach its endpoints.
+    grid, a DwellGrid or a sequence of points, need not reach the ends of
+    the dwell range; a point outside it (DwellRange.outside) is a ConfigError.
     """
-    if model.kind == "impulsive":
-        return check_impulsive(model, cert, dwell, grid, strict_tol)
-    return check_switched(model, cert, dwell, grid, strict_tol)
+    kind_check = check_impulsive if model.kind == "impulsive" else check_switched
+    return kind_check(model, cert, dwell, grid, strict_tol)
 
 
 def _covering(nodes, dwell):
-    """Indices of the clock nodes in [t_min, t_max], to within _COVER_TOL:
-    the nodes where the dwell-dependent conditions are imposed."""
-    return [k for k, t in enumerate(nodes)
-            if dwell.t_min - _COVER_TOL <= t <= dwell.t_max + _COVER_TOL]
+    """Indices of the clock nodes in the dwell range, where its conditions are imposed."""
+    return np.flatnonzero(~dwell.outside(nodes)).tolist()
 
 
 def _theta_nodes(clock, dwell):
-    if clock.nodes[-1] < dwell.t_max - _COVER_TOL:
-        raise ConfigError(
-            f"clock nodes end at {clock.nodes[-1]}, short of t_max = {dwell.t_max}"
-        )
+    if clock.nodes[-1] < dwell.t_max - dwell.tol:
+        raise ConfigError(f"clock nodes end at {clock.nodes[-1]}, short of t_max = {dwell.t_max}")
     inside = (min(max(clock.nodes[k], dwell.t_min), dwell.t_max)
               for k in _covering(clock.nodes, dwell))
     return sorted({dwell.t_min, dwell.t_max, *inside})
@@ -365,7 +351,8 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
     call over every mode; records run mode-major: flow at both ends of each
     interval, jump, coupling.
     """
-    _validate(STRICT_TOL, tol)  # before any eigenvalue work
+    tol = _tol(tol, "slack")  # before any eigenvalue work
+    eps = _num(eps, "eps")
     if not math.isfinite(eps):
         raise ConfigError(f"eps must be finite, got {eps}")
     F0, W = _loop_data(model, cert)
@@ -393,6 +380,6 @@ def exact_clock_family(cert, model, nodes):
     affinely, so downstream checks see the interpolant, not the exact curve.
     """
     _, W = _loop_data(model, cert)
-    flows = _flows(model, np.asarray(nodes, dtype=float))
+    flows = _flows(model, _increasing(nodes, "clock nodes"))
     return ClockFamily(nodes, [linalg.sym(np.swapaxes(E, -1, -2) @ linalg.sym(Wi) @ E)
                                for E, Wi in zip(flows, W)])

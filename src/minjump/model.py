@@ -20,15 +20,16 @@ Only the drifts (one, or one per mode), the gain slots with their nesting
 in configs and result files, and the reading of a gains argument stay per
 kind.
 
-Every value from outside the program (a JSON config, a result file or a
-library caller) is converted here, by one of two readers: _num takes a
-number, _numeric an array of an exact shape.  Each refuses what it cannot
-read with the error class its caller names, so the other modules only
-ever see floats, ints and read-only float arrays.
+Every value from outside the program is converted here, by _num (a
+number), _numeric (an array of an exact shape) or _increasing (a strictly
+increasing sequence: grid points, clock nodes, sampling times).  Each
+refuses what it cannot read with the error class its caller names, so the
+other modules only see floats, ints and read-only float arrays.
+DwellRange.outside is the one rule on whether a dwell lies in its range.
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import ConfigError, ModelError
 
 WEIGHT_ENTRY_TOL = 1e-14
 WEIGHT_COLSUM_TOL = 1e-12
+DWELL_TOL = 1e-12  # DwellRange.tol per unit of max(1, t_max)
 
 # no float array has more entries: its byte count must fit a signed index
 MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(float).itemsize
@@ -84,6 +86,14 @@ def _numeric(value, what, shape, error=ModelError):
     if not np.isfinite(M).all():
         raise error(f"{what} contains non-finite entries")
     M.setflags(write=False)
+    return M
+
+
+def _increasing(value, what):
+    """_numeric's finite 1-D array, nonempty and strictly increasing, or a ConfigError."""
+    M = _numeric(value, what, ("K",), ConfigError)
+    if not M.size or np.count_nonzero(M[1:] <= M[:-1]):
+        raise ConfigError(f"{what} must hold at least one point, strictly increasing")
     return M
 
 
@@ -179,19 +189,24 @@ class SwitchedSpec:
 
 @dataclass(frozen=True)
 class DwellRange:
-    """Admissible inter-sample interval [t_min, t_max], both in seconds."""
+    """Admissible inter-sample interval [t_min, t_max], both in seconds.  outside()
+    is the one membership rule: within tol = DWELL_TOL * max(1, t_max) of an end."""
 
     t_min: float
     t_max: float
+    tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t_min", _num(self.t_min, "dwell.t_min"))
         object.__setattr__(self, "t_max", _num(self.t_max, "dwell.t_max"))
         if not (0.0 < self.t_min <= self.t_max < np.inf):
-            raise ConfigError(
-                f"dwell range must satisfy 0 < t_min <= t_max, got "
-                f"[{self.t_min}, {self.t_max}]"
-            )
+            raise ConfigError(f"dwell range must satisfy 0 < t_min <= t_max, got "
+                              f"[{self.t_min}, {self.t_max}]")
+        object.__setattr__(self, "tol", DWELL_TOL * max(1.0, self.t_max))
+
+    def outside(self, values):
+        """Mask of the values more than tol below t_min or above t_max."""
+        return np.less(values, self.t_min - self.tol) | np.greater(values, self.t_max + self.tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,6 +57,7 @@ class MinJumpCertificate:
 
     def scaled(self, alpha):
         """Same rule with every P_i multiplied by alpha > 0."""
+        alpha = _num(alpha, "scale", float, CertificateError)
         if alpha <= 0.0:
             raise CertificateError("scale must be positive")
         return MinJumpCertificate(alpha * self.P, self.weights, self.eps * alpha)

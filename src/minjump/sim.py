@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DivergenceError, NumericError
-from .model import _num, _numeric
+from .model import _increasing, _num, _numeric
 # select_switched is unused: pinned by test_tracer_restores_the_package, TRACED_NAMES["sim"]
 from .rules import _fit, _form_stack, _forms, argmin_forms, select_switched  # noqa: F401
 
@@ -34,9 +34,9 @@ DIVERGENCE_LIMIT = 1e12
 class SamplingSequence:
     """Jump instants t_0 = 0 < t_1 < ... < t_K and the dwells between them.
 
-    Given times, the dwells are their differences.  Given dwells, the times
+    Given times, the dwells are their differences; given dwells, the times
     are their running sums and the flows use the dwells as given, so a
-    periodic sequence keeps a single dwell value.
+    periodic sequence keeps one dwell value.  All lie in `dwell` if given.
     """
 
     times: tuple
@@ -45,18 +45,15 @@ class SamplingSequence:
     def __init__(self, times=None, dwell=None, dwells=None):
         if dwells is not None:
             dwells = _numeric(dwells, "dwells", ("K",), ConfigError)
+            times = np.zeros(len(dwells) + 1)
             with np.errstate(over="ignore"):  # a sum past the float range is refused below
-                times = np.concatenate([[0.0], np.cumsum(dwells)])
-        else:
-            times = _numeric(times, "sampling times", ("K",), ConfigError)
-        if not times.size or times[0] != 0.0:
+                np.cumsum(dwells, out=times[1:])
+        times = _increasing(times, "sampling times")
+        if times[0] != 0.0:
             raise ConfigError("sampling sequence must start at t = 0")
-        if not np.isfinite(times[-1]) or not (np.diff(times) > 0.0).all():
-            raise ConfigError("sampling times must be finite and strictly increasing")
         dwells = np.diff(times) if dwells is None else dwells
         if dwell is not None:
-            tol = 1e-12 * max(1.0, dwell.t_max)
-            bad = ~((dwell.t_min - tol <= dwells) & (dwells <= dwell.t_max + tol))
+            bad = dwell.outside(dwells)
             if bad.any():
                 raise ConfigError(f"dwell {float(dwells[bad.argmax()])!r} outside"
                                   f" [{dwell.t_min}, {dwell.t_max}]")
@@ -68,20 +65,18 @@ def gen_sequence(dwell, kind, count, seed=None, period=None):
     """Admissible sampling sequence with `count` dwell intervals.
 
     kind "periodic" repeats the given period; kind "uniform_random" draws
-    dwells uniformly from [t_min, t_max] (deterministic given seed).
+    dwells uniformly from [t_min, t_max] (deterministic given an int seed).
     """
+    count = _num(count, "count", int)
     if count < 1:
         raise ConfigError("count must be at least 1")
     if kind == "periodic":
-        period = _num(period, "period")  # None too: "period must be a number"
-        if not dwell.t_min <= period <= dwell.t_max:
-            raise ConfigError(f"period {period} outside [{dwell.t_min}, {dwell.t_max}]")
-        dwells = np.full(count, period)
+        dwells = np.full(count, _num(period, "period"))  # None too: "period must be a number"
     elif kind == "uniform_random":
-        if isinstance(seed, (int, np.integer)) and seed < 0:
+        seed = None if seed is None else _num(seed, "seed", int)
+        if seed is not None and seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-        rng = np.random.default_rng(seed)
-        dwells = rng.uniform(dwell.t_min, dwell.t_max, size=count)
+        dwells = np.random.default_rng(seed).uniform(dwell.t_min, dwell.t_max, size=count)
     else:
         raise ConfigError(f"unknown sequence kind {kind!r}")
     return SamplingSequence(dwell=dwell, dwells=dwells)
@@ -156,6 +151,7 @@ def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
     one guard, chi' chi <= DIVERGENCE_LIMIT^2, which also rejects inf and nan.
     """
     _fit(model, cert, kind, current, f"simulate_{kind}")
+    substeps = _num(substeps, "substeps", int)
     if substeps < 1:
         raise ConfigError("substeps must be at least 1")
     chi = _initial_state(model, x0, u0)

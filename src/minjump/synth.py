@@ -40,10 +40,10 @@ import numpy as np
 
 from . import sdp
 # check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
-from .checks import _COVER_TOL, DwellGrid, _covering, check, check_impulsive  # noqa: F401
+from .checks import DwellGrid, _covering, check, check_impulsive  # noqa: F401
 from .errors import CapacityError, ConfigError, RecoveryError
 from .linalg import inv_spd
-from .model import ModeWeights
+from .model import ModeWeights, _num
 from .rules import MinJumpCertificate, _fit
 
 log = logging.getLogger("minjump.synth")
@@ -65,6 +65,7 @@ class SynthesisOptions:
     clock_nodes: int = 6
 
     def __post_init__(self):
+        object.__setattr__(self, "clock_nodes", _num(self.clock_nodes, "clock_nodes", int))
         if self.clock_nodes < 2:
             raise ConfigError("need at least two clock nodes")
         if self.clock_nodes + 2 > sdp.SCALAR_CAP:  # S_0 at every node, Pt0 and eps at least
@@ -94,12 +95,11 @@ class SynthesisResult:
 
 def clock_node_grid(dwell, count):
     """Uniform nodes on [0, t_max] with t_min inserted unless a node lies
-    within _COVER_TOL of it, so some node always covers [t_min, t_max]."""
-    nodes = list(np.linspace(0.0, dwell.t_max, count))
-    if not any(abs(t - dwell.t_min) <= _COVER_TOL for t in nodes):
-        nodes.append(dwell.t_min)
-        nodes.sort()
-    return tuple(nodes)
+    within dwell.tol of it, so some node always covers [t_min, t_max]."""
+    nodes = np.linspace(0.0, dwell.t_max, count)
+    if not (abs(nodes - dwell.t_min) <= dwell.tol).any():
+        nodes = np.sort(np.append(nodes, dwell.t_min))
+    return tuple(nodes.tolist())
 
 
 def _weights(model, weights):

@@ -664,9 +664,9 @@ def test_clock_nodes_must_be_finite_numbers():
 
 def test_dwell_grid_validation():
     assert DwellGrid([0.1, 0.2]).points == (0.1, 0.2)
-    # any iterable of floats, each converted by float(): a tuple of Python floats
+    # an array, list or tuple of numbers, read by model._increasing: a tuple of Python floats
     arr = np.linspace(0.01, 0.05, 7)
-    for points in (arr, list(arr), iter(arr), (str(p) for p in arr.tolist())):
+    for points in (arr, list(arr), tuple(arr.tolist())):
         grid = DwellGrid(points)
         assert type(grid.points) is tuple and all(type(p) is float for p in grid.points)
         assert grid.points == tuple(arr.tolist())
@@ -676,5 +676,18 @@ def test_dwell_grid_validation():
                             ((0.2, 0.1), "strictly increasing")):
         with pytest.raises(ConfigError, match=message):
             DwellGrid(points)
-    with pytest.raises(TypeError):
-        DwellGrid([[0.1, 0.2]])
+    # strings are not parsed, and an iterator or a nested list is not a sequence of points
+    for points in ((str(p) for p in arr.tolist()), iter(arr), [[0.1, 0.2]], ["0.1", "0.2"]):
+        with pytest.raises(ConfigError, match="dwell grid"):
+            DwellGrid(points)
+
+
+def test_check_takes_a_list_of_points():
+    model, cert, dwell = _scalar_model(0.5), _scalar_cert(), DwellRange(0.01, 0.05)
+    for points in ([0.02], (0.01, 0.03, 0.05), np.linspace(0.01, 0.05, 9)):
+        assert (check(model, cert, dwell, grid=points).to_dict()
+                == check(model, cert, dwell, grid=DwellGrid(points)).to_dict())
+    with pytest.raises(ConfigError, match="leaves the dwell range"):
+        check(model, cert, dwell, grid=[0.02, 0.06])
+    with pytest.raises(ConfigError, match="dwell grid"):
+        check(model, cert, dwell, grid=0.02)

@@ -4,15 +4,26 @@ import numpy as np
 import pytest
 
 from minjump import (
+    ClockFamily,
+    DwellGrid,
     DwellRange,
     ImpulsiveSpec,
     MinJumpCertificate,
     ModeWeights,
+    SamplingSequence,
     SwitchedSpec,
+    SynthesisOptions,
     augment_impulsive,
     augment_switched,
+    check,
+    check_clock,
+    exact_clock_family,
+    gen_sequence,
 )
+from minjump.checks import _covering
 from minjump.errors import CertificateError, ConfigError, ModelError
+from minjump.sim import simulate
+from minjump.synth import clock_node_grid
 
 from conftest import EX1_A, EX1_B, EX1_J, EX3_A, EX3_B, EX3_J, EX3_UPDATES
 
@@ -176,3 +187,110 @@ def test_non_numeric_input_raises_typed_errors():
         DwellRange("soon", 0.05)
     with pytest.raises(CertificateError):
         MinJumpCertificate([[["z", 0.0], [0.0, 1.0]]], ModeWeights([[1.0]]))
+
+
+# the three outside sequences, each read by model._increasing and named in its errors
+_SEQUENCES = {
+    "dwell grid": DwellGrid,
+    "clock nodes": lambda nodes: ClockFamily(nodes, [[np.eye(1)] * 2]),
+    "sampling times": lambda times: SamplingSequence(times=times),
+}
+
+
+@pytest.mark.parametrize("what", _SEQUENCES)
+@pytest.mark.parametrize("value", [["0.0", "0.5"], [0.0, True], [[0.0], [0.5]], 0.5,
+                                   iter([0.0, 0.5]), None],
+                         ids=["strings", "bool", "nested", "scalar", "iterator", "none"])
+def test_sequence_reader_refuses_non_sequences(what, value):
+    with pytest.raises(ConfigError, match=what):
+        _SEQUENCES[what](value)
+
+
+@pytest.mark.parametrize("what", _SEQUENCES)
+def test_sequence_reader_refuses_non_increasing(what):
+    _SEQUENCES[what]([0.0, 0.5])
+    for value, message in (([], "at least one point"), ([0.0, 0.5, 0.5], "strictly increasing"),
+                           ([0.0, np.inf], "non-finite")):
+        with pytest.raises(ConfigError, match=f"{what} .*{message}"):
+            _SEQUENCES[what](value)
+
+
+def _scalar_loop():
+    model = augment_impulsive(ImpulsiveSpec([[-1.0]], J=[[[0.5]]]))
+    return model, MinJumpCertificate([[[1.0]]], [[1.0]])
+
+
+@pytest.mark.parametrize("t_max", [0.05, 1.0, 10.0])
+@pytest.mark.parametrize("rel", [1e-13, 1e-11])
+def test_dwell_membership_is_one_rule(t_max, rel):
+    """A dwell just past t_max is in the range or not by one rule,
+    DwellRange.outside within 1e-12 max(1, t_max), on every path."""
+    model, cert = _scalar_loop()
+    dwell = DwellRange(t_max / 2, t_max)
+    theta = t_max * (1.0 + rel)
+    assert dwell.tol == 1e-12 * max(1.0, t_max)
+
+    def accepted(run):
+        try:
+            run()
+        except ConfigError:
+            return False
+        return True
+
+    verdicts = {
+        "grid": accepted(lambda: check(model, cert, dwell, grid=[t_max / 2, theta])),
+        "sequence": accepted(lambda: SamplingSequence(dwells=(theta,), dwell=dwell)),
+        "periodic": accepted(lambda: gen_sequence(dwell, "periodic", 2, period=theta)),
+        "covering": _covering((theta,), dwell) == [0],
+    }
+    inside = theta - t_max <= dwell.tol
+    assert verdicts == dict.fromkeys(verdicts, inside)
+    assert inside == (rel == 1e-13 or t_max < 1.0)
+
+
+def _scalar_probes():
+    model, cert = _scalar_loop()
+    dwell = DwellRange(0.01, 0.05)
+    seq = gen_sequence(dwell, "periodic", 3, period=0.02)
+    clock = exact_clock_family(cert, model, clock_node_grid(dwell, 4))
+    return {
+        "count-str": lambda: gen_sequence(dwell, "uniform_random", count="5"),
+        "count-float": lambda: gen_sequence(dwell, "uniform_random", count=2.5),
+        "seed-float": lambda: gen_sequence(dwell, "uniform_random", count=5, seed=1.5),
+        "substeps-float": lambda: simulate(model, cert, seq, [1.0], substeps=1.5),
+        "substeps-str": lambda: simulate(model, cert, seq, [1.0], substeps="2"),
+        "clock_nodes-float": lambda: SynthesisOptions(clock_nodes=6.5),
+        "clock_nodes-str": lambda: SynthesisOptions(clock_nodes="6"),
+        "grid-count-float": lambda: DwellGrid.uniform(dwell, 2.5),
+        "strict_tol-str": lambda: check(model, cert, dwell, strict_tol="1e-7"),
+        "strict_tol-bool": lambda: check(model, cert, dwell, strict_tol=True),
+        "eps-str": lambda: check_clock(model, clock, cert, "0.1", dwell),
+        "scale-str": lambda: cert.scaled("2"),
+    }
+
+
+@pytest.mark.parametrize("probe", list(_scalar_probes()))
+def test_library_scalars_are_read_as_numbers(probe):
+    error = CertificateError if probe.startswith("scale") else ConfigError
+    with pytest.raises(error, match="must be a (whole )?number"):
+        _scalar_probes()[probe]()
+
+
+def test_library_scalars_keep_their_bounds():
+    model, cert = _scalar_loop()
+    dwell = DwellRange(0.01, 0.05)
+    seq = gen_sequence(dwell, "periodic", 3, period=0.02)
+    assert SynthesisOptions(clock_nodes=6.0).clock_nodes == 6
+    seq5 = gen_sequence(dwell, "uniform_random", count=np.int64(5), seed=np.int64(1))
+    assert len(seq5.dwells) == 5
+    assert check(model, cert, dwell, strict_tol=0).strict_tol == 0.0
+    for run, message in ((lambda: gen_sequence(dwell, "periodic", 0, period=0.02), "at least 1"),
+                         (lambda: gen_sequence(dwell, "uniform_random", 5, seed=-1),
+                          "nonnegative"),
+                         (lambda: simulate(model, cert, seq, [1.0], substeps=0), "at least 1"),
+                         (lambda: SynthesisOptions(clock_nodes=1), "two clock nodes"),
+                         (lambda: DwellGrid.uniform(dwell, 1), "two points"),
+                         (lambda: check(model, cert, dwell, strict_tol=-1.0), "nonnegative"),
+                         (lambda: check(model, cert, dwell, strict_tol=np.nan), "finite")):
+        with pytest.raises(ConfigError, match=message):
+            run()

@@ -19,7 +19,7 @@ from minjump import (
     synthesize,
 )
 from minjump import sdp
-from minjump.checks import _COVER_TOL, DwellGrid, _covering
+from minjump.checks import DwellGrid, _covering
 from minjump.linalg import inv_spd
 from minjump.synth import (
     FLOOR,
@@ -33,7 +33,7 @@ from conftest import EX1_PI, EX3_PI
 
 
 def test_clock_node_grid_contains_dwell_floor():
-    """Some node lies within _COVER_TOL of t_min, so the dwell blocks always
+    """Some node lies within dwell.tol of t_min, so the dwell blocks always
     have a covering node: off the grid, on it, a hair off a linspace node,
     and for a single-point range."""
     on_grid = float(np.linspace(0.0, 0.05, 6)[2])
@@ -46,7 +46,7 @@ def test_clock_node_grid_contains_dwell_floor():
             assert nodes[0] == 0.0 and nodes[-1] == t_max
             assert all(b > a for a, b in zip(nodes, nodes[1:]))
             assert len(nodes) in (count, count + 1)
-            assert any(abs(t - t_min) <= _COVER_TOL for t in nodes)
+            assert any(abs(t - t_min) <= dwell.tol for t in nodes)
             assert _covering(nodes, dwell)
 
 
