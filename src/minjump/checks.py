@@ -113,10 +113,16 @@ class ClockFamily:
         object.__setattr__(self, "values", _numeric(values, "clock values",
                                                   ("modes", len(nds), "d", "d"), ConfigError))
 
+    def outside(self, taus):
+        """Mask of the taus more than _COVER_TOL outside the node span: the one
+        rule on where the family is defined, t_max included."""
+        return (np.less(taus, self.nodes[0] - _COVER_TOL)
+                | np.greater(taus, self.nodes[-1] + _COVER_TOL))
+
     def at(self, taus):
         """Every mode's S at each tau of a 1-D array: the (modes, len(taus), d, d) stack."""
         taus, nodes = np.asarray(taus, dtype=float), np.asarray(self.nodes)
-        outside = (taus < nodes[0] - _COVER_TOL) | (taus > nodes[-1] + _COVER_TOL)
+        outside = self.outside(taus)
         if outside.any():
             raise ConfigError(f"tau = {taus[outside][0]} outside clock node span")
         k = np.clip(np.searchsorted(nodes, taus, side="right") - 1, 0, len(nodes) - 2)
@@ -332,7 +338,7 @@ def _covering(nodes, dwell):
 
 
 def _theta_nodes(clock, dwell):
-    if clock.nodes[-1] < dwell.t_max - dwell.tol:
+    if clock.outside(dwell.t_max):
         raise ConfigError(f"clock nodes end at {clock.nodes[-1]}, short of t_max = {dwell.t_max}")
     inside = (min(max(clock.nodes[k], dwell.t_min), dwell.t_max)
               for k in _covering(clock.nodes, dwell))

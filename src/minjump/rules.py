@@ -89,11 +89,13 @@ def _forms(W, P):
 
 
 def _form_stack(P, J=None):
-    """One C-contiguous (modes*d, d) array of the rows of the P_i, or of the
-    J_i' P_i J_i for one jump-table source column's maps J (modes, d, d)."""
+    """One C-contiguous ((1 + modes) d, d) array [I; Q]: the identity's rows,
+    then those of the P_i, or of the J_i' P_i J_i for one jump-table source
+    column's maps J (modes, d, d).  One gemv on it and one on the result give
+    chi' chi and every candidate's form."""
     if J is not None:
         P = np.swapaxes(J, 1, 2) @ (P @ J)
-    return np.ascontiguousarray(P.reshape(-1, P.shape[-1]))
+    return np.concatenate([np.eye(P.shape[-1]), P.reshape(-1, P.shape[-1])])
 
 
 def argmin_forms(Q, chi):
@@ -101,11 +103,11 @@ def argmin_forms(Q, chi):
     the lowest index; the arguments are unchecked.  Underflow cannot change
     the choice: below 2^-900 (0 included) chi is scaled by an exact power of
     two to max|chi| in [1/2, 1) and scored again.  A non-finite winner raises."""
-    forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)
+    forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)[1:]
     best = int(forms.argmin())
     if forms[best] < 2.0 ** -900:
         chi = np.ldexp(chi, -np.frexp(np.abs(chi).max())[1])
-        forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)
+        forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)[1:]
         best = int(forms.argmin())
     if not math.isfinite(forms[best]):
         raise NumericError("state is not finite, or its quadratic forms overflow")

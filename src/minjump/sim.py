@@ -5,7 +5,10 @@ so dense samples are exact up to rounding.  Both loops run through one
 sample kernel, which validates a run once and holds one rule form stack
 per jump-table source column and one expm stack per drift over the
 distinct dwells only (periodic sampling costs one exponential).  A sample
-is one `rules.argmin_forms` call and one ndarray.dot per jump, substep and guard.
+is one ndarray.dot per jump and flow substep, writing into the stored
+rows, plus two that give the guard's chi' chi and the next rule's forms
+at once; a decaying state is carried times an exact power of two, so a
+long run never computes on subnormal numbers.
 Trajectories are recorded with both the pre-jump and the post-jump state
 at every sampling instant; the state stored at t_k in the dense arrays is
 the pre-jump limit.
@@ -18,6 +21,7 @@ make strictly decreasing.
 
 import csv
 from dataclasses import dataclass
+from math import frexp, inf
 
 import numpy as np
 
@@ -134,29 +138,51 @@ def _exponentials(A, steps):
                                _exponentials(A, steps[half:])])
 
 
-def _diverged(t, last_ok, E=None):
+class _Scaled(Exception):
+    """A guard failed on a state carried times 2^shift, shift > 0."""
+
+
+def _diverged(t, last_ok, E=None, shift=0):
+    if shift:  # the true state may be in range: the run is redone unscaled
+        raise _Scaled
     if E is not None and not np.all(np.isfinite(E)):
         raise NumericError(f"expm overflowed on the flow ending at t = {t:g}")
     raise DivergenceError(f"state norm exceeded {DIVERGENCE_LIMIT:g} at t = {t:g}"
                           f" (last finite time {last_ok:g})", last_time=last_ok)
 
 
-def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
+def _rescale(chi, shift, head):
+    """(chi 2^delta, shift + delta), max|chi 2^delta| in [2^-head / 2, 2^-head)
+    unless shift + delta would fall below 0; chi is finite."""
+    delta = max(-shift, -frexp(np.abs(chi).max())[1] - head)
+    return (np.ldexp(chi, delta), shift + delta) if delta else (chi, shift)
+
+
+def _march(model, cert, seq, x0, u0, substeps, kind, current=0, carry=True):
     """The sample loop both simulators share: fire the rule, jump, flow.
 
-    The run is validated here, once; its form stacks, jump maps and flows
-    are lists of contiguous arrays.  current is the jump table's source
+    The run is validated here, once.  current is the jump table's source
     column and the drift of the interval that follows: 0 for an impulsive
-    model, the selected mode for a switched one.  Every new state passes
-    one guard, chi' chi <= DIVERGENCE_LIMIT^2, which also rejects inf and nan.
+    model, the selected mode for a switched one.  The jump and each flow
+    substep are one gemv, written into the state's stored row.  After the
+    last substep a gemv on column c's form stack [I; Q_c] and one on its
+    result give chi' chi, for the guard chi' chi <= DIVERGENCE_LIMIT^2
+    (which also rejects inf and nan), and the next rule's forms, ties to
+    the lowest mode, with `argmin_forms`' arithmetic; it decides the first
+    sample and any whose smallest form is below 2^-900 or some form is not
+    finite.  With carry,
+    a state with chi' chi below 2^-500 is carried times an exact 2^shift,
+    scaled back once chi' chi passes 1, and the rows are unscaled after
+    the loop; a guard failing while shift > 0 redoes the run without it.
     """
     _fit(model, cert, kind, current, f"simulate_{kind}")
     substeps = _num(substeps, "substeps", int)
     if substeps < 1:
         raise ConfigError("substeps must be at least 1")
-    chi = _initial_state(model, x0, u0)
+    chi = start = _initial_state(model, x0, u0)
+    initial = current
     times = np.asarray(seq.times)
-    K = len(times) - 1
+    K, d = len(times) - 1, model.dim
     steps = np.asarray(seq.dwells) / substeps
     # one exponential per distinct step, made on the drift's first use
     distinct, where = np.unique(steps, return_inverse=True)
@@ -166,34 +192,60 @@ def _march(model, cert, seq, x0, u0, substeps, kind, current=0):
     forms = [_form_stack(P, J if switched else None) for J in table.swapaxes(0, 1)]
     jumps = [list(J) for J in table.swapaxes(0, 1)]
     flows = [None] * model.modes
-    limit = DIVERGENCE_LIMIT ** 2
-    modes, pre, post, dense = [], [], [], []
+    limit, tiny = DIVERGENCE_LIMIT ** 2, 2.0 ** -500 if carry else 0.0
+    head = (d - 1).bit_length() + 1 >> 1  # 4^head >= d
+    post, dense = np.empty((K + 1, d)), np.empty((K * substeps, d))
+    posts, flowed = iter(post), iter(dense)  # the row each product writes
+    z, w = np.empty(len(forms[0])), np.empty(model.modes + 1)
+    zrows, inner = z.reshape(-1, d), range(1, substeps)
+    shift, shifts, modes = 0, [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        if not chi.dot(chi) <= limit:
+        w0 = chi.dot(chi)
+        if not w0 <= limit:
             _diverged(0.0, 0.0)
-        for k in range(K + 1):
-            mode = argmin_forms(forms[current], chi)
-            modes.append(mode)
-            pre.append(chi)
-            chi = jumps[current][mode].dot(chi)
-            post.append(chi)
-            if k == K:
-                break
-            current = mode if switched else 0
-            if flows[current] is None:
-                flows[current] = list(_exponentials(model.drift(current), distinct))
-            E = flows[current][where[k]]
-            for q in range(substeps):
-                chi = E.dot(chi)
-                if not chi.dot(chi) <= limit:
-                    _diverged(times[k] + (q + 1) * steps[k], times[k] + q * steps[k], E)
-                dense.append(chi)
-    modes, pre, post = np.array(modes), np.array(pre), np.array(post)
+        mode = argmin_forms(forms[current], chi)
+        try:
+            for k in range(K + 1):
+                if w0 < tiny or shift and w0 > 1.0:
+                    chi, new = _rescale(chi, shift, head)
+                    if new != shift:
+                        shift = new
+                        shifts.append((k, shift))
+                modes.append(mode)
+                chi = jumps[current][mode].dot(chi, next(posts))
+                if k == K:
+                    break
+                current = mode if switched else 0
+                if flows[current] is None:
+                    flows[current] = list(_exponentials(model.drift(current), distinct))
+                E = flows[current][where[k]]
+                for q in inner:
+                    chi = E.dot(chi, next(flowed))
+                    if not chi.dot(chi) <= limit:
+                        _diverged(times[k] + q * steps[k], times[k] + (q - 1) * steps[k], E, shift)
+                chi = E.dot(chi, next(flowed))
+                forms[current].dot(chi, z)
+                w0, *v = zrows.dot(chi, w).tolist()
+                if not w0 <= limit:
+                    _diverged(times[k] + substeps * steps[k],
+                              times[k] + (substeps - 1) * steps[k], E, shift)
+                mode = v.index(best := min(v))
+                if not (best >= 2.0 ** -900 and sum(v) < inf):
+                    mode = argmin_forms(forms[current], chi)
+        except _Scaled:
+            return _march(model, cert, seq, x0, u0, substeps, kind, initial, False)
+    modes = np.array(modes)
+    if shifts:  # post-jump state k and interval k's rows carry sample k's shift
+        s = np.zeros(K + 1, dtype=int)
+        for k, shift in shifts:
+            s[k:] = shift
+        post = np.ldexp(post, -s[:, None])
+        dense = np.ldexp(dense, -np.repeat(s[:-1], substeps)[:, None])
+    pre = np.concatenate([start[None], dense[substeps - 1::substeps]])
     dense_t = times[:-1, None] + np.arange(1, substeps + 1) * steps[:, None]
     arrays = (times, modes, pre, post,
               _forms(post if switched else pre, P[modes]),
-              dense_t.ravel(), np.array(dense).reshape(K * substeps, model.dim),
-              np.repeat(modes[:-1], substeps))
+              dense_t.ravel(), dense, np.repeat(modes[:-1], substeps))
     for a in arrays:
         a.setflags(write=False)
     return Trajectory(kind, model.n, *arrays, substeps)

@@ -590,6 +590,19 @@ def test_clock_check_needs_positive_eps_where_every_margin_clears():
     assert not report.passed
 
 
+def test_clock_short_of_t_max_is_named_by_one_rule(ex1_reference_model, ex1_reference_cert):
+    """A clock whose last node falls 5e-12 short of t_max = 10 is short by
+    the clock's own node-span slack (1e-12), though within the dwell range's
+    tol (1e-11): the check names the shortfall, not an evaluation outside
+    the node span."""
+    nodes = np.linspace(0.0, 10.0, 5)
+    nodes[-1] = 10.0 - 5e-12
+    clock = exact_clock_family(ex1_reference_cert, ex1_reference_model, nodes)
+    short = r"^clock nodes end at 9\.999999999995, short of t_max = 10\.0$"
+    with pytest.raises(ConfigError, match=short):
+        check_clock(ex1_reference_model, clock, ex1_reference_cert, 0.01, DwellRange(5.0, 10.0))
+
+
 def test_clock_check_switched_identity_case(ex3_reference_model):
     """Degenerate data where every block is exactly -I or -eps-shifted."""
     from minjump.checks import ClockFamily

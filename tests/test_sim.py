@@ -216,25 +216,99 @@ def test_march_picks_the_public_rules_choice(request, case):
         assert len(set(traj.modes)) == model.modes  # every mode is chosen somewhere
 
 
-@pytest.mark.parametrize("scale", [400, 520, 560])
+@pytest.mark.parametrize("scale", [400, 520, 560, 700, 1000])
 @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3"])
 def test_scaled_initial_state_gives_the_scaled_run(request, case, scale):
     """The loop is linear and the rule homogeneous, so x0 and u0 times 2^-s
     give the same modes and exactly the scaled states, also where the forms
-    underflow (|chi| below about 2^-512)."""
+    underflow (|chi| below about 2^-512) and where the states are subnormal
+    (s = 1000): the kernel carries the state times a power of two and
+    rounds each stored entry once."""
     model, cert, dwell = _example_loop(request, case)
     seq = gen_sequence(dwell, "uniform_random", count=100, seed=5)
     x0, u0 = np.ones(model.n), np.full(model.m, 0.5)
-    base = sim.simulate(model, cert, seq, x0, u0)
-    tiny = sim.simulate(model, cert, seq, np.ldexp(x0, -scale), np.ldexp(u0, -scale))
+    base = sim.simulate(model, cert, seq, x0, u0, substeps=2)
+    tiny = sim.simulate(model, cert, seq, np.ldexp(x0, -scale), np.ldexp(u0, -scale), substeps=2)
     assert np.array_equal(tiny.modes, base.modes)
-    assert np.array_equal(tiny.pre_states, np.ldexp(base.pre_states, -scale))
+    for rows in ("pre_states", "post_states", "dense_states"):
+        assert np.array_equal(getattr(tiny, rows), np.ldexp(getattr(base, rows), -scale))
+
+
+def test_long_run_that_rescales_matches_loop_oracle(ex3_reference_model, ex3_reference_cert,
+                                                    ex3_dwell):
+    """1500 intervals of ex3 from the simulate benchmark's first ex3 input:
+    the state falls below 2^-250 near sample 950 and is carried scaled from
+    there; modes equal the loop oracle's and every row is within 1e-12."""
+    model, cert = ex3_reference_model, ex3_reference_cert
+    rng = np.random.default_rng([20170306, 1, 0])  # the benchmark's input stream
+    x0, u0 = rng.uniform(-1.0, 1.0, model.n), rng.uniform(-1.0, 1.0, model.m)
+    seq = gen_sequence(ex3_dwell, "uniform_random", count=1500, seed=int(rng.integers(2**31)))
+    traj = sim.simulate(model, cert, seq, x0, u0)
+    want = oracles.loop_simulate(model, cert, seq, x0, u0)
+    assert np.linalg.norm(traj.pre_states[-1]) < 2.0 ** -250
+    assert np.array_equal(traj.modes, want.modes)
+    _rows_close(traj.pre_states, want.pre)
+    _rows_close(traj.post_states, want.post)
+    _rows_close(traj.dense_states, want.dense)
+
+
+@pytest.mark.parametrize("rate", [20.0, 30.0])
+def test_a_carried_state_that_grows_is_judged_at_its_true_size(rate, monkeypatch):
+    """From x0 = 2^-700 the state grows by e^rate per interval.  The kernel
+    carries it scaled up and scales it back as it grows: at rate 20
+    (about 2^29 an interval) the scaled state stays in range and the run
+    ends at the true state's divergence, at rate 30 (2^43) the scaled
+    guard fails at once and the run is redone unscaled.  Either way the
+    rows and the divergence time are the loop oracle's."""
+    marches = []
+    real = sim._march
+    monkeypatch.setattr(sim, "_march", lambda *args: marches.append(args) or real(*args))
+    model = augment_impulsive(ImpulsiveSpec([[rate]], J=[[[1.0]]]))
+    cert = MinJumpCertificate([np.eye(1)], ModeWeights([[1.0]]))
+    x0 = [2.0 ** -700]
+    for count in (15, 40):
+        seq = gen_sequence(DwellRange(1.0, 1.0), "periodic", count=count, period=1.0)
+        try:
+            want = oracles.loop_simulate(model, cert, seq, x0)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError) as got:
+                sim.simulate(model, cert, seq, x0)
+            assert got.value.last_time == exc.last_time
+            continue
+        traj = sim.simulate(model, cert, seq, x0)
+        assert np.array_equal(traj.pre_states, want.pre)
+        assert np.array_equal(traj.post_states, want.post)
+    assert len(marches) == (4 if rate == 30.0 else 2)  # each run redone once at rate 30
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_pre_jump_states_are_the_flow_bitwise(modes):
+    """Every stored pre-jump state is E times the post-jump state before it,
+    the exponential's own gemv, bit for bit, for d = 1..12.  The guard and
+    the rule read a second product on [I; Q], not rows of a taller stack
+    [E; Q E]: a BLAS gemv may sum a row of a taller matrix in another order
+    (OpenBLAS's Haswell and SkylakeX kernels do for d = 9..11)."""
+    rng = np.random.default_rng(modes)
+    for d in range(1, 13):
+        A = 0.3 * rng.standard_normal((d, d))
+        J = np.eye(d) + 0.2 * rng.standard_normal((modes, d, d))
+        model = augment_impulsive(ImpulsiveSpec(A.tolist(), J=J.tolist()))
+        W = rng.standard_normal((modes, d, d))
+        cert = MinJumpCertificate(W @ np.swapaxes(W, 1, 2) + np.eye(d),
+                                  ModeWeights(np.full((modes, modes), 1.0 / modes)))
+        seq = gen_sequence(DwellRange(0.05, 0.4), "uniform_random", count=30, seed=d)
+        traj = sim.simulate(model, cert, seq, rng.uniform(-1.0, 1.0, d))
+        flows = linalg.expm(model.drift(), np.asarray(seq.dwells))
+        for E, start, end in zip(flows, traj.post_states, traj.pre_states[1:]):
+            assert np.array_equal(end, E.dot(start))
 
 
 @pytest.mark.parametrize("case", ["ex1", "ex3"])
 def test_kernel_makes_one_rule_call_and_no_einsum_per_sample(request, case, monkeypatch):
-    """A run of K intervals calls argmin_forms K + 1 times, and its einsum
-    count does not grow with K: the only one is the V pass after the loop."""
+    """A run of K intervals that stays in range calls argmin_forms once, for
+    the first sample (every later one reads its forms off the stacked
+    product), and its einsum count does not grow with K: the only one is
+    the V pass after the loop."""
     model, cert, dwell = _example_loop(request, case)
     calls = {}
 
@@ -251,7 +325,7 @@ def test_kernel_makes_one_rule_call_and_no_einsum_per_sample(request, case, monk
         calls.update(argmin_forms=0, einsum=0)
         seq = gen_sequence(dwell, "uniform_random", count=K, seed=3)
         sim.simulate(model, cert, seq, np.ones(model.n), substeps=2)
-        assert calls["argmin_forms"] == K + 1
+        assert calls["argmin_forms"] == 1
         einsums.append(calls["einsum"])
     assert einsums[0] == einsums[1]
 
