@@ -303,11 +303,13 @@ def _summary(traj, model):
     A subnormal V has lost its precision: it repeats or rises by rounding."""
     v = traj.lyapunov
     nz = v >= np.finfo(float).tiny
+    x = traj.post_states[-1]
+    e = np.frexp(np.abs(x).max())[1]  # |x| = 2^e |x 2^-e|: sqrt(x'x) underflows below 1.5e-154
     return {
         "status": "completed",
         "samples": traj.samples,
         "final_time": float(traj.times[-1]),
-        "final_state_norm": float(np.linalg.norm(traj.post_states[-1])),
+        "final_state_norm": float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)),
         "value_first": float(v[0]),
         "value_last": float(v[-1]),
         "value_decay": float(v[0] / v[-1]) if v[-1] > 0 else None,
@@ -364,21 +366,20 @@ def _print_table(title, rows):
 
 
 def _reference_design(cfg, weights):
-    """Published closed loop and certificate, or None when there is none.
+    """Published closed loop and certificate.
 
     The certificate is reference.P, the inverses of reference.Ptilde, or
-    else the rule block.  reference.K fills the open gain slots in order,
-    or is the whole gain table when the config fixes no gain.
+    else the rule block, which build_cert asks for when there is none.
+    reference.K fills the open gain slots in order, or is the whole gain
+    table when the config fixes no gain.
     """
     ref = cfg.get("reference", {})
     if "P" in ref or "Ptilde" in ref:
         P = ref["P"] if "P" in ref else np.linalg.inv(
             _numeric(ref["Ptilde"], "reference.Ptilde", ("N", "d", "d"), CertificateError))
         cert = MinJumpCertificate(P, weights)
-    elif "rule" in cfg:
-        cert = build_cert(cfg, weights)
     else:
-        return None
+        cert = build_cert(cfg, weights)
     gains = fixed = cfg.get("gains", {}).get("K")
     if "K" in ref:
         published = iter(ref["K"])
@@ -396,15 +397,15 @@ def cmd_example(args):
     failures = 0
 
     # leg 1: verify the published design
-    design = published = _reference_design(cfg, weights)
-    if design is not None:
-        report = _report(cfg, args, *design, dwell)
-        _print_table("reference design", [
-            ("check", "pass" if report.passed else "FAIL"),
-            ("worst margin", f"{report.worst_margin:.6e}"),
-            ("worst condition", report.worst_condition),
-        ])
-        failures += not report.passed
+    design = _reference_design(cfg, weights)
+    ref_model = design[0]
+    report = _report(cfg, args, *design, dwell)
+    _print_table("reference design", [
+        ("check", "pass" if report.passed else "FAIL"),
+        ("worst margin", f"{report.worst_margin:.6e}"),
+        ("worst condition", report.worst_condition),
+    ])
+    failures += not report.passed
 
     # leg 2: synthesize from scratch; set each open gain beside the published one
     model = build_model(cfg)
@@ -414,7 +415,6 @@ def cmd_example(args):
         if result.success:
             rows.append(("post-check worst margin", f"{result.report.worst_margin:.6e}"))
             design = model.with_gains(result.gains), result.cert
-            ref_model = published[0] if published else model
             pairs = [(ref_model.gain(*idx), design[0].gain(*idx)) for idx in model.gain_slots
                      if model.gain(*idx) is None and ref_model.gain(*idx) is not None]
             for k, (pub, new) in enumerate(pairs, 1):
@@ -424,25 +424,24 @@ def cmd_example(args):
         failures += not result.success
 
     # leg 3: simulate the fresh design, else the published one
-    if design is not None and "x0" in cfg.get("run", {}):
-        try:
-            traj = _trajectory(cfg, args, *design, dwell)
-        except DivergenceError as exc:
-            _print_table("simulation", [("status", f"diverged at t = {exc.last_time}")])
-            failures += 1
-        else:
-            summary = _summary(traj, design[0])
-            decay = summary["value_decay"]
-            _print_table("simulation", [
-                ("samples", str(summary["samples"])),
-                ("value decay", f"{math.inf if decay is None else decay:.3e}"),
-                ("monotone decrease", str(summary["value_monotone"])),
-                ("final state norm", f"{summary['final_state_norm']:.3e}"),
-            ])
-            if args.out:
-                with _writing(args.out):
-                    sim.write_csv(traj, args.out)
-                print(f"trajectory written to {args.out}")
+    try:
+        traj = _trajectory(cfg, args, *design, dwell)
+    except DivergenceError as exc:
+        _print_table("simulation", [("status", f"diverged at t = {exc.last_time}")])
+        failures += 1
+    else:
+        summary = _summary(traj, design[0])
+        decay = summary["value_decay"]
+        _print_table("simulation", [
+            ("samples", str(summary["samples"])),
+            ("value decay", f"{math.inf if decay is None else decay:.3e}"),
+            ("monotone decrease", str(summary["value_monotone"])),
+            ("final state norm", f"{summary['final_state_norm']:.3e}"),
+        ])
+        if args.out:
+            with _writing(args.out):
+                sim.write_csv(traj, args.out)
+            print(f"trajectory written to {args.out}")
     return EXIT_FAIL if failures else EXIT_PASS
 
 

@@ -11,14 +11,15 @@ and splits Jbar_i = Jbar0_i + Jbar1 K_i so gains stay an affine factor.
 The switched variant carries one drift per mode and one jump map per
 ordered mode pair (new mode j, previous mode i).
 
-One lift serves both kinds.  It keeps every base map Jbar0, gain K and
-injection Jbar1 in one [target][source] table: Jbar0[j][s] and K[j][s]
-for target mode j and source column s, Jbar1[j] per target mode.  A
-switched model has a column per previous mode; an impulsive one is the
-case of the single column s = 0, every channel updated on every jump.
-Only the drifts (one, or one per mode), the gain slots with their nesting
-in configs and result files, and the reading of a gains argument stay per
-kind.
+A spec is checked input only; its lift, the AugmentedModel, owns n, m, the
+mode count and dim.  One lift serves both kinds.  It keeps every base map
+Jbar0, gain K and injection Jbar1 in one [target][source] table:
+Jbar0[j][s] and K[j][s] for target mode j and source column s, Jbar1[j]
+per target mode.  A switched model has a column per previous mode; an
+impulsive one is the case of the single column s = 0, every channel
+updated on every jump.  Only the drifts (one, or one per mode), the gain
+slots with their nesting in configs and result files, and the reading of a
+gains argument stay per kind.
 
 Every value from outside the program is converted here, by _num (a
 number), _numeric (an array of an exact shape) or _increasing (a strictly
@@ -123,18 +124,6 @@ class ImpulsiveSpec:
         if not self.J:
             raise ModelError("at least one jump map is required")
 
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def modes(self):
-        return len(self.J)
-
 
 @dataclass(frozen=True, eq=False)
 class SwitchedSpec:
@@ -173,18 +162,6 @@ class SwitchedSpec:
                 raise ModelError(f"updates[{j}] must be distinct channels below {m}")
             checked.append(idx)
         object.__setattr__(self, "updates", tuple(checked))
-
-    @property
-    def n(self):
-        return self.A[0].shape[0]
-
-    @property
-    def m(self):
-        return self.B[0].shape[1]
-
-    @property
-    def modes(self):
-        return len(self.A)
 
 
 @dataclass(frozen=True)
@@ -374,7 +351,7 @@ def _lift(kind, A, B, J, updates, gains):
 def augment_impulsive(spec, gains=None):
     """Lift an impulsive plant: one drift, one source column, every channel updated."""
     return _lift("impulsive", [spec.A], [spec.B], [[Ji] for Ji in spec.J],
-                 [range(spec.m)] * spec.modes, gains)
+                 [range(spec.B.shape[1])] * len(spec.J), gains)
 
 
 def augment_switched(spec, gains=None):

@@ -19,14 +19,16 @@ from . import linalg
 from .errors import CertificateError, ModelError, NumericError
 from .model import ModeWeights, _num, _numeric
 
+_FORM_FLOOR = 2.0 ** -900  # the smallest winning form argmin_forms trusts unscaled
+
 
 @dataclass(frozen=True, eq=False)
 class MinJumpCertificate:
     """Rule data: positive definite matrices P_i plus the mode weights.
 
-    P is one read-only (modes, d, d) array, P[i] mode i's matrix.  eps
-    records the margin the certificate was verified or synthesized with;
-    it does not enter mode selection.
+    P is one read-only (modes, d, d) array, P[i] mode i's matrix, and its
+    shape is the certificate's.  eps records the margin the certificate was
+    verified or synthesized with; it does not enter mode selection.
     """
 
     P: np.ndarray
@@ -46,14 +48,6 @@ class MinJumpCertificate:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "eps", eps)
-
-    @property
-    def modes(self):
-        return len(self.P)
-
-    @property
-    def dim(self):
-        return self.P.shape[1]
 
     def scaled(self, alpha):
         """Same rule with every P_i multiplied by alpha > 0."""
@@ -105,7 +99,7 @@ def argmin_forms(Q, chi):
     two to max|chi| in [1/2, 1) and scored again.  A non-finite winner raises."""
     forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)[1:]
     best = int(forms.argmin())
-    if forms[best] < 2.0 ** -900:
+    if forms[best] < _FORM_FLOOR:
         chi = np.ldexp(chi, -np.frexp(np.abs(chi).max())[1])
         forms = Q.dot(chi).reshape(-1, len(chi)).dot(chi)[1:]
         best = int(forms.argmin())

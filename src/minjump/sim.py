@@ -29,7 +29,7 @@ from . import linalg
 from .errors import ConfigError, DivergenceError, NumericError
 from .model import _increasing, _num, _numeric
 # select_switched is unused: pinned by test_tracer_restores_the_package, TRACED_NAMES["sim"]
-from .rules import _fit, _form_stack, _forms, argmin_forms, select_switched  # noqa: F401
+from .rules import _FORM_FLOOR, _fit, _form_stack, _forms, argmin_forms, select_switched  # noqa: F401
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -230,7 +230,7 @@ def _march(model, cert, seq, x0, u0, substeps, kind, current=0, carry=True):
                     _diverged(times[k] + substeps * steps[k],
                               times[k] + (substeps - 1) * steps[k], E, shift)
                 mode = v.index(best := min(v))
-                if not (best >= 2.0 ** -900 and sum(v) < inf):
+                if not (best >= _FORM_FLOOR and sum(v) < inf):
                     mode = argmin_forms(forms[current], chi)
         except _Scaled:
             return _march(model, cert, seq, x0, u0, substeps, kind, initial, False)

@@ -115,7 +115,7 @@ def _weights(model, weights):
 
 def _free(model, *idx):
     """True when the gain at slot idx, (i,) or (j, i), is a synthesis unknown."""
-    return model.injection(*idx[:-1]).shape[1] > 0 and model.gain(*idx) is None
+    return model.injection(idx[0]).shape[1] > 0 and model.gain(*idx) is None
 
 
 def _gain_name(*idx):
@@ -134,7 +134,7 @@ def _jump_terms(model, idx, left, right, w=1.0):
     anchor: Jbar0 on X and the injection on U when the gain is free, the
     assembled jump map on X when it is fixed."""
     X = _anchor(model, idx[-1])
-    pairs = ([(X, model.base(*idx)), (_gain_name(*idx), model.injection(*idx[:-1]))]
+    pairs = ([(X, model.base(*idx)), (_gain_name(*idx), model.injection(idx[0]))]
              if _free(model, *idx) else [(X, model.jump(*idx))])
     return [sdp.BlockTerm(var, left @ (w * M), right, sym_pair=True) for var, M in pairs]
 
@@ -147,7 +147,7 @@ def _common_blocks(model, nodes):
     boxed = [[(f"Pt{i}", PTILDE_CAP)] + [(f"S{i}n{k}", BOUND) for k in range(len(nodes))]
              for i in range(model.modes)]  # every matrix unknown with its cap
     variables = [sdp.VarSpec(var, "sym", d, d) for caps in boxed for var, _ in caps]
-    variables += [sdp.VarSpec(_gain_name(*idx), "rect", model.injection(*idx[:-1]).shape[1], d)
+    variables += [sdp.VarSpec(_gain_name(*idx), "rect", model.injection(idx[0]).shape[1], d)
                   for idx in model.gain_slots if _free(model, *idx)]
     variables.append(sdp.VarSpec("eps", "scalar"))
     blocks = []

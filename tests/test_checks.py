@@ -673,6 +673,13 @@ def test_clock_nodes_must_be_finite_numbers():
     for nodes in ((0.0, np.nan), (0.0, np.inf), (0.0, "x")):
         with pytest.raises(ConfigError, match="clock nodes"):
             checks.ClockFamily(nodes, [[np.eye(2)] * 2])
+    # one node spans nothing, a family starts at tau = 0, and ends at its last node
+    with pytest.raises(ConfigError, match="at least two nodes"):
+        checks.ClockFamily((0.0,), [[np.eye(2)]])
+    with pytest.raises(ConfigError, match="must start at 0"):
+        checks.ClockFamily((0.5, 1.0), [[np.eye(2)] * 2])
+    with pytest.raises(ConfigError, match="tau = 1.5 outside clock node span"):
+        checks.ClockFamily((0.0, 1.0), [[np.eye(2)] * 2]).at(np.array([0.5, 1.5]))
 
 
 def test_dwell_grid_validation():

@@ -281,14 +281,25 @@ def test_example_two_exits_zero(capsys):
     assert "simulation" in out
 
 
-def test_long_decaying_run_is_monotone(capsys):
+def test_long_decaying_run_is_monotone(tmp_path, capsys):
     """V of a 10^4-step example2 run turns subnormal near sample 5466 and
     then repeats or rises by rounding on its way to 0; only its normal
-    values count."""
-    assert main(["simulate", _fixture_path("example2"), "--steps", "10000"]) == 0
+    values count.  The final state, near 1e-283, still has a positive
+    norm: the state's norm scaled by its largest entry's binary exponent,
+    not sqrt(x'x), which underflows to 0."""
+    out = tmp_path / "long.csv"
+    assert main(["simulate", _fixture_path("example2"), "--steps", "10000",
+                 "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["samples"] == 10001 and summary["value_last"] == 0.0
     assert summary["value_monotone"] is True
+    last = out.read_text().splitlines()[-1].split(",")  # t, x..., sigma, V, post
+    assert last[-1] == "1"
+    x = np.array([float(v) for v in last[1:-3]])
+    e = np.frexp(np.abs(x).max())[1]
+    assert np.linalg.norm(x) == 0.0
+    assert 0.0 < summary["final_state_norm"] == np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
+    assert summary["final_state_norm"] == pytest.approx(math.hypot(*x), rel=1e-15)
 
 
 def _table(text):
@@ -482,6 +493,11 @@ _DROP = object()
     ("verify", "ex2", ("rule", "P"), _DROP),
     ("simulate", "ex2", ("run", "x0"), _DROP),
     ("simulate", "ex2", ("run", "period"), _DROP),
+    ("verify", "ex2", ("dwell",), 5),
+    ("verify", "ex2", ("rule",), _DROP),
+    ("verify", "ex2", ("system", "type"), "hybrid"),
+    ("verify", "ex1", ("system", "updates"), [[0], [0]]),
+    ("verify", "ex3", ("system", "updates"), [[0]]),
 ], ids=lambda v: ("-".join(map(str, v)) or "file") if isinstance(v, tuple)
    else "dropped" if v is _DROP else str(v).replace(" ", ""))
 def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, value):
@@ -493,9 +509,11 @@ def test_wrong_typed_field_exits_two(tmp_path, capsys, command, base, where, val
     fraction, an x0 that is not a vector, a B that is not a matrix, an A
     holding numeric strings or bools, a
     plant entry too large for a float, or a run.result that is not a
-    non-empty path string (open() would take an int as a file descriptor)
+    non-empty path string (open() would take an int as a file descriptor),
+    a block that is not an object, a system type other than impulsive or
+    switched, updates on an impulsive plant or with one list for two modes
     is refused with one error line; a run or dwell field names its key, and
-    so does a key the config needs that is missing."""
+    so does a key or block the config needs that is missing."""
     if base == "ex1":
         with open(_fixture_path("example1")) as fh:
             cfg = json.load(fh)

@@ -234,6 +234,8 @@ def test_expm_rejects_bad_times():
         linalg.expm(np.eye(2), np.array([0.1, np.inf]))
     with pytest.raises(DimensionError):
         linalg.expm(np.eye(2), np.ones((2, 2)))
+    with pytest.raises(DimensionError, match="must be square"):
+        linalg.expm([[1.0, 2.0]])
     # e^{1000} overflows in the squarings: an error, not a RuntimeWarning;
     # so does a norm |t| ||M||_1 near or past the float range
     for M, t in (([[1000.0]], np.array([0.1, 1.0])), ([[1e308]], 1.0), ([[1e200]], 1e200)):
@@ -295,6 +297,8 @@ def test_sym_eig_max_diagonal():
 def test_sym_eig_max_rejects_asymmetric():
     with pytest.raises(Exception):
         linalg.sym_eig_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DimensionError, match="empty"):  # square and symmetric, with no eigenvalue
+        linalg.sym_eig_max(np.zeros((0, 0)))
 
 
 def test_is_pd():

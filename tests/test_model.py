@@ -81,6 +81,8 @@ def test_impulsive_spec_validation():
         ImpulsiveSpec(EX1_A, [[1.0]], EX1_J)  # B row count mismatch
     with pytest.raises(ModelError):
         ImpulsiveSpec(EX1_A, EX1_B, [])  # no modes
+    with pytest.raises(ModelError, match="at least one jump map"):
+        ImpulsiveSpec(EX1_A, EX1_B, np.zeros((0, 2, 2)))  # no modes, of the right shape
     with pytest.raises(ModelError):
         ImpulsiveSpec(EX1_A, EX1_B, [[[1.0]]])  # jump dim mismatch
 
@@ -123,6 +125,8 @@ def test_switched_spec_validation():
         SwitchedSpec(EX3_A, EX3_B, EX3_J, updates=[(2,), (1,)])  # out of range
     with pytest.raises(ModelError):
         SwitchedSpec([EX3_A[0]], EX3_B, EX3_J)  # one drift for two modes
+    with pytest.raises(ModelError, match="at least one mode"):
+        SwitchedSpec(np.zeros((0, 2, 2)))  # no modes, of the right shape
 
 
 @pytest.mark.parametrize("name", ["ex1_open_model", "ex1_reference_model", "ex3_reference_model"])

@@ -264,6 +264,8 @@ _MISFITS = [
                  ModelError, "mode 0.5 out of range", id="select_switched-current_mode"),
     pytest.param(lambda ex: simulate(ex.model, ex.cert, ex.seq, np.ones(2), initial_mode=1.5),
                  ModelError, "mode 1.5 out of range", id="simulate-initial_mode"),
+    pytest.param(lambda ex: select_impulsive(np.ones(5), ex.cert),
+                 ModelError, "state has length 5, expected 4", id="select_impulsive-state"),
 ]
 
 
@@ -271,9 +273,10 @@ _MISFITS = [
 def test_inputs_that_do_not_fit_the_model_are_refused_alike(
         call, error, message, ex1_reference_model, ex1_reference_cert,
         ex3_reference_model, ex3_reference_cert, ex3_dwell):
-    """Every entry point refuses the wrong kind or a non-integer mode index
-    with ModelError, and a certificate or clock of another mode count or
-    dimension with CertificateError naming both shapes."""
+    """Every entry point refuses the wrong kind, a non-integer mode index or
+    a state of another length with ModelError, and a certificate or clock
+    of another mode count or dimension with CertificateError naming both
+    shapes."""
     ex = SimpleNamespace(model=ex3_reference_model, cert=ex3_reference_cert, dwell=ex3_dwell,
                          ex1=ex1_reference_model, ex1_cert=ex1_reference_cert,
                          seq=gen_sequence(ex3_dwell, "uniform_random", count=3, seed=1))

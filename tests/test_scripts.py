@@ -2,6 +2,7 @@
 input exits the way `minjump` does."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,14 @@ def test_gate_pool_passes_every_simulate_input():
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines() == ["simulate: 96 inputs, 0 failed"]
     assert _run(ROOT / "scripts" / "gate_pool.py", "simulate", "bogus").returncode == 2
+
+
+def test_unreached_lists_statements_only():
+    """Run on one test file, stdout holds the list alone, one
+    `src/minjump/<file>.py:<line>: <statement>` a line, and the exit code
+    is pytest's."""
+    done = _run(ROOT / "scripts" / "unreached.py", "tests/test_package.py", "-q",
+                "-p", "no:cacheprovider")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"src/minjump/\w+\.py:\d+: \S.*", line) for line in lines)

@@ -188,6 +188,22 @@ def test_divergence_raises():
     assert err.value.last_time is not None
 
 
+def test_divergence_within_an_interval_is_found_at_its_substep():
+    """With four substeps an interval, the state first passes the bound at
+    an interior substep; the run ends there, at the loop oracle's time."""
+    model = augment_impulsive(
+        ImpulsiveSpec([[3.0, 0.0], [1.0, 1.0]], J=[np.eye(2).tolist()]))
+    cert = MinJumpCertificate([np.eye(2)], ModeWeights([[1.0]]))
+    seq = gen_sequence(DwellRange(0.5, 0.5), "periodic", count=60, period=0.5)
+    args = (model, cert, seq, [1.0, 1.0], None, 0, 4)
+    with pytest.raises(DivergenceError) as want:
+        oracles.loop_simulate(*args)
+    with pytest.raises(DivergenceError) as got:
+        sim.simulate(*args)
+    assert got.value.last_time == want.value.last_time
+    assert want.value.last_time % 0.5 != 0.0  # not at a sampling instant
+
+
 def _example_loop(request, case):
     """(model, cert, dwell) of worked example case, with its published rule."""
     prefix = {"ex1": "ex1_reference", "ex2": "ex2", "ex3": "ex3_reference"}[case]

@@ -62,6 +62,18 @@ def test_options_hold_nodes_and_floor_only(ex1_open_model, ex1_dwell):
     assert all(np.array_equal(b.constant, FLOOR * np.eye(b.dim)) for b in floors)
 
 
+def test_weights_given_as_a_nested_list_are_read_as_mode_weights(ex1_open_model, ex1_dwell):
+    """A plain N x N list assembles the blocks that ModeWeights of it does, term for term."""
+    def flat(problem):
+        return [(b.label, b.strict, b.constant.tolist(),
+                 [(t.var, t.left.tolist(), t.right.tolist(), t.sym_pair) for t in b.terms])
+                for b in problem.blocks]
+
+    want, _ = assemble_impulsive(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell)
+    got, _ = assemble_impulsive(ex1_open_model, EX1_PI, ex1_dwell)
+    assert flat(got) == flat(want)
+
+
 def test_impulsive_codesign_end_to_end(ex1_open_model, ex1_dwell):
     result = synthesize(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell,
                         SynthesisOptions(clock_nodes=6))
