@@ -5,7 +5,13 @@ every sampling instant the rule picks the mode minimizing a quadratic form
 in the augmented state (plant state plus held input), and a family of
 matrices P_i certifies decay of that minimum for any inter-sample interval
 inside a dwell range.
+
+The co-design solver (`synth`, `sdp`, `synthesize`, `scan_weights`,
+`SynthesisOptions`, `SynthesisResult`) loads on first use, so `import
+minjump`, `minjump verify` and `minjump simulate` never import it.
 """
+
+import sys
 
 from .checks import (
     DEFAULT_GRID_POINTS,
@@ -48,12 +54,6 @@ from .sim import (
     simulate_impulsive,
     simulate_switched,
     write_csv,
-)
-from .synth import (
-    SynthesisOptions,
-    SynthesisResult,
-    scan_weights,
-    synthesize,
 )
 
 __version__ = "0.1.0"
@@ -100,3 +100,19 @@ __all__ = [
     "synthesize",
     "write_csv",
 ]
+
+_LAZY = ("SynthesisOptions", "SynthesisResult", "scan_weights", "sdp", "synth", "synthesize")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not `from . import synth`, which asks this hook for synth again, nor
+    # importlib.import_module, whose loads -X importtime does not list
+    __import__(f"{__name__}.synth")
+    synth = sys.modules[f"{__name__}.synth"]
+    return synth if name == "synth" else getattr(synth, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

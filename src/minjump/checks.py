@@ -81,11 +81,13 @@ class DwellGrid:
     @classmethod
     def uniform(cls, dwell, count=DEFAULT_GRID_POINTS):
         count = _num(count, "grid count", int)
-        if dwell.t_min == dwell.t_max:
-            return cls((dwell.t_min,))
-        if count < 2:
-            raise ConfigError("uniform dwell grid needs at least two points")
-        return cls(np.linspace(dwell.t_min, dwell.t_max, count))
+        if dwell.t_min != dwell.t_max:
+            if count < 2:
+                raise ConfigError("uniform dwell grid needs at least two points")
+            return cls(np.linspace(dwell.t_min, dwell.t_max, count))
+        if count < 1:
+            raise ConfigError("uniform dwell grid needs at least one point")
+        return cls((dwell.t_min,))
 
     def __len__(self):
         return len(self.points)

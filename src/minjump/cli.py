@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import checks, sim, synth
+from . import checks, sim  # synth: imported by the three functions that design
 from .errors import (
     CertificateError,
     ConfigError,
@@ -232,11 +232,13 @@ def _load_scan(path):
 
 
 def _synth_options(cfg, args):
+    from . import synth
     nodes = _run_value(cfg, args, "nodes", synth.SynthesisOptions.clock_nodes, int)
     return synth.SynthesisOptions(clock_nodes=nodes)
 
 
 def cmd_synth(args):
+    from . import synth
     cfg = load_config(args.config)
     model = build_model(cfg)
     dwell = build_dwell(cfg)
@@ -389,6 +391,7 @@ def _reference_design(cfg, weights):
 
 
 def cmd_example(args):
+    from . import synth
     name = f"example{args.id}"
     cfg = _fixture(name)
     dwell = build_dwell(cfg)

@@ -700,6 +700,17 @@ def test_dwell_grid_validation():
     for points in ((str(p) for p in arr.tolist()), iter(arr), [[0.1, 0.2]], ["0.1", "0.2"]):
         with pytest.raises(ConfigError, match="dwell grid"):
             DwellGrid(points)
+    # a degenerate range (periodic sampling) keeps its one point for any count of
+    # at least one; a count below one is refused on every range
+    periodic, ranged = DwellRange(0.02, 0.02), DwellRange(0.01, 0.05)
+    for count in (1, 2, 200):
+        assert DwellGrid.uniform(periodic, count).points == (0.02,)
+    for count in (0, -3):
+        for dwell in (periodic, ranged):
+            with pytest.raises(ConfigError, match="at least"):
+                DwellGrid.uniform(dwell, count)
+    with pytest.raises(ConfigError, match="at least two points"):
+        DwellGrid.uniform(ranged, 1)
 
 
 def test_check_takes_a_list_of_points():

@@ -347,6 +347,22 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, tol):
     assert "tolerance" in captured.err
 
 
+@pytest.mark.parametrize("grid", [["--grid", "0"], ["--grid", "-3"], 0],
+                         ids=["flag0", "flag-3", "run0"])
+def test_grid_count_below_one_exits_two(tmp_path, capsys, grid):
+    # example 2 samples periodically: its grid is one point for any count of
+    # one or more, and a count below one is refused as on any other range
+    cfg = _ex2_fixture()
+    if isinstance(grid, int):
+        cfg["run"]["grid"] = grid
+        grid = []
+    assert main(["verify", _write(tmp_path, "job.json", cfg), *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "at least one point" in captured.err
+
+
 def test_floor_setting_is_refused(tmp_path, capsys):
     """The definiteness floor is a constant: synth has no flag for it, and
     a run block that sets it has an unknown key."""

@@ -505,7 +505,7 @@ def _rows_close(a, b, rtol=1e-12):
     assert (gap <= rtol * np.linalg.norm(b.reshape(len(b), -1), axis=1)).all()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["impulsive", "switched"]),
        modes=st.integers(1, 3), n=st.integers(1, 3), m=st.integers(0, 1),
