@@ -15,14 +15,11 @@ import sys
 
 from .checks import (
     DEFAULT_GRID_POINTS,
-    ClockFamily,
     DwellGrid,
     VerificationReport,
     check,
-    check_clock,
     check_impulsive,
     check_switched,
-    exact_clock_family,
 )
 from .errors import (
     CapacityError,
@@ -62,7 +59,6 @@ __all__ = [
     "AugmentedModel",
     "CapacityError",
     "CertificateError",
-    "ClockFamily",
     "ConfigError",
     "DEFAULT_GRID_POINTS",
     "DimensionError",
@@ -86,10 +82,8 @@ __all__ = [
     "augment_impulsive",
     "augment_switched",
     "check",
-    "check_clock",
     "check_impulsive",
     "check_switched",
-    "exact_clock_family",
     "gen_sequence",
     "lyapunov_trace",
     "scan_weights",

@@ -7,23 +7,16 @@ quantities, which one adapter (_loop_data) supplies to every condition:
   switched   F0_i = I        W_i = sum_j pi_ji Jbar_ji' P_j Jbar_ji
 
 F0_i is the map applied before the flow and W_i the weighted storage the
-flow carries.  Two families of conditions are checked on them:
+flow carries.  The condition checked on them is the direct contraction
+test: for every admissible dwell length theta,
+F_i(theta)' W_i F_i(theta) - P_i < 0 with F_i(theta) = e^{Abar_i theta} F0_i.
+It is evaluated on a dwell grid inside [t_min, t_max] whose density is
+recorded in the report; the grid is a sampled relaxation of the all-theta
+condition.  (The clock-function form of the same conditions, which the
+co-design imposes through its own blocks, is checked independently by the
+test suite's oracles.)
 
-- direct contraction tests: for every admissible dwell length theta,
-  F_i(theta)' W_i F_i(theta) - P_i < 0 with F_i(theta) = e^{Abar_i theta} F0_i.
-  These are evaluated on a dwell grid inside [t_min, t_max] whose density is
-  recorded in the report; the grid is a sampled relaxation of the all-theta
-  condition.
-
-- clock-function tests: a piecewise-affine matrix family S_i(tau) on
-  [0, t_max], stored for every mode as one (modes, nodes, d, d) array,
-  replaces the explicit exponentials.  The differential condition
-  is affine in tau on each interval, so checking both interval endpoints is
-  exact, not a sampling approximation; the same holds for the theta-dependent
-  blocks at the clock nodes covering [t_min, t_max].
-
-Strict conditions must clear -STRICT_TOL; non-strict ones may sit up to the
-slack tolerance above zero.  Eigenvalue margins come from LAPACK's
+A margin must clear -STRICT_TOL.  Eigenvalue margins come from LAPACK's
 symmetric eigensolver through linalg.sym_eig_max, a code path separate
 from the interior-point solver that produced the data.  On a large dwell
 grid the eigensolver runs only where a mode's maximum can be (_max_search):
@@ -33,12 +26,12 @@ the report is a full eigensolve's, bit for bit.  A stack times one fixed
 matrix is one 2-D GEMM (_times), bitwise the stacked per-member products
 on the BLAS in use, which the oracle tests hold.
 
-Every entry point first asks rules._fit whether its model, certificate
-and clock fit together: the wrong kind is a ModelError, a certificate or
-clock of another mode count or dimension a CertificateError.  Both
-families reduce through one function, _verdict, over a (modes, R)
-margin array in the one record order, mode-major: every maximum is the
-first largest in that order, so an exact tie goes to the lowest mode.
+Every entry point first asks rules._fit whether its model and certificate
+fit together: the wrong kind is a ModelError, a certificate of another
+mode count or dimension a CertificateError.  The report reduces a
+(modes, len(grid)) margin array in the one record order, mode-major
+(_grid_verdict): every maximum is the first largest in that order, so an
+exact tie goes to the lowest mode.
 """
 
 import math
@@ -48,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError
-from .model import _increasing, _num, _numeric
+from .model import _increasing, _num
 from .rules import _fit
 
 STRICT_TOL = 1e-7
@@ -56,10 +49,12 @@ SLACK_TOL = 1e-9
 DEFAULT_GRID_POINTS = 200
 
 # Below this many points or stacked entries (G d^2), or at d = 1, one
-# eigensolve costs less than the search (timed at d = 1..12, G = 4..1024).
-_SEARCH_MIN_POINTS, _SEARCH_MIN_ENTRIES = 20, 512
+# eigensolve costs less than the search.  Two-mode stacks of random
+# contractive loops, timed at d = 2..12, G = 4..256 on a 2-CPU x86-64 host:
+# the search's fixed cost is about 45 us at d = 2, 55 at d = 3, 85 at d = 6,
+# so it pays from about 75 points at d = 2, 32 at d = 3 and 20 at d = 4..6.
+_SEARCH_MIN_POINTS, _SEARCH_MIN_ENTRIES = 20, 288
 
-_COVER_TOL = 1e-12  # a clock family's own slack: first node to 0, a tau to the node span
 # dwell points per batched grid evaluation.  The stacked temporaries of a
 # 2-mode check peak near 1.0 KB per point at d = 4 and 7 KB at d = 12, so
 # a slice stays near 1 MB and 7 MB however dense the user's grid is.
@@ -91,50 +86,6 @@ class DwellGrid:
 
     def __len__(self):
         return len(self.points)
-
-
-@dataclass(frozen=True, eq=False)
-class ClockFamily:
-    """Piecewise-affine matrix functions on a shared node grid.
-
-    nodes run from 0 to the horizon; values is the read-only
-    (modes, len(nodes), d, d) array, values[i, k] mode i's symmetric matrix
-    at node k, interpolated affinely between nodes (a piecewise constant slope).
-    """
-
-    nodes: tuple
-    values: np.ndarray
-
-    def __init__(self, nodes, values):
-        nds = tuple(_increasing(nodes, "clock nodes").tolist())
-        if len(nds) < 2:
-            raise ConfigError("clock family needs at least two nodes")
-        if abs(nds[0]) > _COVER_TOL:
-            raise ConfigError("clock nodes must start at 0")
-        object.__setattr__(self, "nodes", nds)
-        object.__setattr__(self, "values", _numeric(values, "clock values",
-                                                  ("modes", len(nds), "d", "d"), ConfigError))
-
-    def outside(self, taus):
-        """Mask of the taus more than _COVER_TOL outside the node span: the one
-        rule on where the family is defined, t_max included."""
-        return (np.less(taus, self.nodes[0] - _COVER_TOL)
-                | np.greater(taus, self.nodes[-1] + _COVER_TOL))
-
-    def at(self, taus):
-        """Every mode's S at each tau of a 1-D array: the (modes, len(taus), d, d) stack."""
-        taus, nodes = np.asarray(taus, dtype=float), np.asarray(self.nodes)
-        outside = self.outside(taus)
-        if outside.any():
-            raise ConfigError(f"tau = {taus[outside][0]} outside clock node span")
-        k = np.clip(np.searchsorted(nodes, taus, side="right") - 1, 0, len(nodes) - 2)
-        a, b = nodes[k], nodes[k + 1]
-        w = ((taus - a) / (b - a))[:, None, None]
-        return (1.0 - w) * self.values[:, k] + w * self.values[:, k + 1]
-
-    def slopes(self):
-        """The (modes, len(nodes) - 1, d, d) stack of the slope on each interval."""
-        return np.diff(self.values, axis=1) / np.diff(self.nodes)[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,36 +138,14 @@ def _tol(value, name):
     return tol
 
 
-def _verdict(margins, segments, thetas, passed, grid, strict_tol, slack_tol, flags=None):
-    """Report of a (modes, R) margin array whose records run mode-major.
-
-    segments holds the (condition, count) runs of each mode's R records and
-    thetas the theta of each record.  Every maximum is taken by argmax, the
-    first largest in record order, as a record-by-record scan would keep it
-    (np.max may return either zero of a -0.0/0.0 tie).
-    """
-    mode, k = divmod(int(margins.argmax()), margins.shape[1])
-    per_condition, lo = {}, 0
-    for condition, n in segments:
-        block = margins[:, lo:lo + n].ravel()
-        per_condition[condition] = float(block[block.argmax()])
-        if lo <= k:  # the last segment starting at or before k holds it
-            worst_condition = condition
-        lo += n
-    return VerificationReport(
-        passed=bool(passed), worst_margin=float(margins[mode, k]), worst_condition=worst_condition,
-        worst_mode=mode, worst_theta=float(thetas[k]), per_condition=per_condition,
-        mode_margins=tuple(float(row[row.argmax()]) for row in margins),
-        grid=tuple(grid), strict_tol=strict_tol, slack_tol=slack_tol, flags=dict(flags or {}))
-
-
 def _loop_data(model, cert):
     """(F0, W): per mode, the map applied before the flow (I on a switched
     loop) and the weighted storage: the kind-specific data of every condition."""
     _fit(model, cert)
     pi, N, J = cert.weights.pi, range(model.modes), model.jump_table
-    if model.kind == "impulsive":
-        return list(J[:, 0]), [sum(pi[j, i] * cert.P[j] for j in N) for i in N]
+    if model.kind == "impulsive":  # W[i] = pi[0, i] P[0] + pi[1, i] P[1] + ..., from 0.0
+        return J[:, 0], np.add.reduce(pi[:, :, None, None] * cert.P[:, None], axis=0,
+                                      initial=0.0)
     return ([np.eye(model.dim)] * model.modes,
             [linalg.sym(sum(pi[j, i] * (J[j, i].T @ cert.P[j] @ J[j, i]) for j in N))
              for i in N])
@@ -283,7 +212,7 @@ def _contraction_margins(model, cert, F0, W, thetas):
         M = np.empty((model.modes, hi - lo, model.dim, model.dim))
         for i, E in enumerate(_flows(model, thetas[lo:hi])):
             F = E if model.kind == "switched" else _times(E, F0[i])
-            np.matmul(_times(np.swapaxes(F, -1, -2), W[i]), F, out=M[i])
+            np.matmul(_times(F.swapaxes(-1, -2), W[i]), F, out=M[i])
         M = linalg.sym(M)  # its one temporary replaces the products
         M -= P
         margins[:, lo:hi] = _max_search(M)
@@ -297,7 +226,7 @@ def _contraction_report(model, cert, dwell, grid, strict_tol):
     if not isinstance(grid, DwellGrid):
         grid = DwellGrid.uniform(dwell) if grid is None else DwellGrid(grid)
     thetas = grid._array
-    if dwell.outside((thetas[0], thetas[-1])).any():
+    if dwell.outside(thetas[[0, -1]]).any():
         raise ConfigError(f"dwell grid [{thetas[0]}, {thetas[-1]}] leaves the dwell range "
                           f"[{dwell.t_min}, {dwell.t_max}]")
     margins = _contraction_margins(model, cert, F0, W, thetas)
@@ -307,9 +236,19 @@ def _contraction_report(model, cert, dwell, grid, strict_tol):
 def _grid_verdict(margins, points, strict_tol):
     """Report of a (modes, len(points)) contraction-margin array: every
     margin is strict.  Records run mode-major, so an exact tie for the
-    worst point goes to the first mode, then the first theta."""
-    return _verdict(margins, [("contraction", len(points))], points,
-                    margins.max() < -strict_tol, points, strict_tol, SLACK_TOL)
+    worst point goes to the first mode, then the first theta.  Every
+    maximum is taken by argmax, the first largest in record order, as a
+    record-by-record scan would keep it (np.max may return either zero of
+    a -0.0/0.0 tie)."""
+    ks = margins.argmax(axis=1)
+    tops = margins[np.arange(len(margins)), ks]  # each mode's first largest
+    mode = int(tops.argmax())  # the first mode holding the first largest record
+    worst = float(tops[mode])
+    return VerificationReport(
+        passed=worst < -strict_tol, worst_margin=worst, worst_condition="contraction",
+        worst_mode=mode, worst_theta=float(points[ks[mode]]), per_condition={"contraction": worst},
+        mode_margins=tuple(tops.tolist()), grid=tuple(points), strict_tol=strict_tol,
+        slack_tol=SLACK_TOL)
 
 
 def check_impulsive(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
@@ -337,57 +276,3 @@ def check(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
 def _covering(nodes, dwell):
     """Indices of the clock nodes in the dwell range, where its conditions are imposed."""
     return np.flatnonzero(~dwell.outside(nodes)).tolist()
-
-
-def _theta_nodes(clock, dwell):
-    if clock.outside(dwell.t_max):
-        raise ConfigError(f"clock nodes end at {clock.nodes[-1]}, short of t_max = {dwell.t_max}")
-    inside = (min(max(clock.nodes[k], dwell.t_min), dwell.t_max)
-              for k in _covering(clock.nodes, dwell))
-    return sorted({dwell.t_min, dwell.t_max, *inside})
-
-
-def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
-    """Clock-function certificate test for either kind.
-
-    Conditions, all non-strict up to tol:
-      flow      -Sdot_i + Abar_i' S_i(tau) + S_i(tau) Abar_i <= 0 on [0, t_max]
-      jump      -P_i + F0_i' S_i(theta) F0_i + eps I <= 0 on the range
-      coupling  W_i - S_i(0) <= 0
-    A positive eps is required for the certificate to count as passing, and
-    a non-finite one is refused.  Each condition is one stacked eigenvalue
-    call over every mode; records run mode-major: flow at both ends of each
-    interval, jump, coupling.
-    """
-    tol = _tol(tol, "slack")  # before any eigenvalue work
-    eps = _num(eps, "eps")
-    if not math.isfinite(eps):
-        raise ConfigError(f"eps must be finite, got {eps}")
-    F0, W = _loop_data(model, cert)
-    _fit(model, clock.values)
-    thetas = _theta_nodes(clock, dwell)
-    taus = np.repeat(clock.nodes, 2)[1:-1]
-    A = np.stack([model.drift(i) for i in range(model.modes)])[:, None]
-    S, Sdot = clock.at(taus), np.repeat(clock.slopes(), 2, axis=1)
-    flow = linalg.sym_eig_max(linalg.sym(-Sdot + np.swapaxes(A, -1, -2) @ S + S @ A))
-    F, S = np.stack(F0)[:, None], clock.at(thetas)
-    M = -cert.P[:, None] + np.swapaxes(F, -1, -2) @ S @ F
-    jump = linalg.sym_eig_max(linalg.sym(M) + eps * np.eye(model.dim))
-    coupling = linalg.sym_eig_max(linalg.sym(np.stack(W)) - clock.at([0.0])[:, 0])
-    margins = np.concatenate([flow, jump, coupling[:, None]], axis=1)
-    return _verdict(margins, [("flow", len(taus)), ("jump", len(thetas)), ("coupling", 1)],
-                    np.concatenate([taus, thetas, [0.0]]),
-                    eps > 0.0 and not (margins > tol).any(), thetas, STRICT_TOL, tol,
-                    {"eps_positive": {"ok": bool(eps > 0.0), "value": eps}})
-
-
-def exact_clock_family(cert, model, nodes):
-    """Closed-form clock functions S_i(tau) = e^{Abar_i' tau} W_i e^{Abar_i tau}.
-
-    Sampled exactly at the nodes; between nodes the family interpolates
-    affinely, so downstream checks see the interpolant, not the exact curve.
-    """
-    _, W = _loop_data(model, cert)
-    flows = _flows(model, _increasing(nodes, "clock nodes"))
-    return ClockFamily(nodes, [linalg.sym(np.swapaxes(E, -1, -2) @ linalg.sym(Wi) @ E)
-                               for E, Wi in zip(flows, W)])

@@ -10,17 +10,26 @@ favor robustness and auditability over large-scale performance:
   roundoff; below it the truncation is under the rounding of the result.
   A stack of times shares the powers of M, formed once per call; its
   Taylor coefficients are built members last, one vector product per
-  power.
+  power.  When the largest |t| ||M||_1 is at most theta, as on the short
+  dwells of a grid check, no member is squared, and the call skips the
+  squaring counts, the rounds and the overflow test (no term can overflow
+  there): the same arithmetic, so the same bits, as the squaring path.
 - both expm and the largest symmetric eigenvalue take stacks, so a check
   over many dwell lengths is one batched call, not a Python loop.
 - symmetric eigenvalues come from LAPACK; the test suite keeps a Jacobi
-  eigensolver as an independent oracle.
+  eigensolver as an independent oracle.  A 1 x 1 member's eigenvalue is
+  its entry, which is what LAPACK returns, bit for bit, so that case makes
+  no LAPACK call.  Every call checks its argument once for finiteness and
+  once for symmetry (skipped at d = 1).
 - positive definiteness, of one matrix or of a whole stack at once, and
   SPD inversion go through Cholesky.
 - proven_below gives one verdict per member of a stack: a Cholesky
   factorization run members-last in numpy, each step one vector op over
   every member, proves the member's computed largest eigenvalue strictly
-  below its own bound.
+  below its own bound.  On a 10-member stack it costs about 17 us at
+  d = 1, 29 at d = 3, 54 at d = 6 and 112 at d = 12 on a 2-CPU x86-64
+  host, nearly all numpy call overhead: column 0 needs no update, column
+  1's is one product, and the last column no division.
 """
 
 import math
@@ -72,8 +81,8 @@ def _as_square(M, name="matrix", stacked=False):
 
 def _as_symmetric(S, name="matrix", stacked=False):
     S = _as_square(S, name, stacked)
-    St = np.swapaxes(S, -1, -2)
-    if (S == St).all():
+    St = S.swapaxes(-1, -2)
+    if S.shape[-1] < 2 or np.equal(S, St).all():
         return S
     scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1), initial=0.0))
     if np.any(np.abs(S - St).max(axis=(-2, -1), initial=0.0) > 1e-9 * scale):
@@ -84,7 +93,7 @@ def _as_symmetric(S, name="matrix", stacked=False):
 def sym(M):
     """Symmetric part (M + M^T)/2, of each matrix in a (..., n, n) stack."""
     M = np.asarray(M, dtype=float)
-    S = M + np.swapaxes(M, -1, -2)
+    S = M + M.swapaxes(-1, -2)
     S *= 0.5
     return S
 
@@ -103,8 +112,9 @@ def expm(M, t=1.0):
     product of its alpha_g^k / k! with them, highest power first.  So every
     member equals its scalar call bitwise, which one 2-D GEMM over all rows
     would not.  Squaring rounds run on the members sorted by count, each on
-    a tail slice.  An argument whose exponential overflows raises
-    NumericError; that is tested once, on the largest |t_g| ||M||_1.
+    a tail slice; with no member above theta, none runs.  An argument whose
+    exponential overflows raises NumericError; that is tested once, on the
+    largest |t_g| ||M||_1, and after the squarings.
     """
     M = _as_square(M, "expm argument")
     ts = np.asarray(t, dtype=float)
@@ -119,37 +129,46 @@ def expm(M, t=1.0):
     # the largest |t| ||M||_1, in Python floats: the product is monotone in
     # |t|, so it overflows iff some member's does; once it is finite, no
     # member's product below can overflow
-    if not math.isfinite(tmax * norm):
+    top = tmax * norm
+    if not math.isfinite(top):
         raise NumericError("expm overflowed; argument norm too large")
-    squarings = np.ceil(np.log2(np.maximum(np.abs(flat) * norm, _TAYLOR12_THETA))
-                        - _LOG2_THETA).astype(int)
     e = math.frexp(norm)[1]
     # highest power first (P[k] = Mhat^k), so a row product adds small terms first
     R = np.empty((13, d, d))
     P = R[::-1]
-    P[0], P[1] = np.eye(d), np.ldexp(M, -e)
-    P[2] = P[1] @ P[1]
-    P[3:5] = P[1:3] @ P[2]
-    P[5:9] = P[1:5] @ P[4]
-    P[9:] = P[1:5] @ P[8]
-    # members last: row k is alpha^k = alpha^(k-1) alpha, then scaled by 1/k!
-    # at M = 0 take alpha = 0: a huge t would make alpha^12 Mhat^12 = inf * 0
+    P[0] = 0.0
+    P[0].reshape(-1)[::d + 1] = 1.0  # the identity
+    np.ldexp(M, -e, out=P[1])
+    np.matmul(P[1], P[1], out=P[2])
+    np.matmul(P[1:3], P[2], out=P[3:5])
+    np.matmul(P[1:5], P[4], out=P[5:9])
+    np.matmul(P[1:5], P[8], out=P[9:])
+    # members last: row k is alpha^k = alpha^(k-1) alpha
     coef = np.empty((13, len(flat)))
-    coef[0], coef[1] = 1.0, np.ldexp(flat, e - squarings) if norm else 0.0 * flat
+    coef[0] = 1.0
+    if top <= _TAYLOR12_THETA:  # no member is squared: every count below is 0
+        squarings = None
+        # at M = 0 take alpha = 0: a huge t would make alpha^12 Mhat^12 = inf * 0
+        coef[1] = np.ldexp(flat, e) if norm else 0.0 * flat
+    else:
+        squarings = np.ceil(np.log2(np.maximum(np.abs(flat) * norm, _TAYLOR12_THETA))
+                            - _LOG2_THETA).astype(int)
+        np.ldexp(flat, e - squarings, out=coef[1])
     for k in range(2, 13):
         np.multiply(coef[k - 1], coef[1], out=coef[k])
-    coef *= _TAYLOR12_COEF[:, None]
-    coef = coef[::-1].T.copy()  # member g's (1, 13) row, highest power first
+    # member g's (1, 13) row alpha_g^k / k!, highest power first
+    coef = np.multiply(coef[::-1].T, _TAYLOR12_COEF[::-1], order="C")
     E = (coef[:, None, :] @ R.reshape(13, d * d)).reshape(len(flat), d, d)
-    if squarings.any():  # members by squaring count: each round squares a tail slice
+    if squarings is not None and squarings.any():
+        # members by squaring count: each round squares a tail slice
         order = np.argsort(squarings, kind="stable")
         S = E[order]
         with np.errstate(over="ignore", invalid="ignore"):  # see the check below
             for a in np.searchsorted(squarings[order], range(squarings.max()), side="right"):
                 S[a:] = S[a:] @ S[a:]
         E[order] = S
-    if not np.isfinite(E).all():
-        raise NumericError("expm overflowed; argument norm too large")
+        if not np.isfinite(E).all():
+            raise NumericError("expm overflowed; argument norm too large")
     return E if ts.ndim else E[0]
 
 
@@ -163,7 +182,8 @@ def sym_eig_max(S):
     S = _as_symmetric(S, "eig argument", stacked=True)
     if S.shape[-1] == 0:
         raise DimensionError("eig argument is empty")
-    top = np.linalg.eigvalsh(S)[..., -1]
+    # LAPACK's solver returns a 1 x 1 matrix's entry, -0.0 and subnormals kept
+    top = S[..., 0, 0].copy() if S.shape[-1] == 1 else np.linalg.eigvalsh(S)[..., -1]
     return float(top) if top.ndim == 0 else top
 
 
@@ -180,17 +200,22 @@ def proven_below(M, t):
     """
     M = np.asarray(M, dtype=float)
     n, d = M.shape[0], M.shape[-1]
-    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    t = np.asarray(t, dtype=float)  # one per member, or one for all
     A = np.negative(M.reshape(n, d * d).T, order="C")  # members last
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         m = np.maximum(A.max(axis=0), -A.min(axis=0))
-        tau = _CERT_GROWTH * (d + 1) ** 2 * (_U * (np.abs(t) + d * m) + _ETA)
-        ok = np.isfinite(np.abs(t) + tau + m)  # also keeps every entry of A finite
+        at = np.abs(t)
+        tau = _CERT_GROWTH * (d + 1) ** 2 * (_U * (at + d * m) + _ETA)
+        ok = np.isfinite(at + tau + m)  # also keeps every entry of A finite
         A[::d + 1] += t - tau
         A = A.reshape(d, d, n)
         for j in range(d):  # column j of L from the finished columns left of it
-            A[j:, j] -= np.einsum("ikn,kn->in", A[j:, :j], A[j, :j])
-            A[j + 1:, j] /= np.sqrt(A[j, j])
+            if j == 1:  # one finished column: a product, not a sum
+                A[1:, 1] -= A[1:, 0] * A[1, 0]
+            elif j:
+                A[j:, j] -= np.einsum("ikn,kn->in", A[j:, :j], A[j, :j])
+            if j + 1 < d:
+                A[j + 1:, j] /= np.sqrt(A[j, j])
     return ok & (A.reshape(d * d, n)[::d + 1] > 0.0).all(axis=0)  # every pivot
 
 

@@ -18,23 +18,29 @@ of one term at a time, where the package forms each term over a stacked
 basis; loop_simulate, the per-sample simulator that scores one mode and
 assembles one jump map at a time; record_report, the record-by-record
 reduction of a check's margins into its verdict, fed the records in the
-package's one record order (mode-major); loop_check_clock, the
-clock-function check one matrix at a time; and
-dense_contraction_margins, the dwell-grid margins from stacked per-member
+package's one record order (mode-major); the clock-function form of the
+certificate conditions, which the package does not check (the co-design
+imposes it through its own blocks): ClockFamily, check_clock, stacked
+over every mode, and exact_clock_family, the closed-form family a valid
+certificate gives; loop_check_clock, the same check one matrix at a time;
+and dense_contraction_margins, the dwell-grid margins from stacked per-member
 products and one eigensolve at every (mode, theta), where the package forms
 products with a fixed matrix as single 2-D GEMMs and solves only where a
 maximum can be.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
 from minjump import checks, linalg, sdp
-from minjump.checks import STRICT_TOL, VerificationReport
+from minjump.checks import SLACK_TOL, STRICT_TOL, VerificationReport
 from minjump.errors import ConfigError, DivergenceError
+from minjump.model import _increasing, _num, _numeric
+from minjump.rules import _fit
 from minjump.sim import DIVERGENCE_LIMIT
 
 _JACOBI_OFF_TOL = 1e-12
@@ -247,6 +253,130 @@ def grid_records(margins, points):
     package's one record order, mode-major."""
     return [("contraction", i, points[k], margins[i, k], True)
             for i in range(len(margins)) for k in range(len(points))]
+
+
+_COVER_TOL = 1e-12  # a clock family's own slack: first node to 0, a tau to the node span
+
+
+@dataclass(frozen=True, eq=False)
+class ClockFamily:
+    """Piecewise-affine matrix functions on a shared node grid.
+
+    nodes run from 0 to the horizon; values is the read-only
+    (modes, len(nodes), d, d) array, values[i, k] mode i's symmetric matrix
+    at node k, interpolated affinely between nodes (a piecewise constant slope).
+    """
+
+    nodes: tuple
+    values: np.ndarray
+
+    def __init__(self, nodes, values):
+        nds = tuple(_increasing(nodes, "clock nodes").tolist())
+        if len(nds) < 2:
+            raise ConfigError("clock family needs at least two nodes")
+        if abs(nds[0]) > _COVER_TOL:
+            raise ConfigError("clock nodes must start at 0")
+        object.__setattr__(self, "nodes", nds)
+        object.__setattr__(self, "values", _numeric(values, "clock values",
+                                                  ("modes", len(nds), "d", "d"), ConfigError))
+
+    def outside(self, taus):
+        """Mask of the taus more than _COVER_TOL outside the node span: the one
+        rule on where the family is defined, t_max included."""
+        return (np.less(taus, self.nodes[0] - _COVER_TOL)
+                | np.greater(taus, self.nodes[-1] + _COVER_TOL))
+
+    def at(self, taus):
+        """Every mode's S at each tau of a 1-D array: the (modes, len(taus), d, d) stack."""
+        taus, nodes = np.asarray(taus, dtype=float), np.asarray(self.nodes)
+        outside = self.outside(taus)
+        if outside.any():
+            raise ConfigError(f"tau = {taus[outside][0]} outside clock node span")
+        k = np.clip(np.searchsorted(nodes, taus, side="right") - 1, 0, len(nodes) - 2)
+        a, b = nodes[k], nodes[k + 1]
+        w = ((taus - a) / (b - a))[:, None, None]
+        return (1.0 - w) * self.values[:, k] + w * self.values[:, k + 1]
+
+    def slopes(self):
+        """The (modes, len(nodes) - 1, d, d) stack of the slope on each interval."""
+        return np.diff(self.values, axis=1) / np.diff(self.nodes)[:, None, None]
+
+
+def segment_verdict(margins, segments, thetas, passed, grid, strict_tol, slack_tol, flags=None):
+    """Report of a (modes, R) margin array whose records run mode-major.
+
+    segments holds the (condition, count) runs of each mode's R records and
+    thetas the theta of each record.  Every maximum is taken by argmax, the
+    first largest in record order, as a record-by-record scan would keep it
+    (np.max may return either zero of a -0.0/0.0 tie).
+    """
+    mode, k = divmod(int(margins.argmax()), margins.shape[1])
+    per_condition, lo = {}, 0
+    for condition, n in segments:
+        block = margins[:, lo:lo + n].ravel()
+        per_condition[condition] = float(block[block.argmax()])
+        if lo <= k:  # the last segment starting at or before k holds it
+            worst_condition = condition
+        lo += n
+    return VerificationReport(
+        passed=bool(passed), worst_margin=float(margins[mode, k]), worst_condition=worst_condition,
+        worst_mode=mode, worst_theta=float(thetas[k]), per_condition=per_condition,
+        mode_margins=tuple(float(row[row.argmax()]) for row in margins),
+        grid=tuple(grid), strict_tol=strict_tol, slack_tol=slack_tol, flags=dict(flags or {}))
+
+
+def _theta_nodes(clock, dwell):
+    if clock.outside(dwell.t_max):
+        raise ConfigError(f"clock nodes end at {clock.nodes[-1]}, short of t_max = {dwell.t_max}")
+    inside = (min(max(clock.nodes[k], dwell.t_min), dwell.t_max)
+              for k in checks._covering(clock.nodes, dwell))
+    return sorted({dwell.t_min, dwell.t_max, *inside})
+
+
+def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
+    """Clock-function certificate test for either kind.
+
+    Conditions, all non-strict up to tol:
+      flow      -Sdot_i + Abar_i' S_i(tau) + S_i(tau) Abar_i <= 0 on [0, t_max]
+      jump      -P_i + F0_i' S_i(theta) F0_i + eps I <= 0 on the range
+      coupling  W_i - S_i(0) <= 0
+    A positive eps is required for the certificate to count as passing, and
+    a non-finite one is refused.  Each condition is one stacked eigenvalue
+    call over every mode; records run mode-major: flow at both ends of each
+    interval, jump, coupling.
+    """
+    tol = checks._tol(tol, "slack")  # before any eigenvalue work
+    eps = _num(eps, "eps")
+    if not math.isfinite(eps):
+        raise ConfigError(f"eps must be finite, got {eps}")
+    F0, W = checks._loop_data(model, cert)
+    _fit(model, clock.values)
+    thetas = _theta_nodes(clock, dwell)
+    taus = np.repeat(clock.nodes, 2)[1:-1]
+    A = np.stack([model.drift(i) for i in range(model.modes)])[:, None]
+    S, Sdot = clock.at(taus), np.repeat(clock.slopes(), 2, axis=1)
+    flow = linalg.sym_eig_max(linalg.sym(-Sdot + np.swapaxes(A, -1, -2) @ S + S @ A))
+    F, S = np.stack(F0)[:, None], clock.at(thetas)
+    M = -cert.P[:, None] + np.swapaxes(F, -1, -2) @ S @ F
+    jump = linalg.sym_eig_max(linalg.sym(M) + eps * np.eye(model.dim))
+    coupling = linalg.sym_eig_max(linalg.sym(np.stack(W)) - clock.at([0.0])[:, 0])
+    margins = np.concatenate([flow, jump, coupling[:, None]], axis=1)
+    return segment_verdict(margins, [("flow", len(taus)), ("jump", len(thetas)), ("coupling", 1)],
+                           np.concatenate([taus, thetas, [0.0]]),
+                           eps > 0.0 and not (margins > tol).any(), thetas, STRICT_TOL, tol,
+                           {"eps_positive": {"ok": bool(eps > 0.0), "value": eps}})
+
+
+def exact_clock_family(cert, model, nodes):
+    """Closed-form clock functions S_i(tau) = e^{Abar_i' tau} W_i e^{Abar_i tau}.
+
+    Sampled exactly at the nodes; between nodes the family interpolates
+    affinely, so downstream checks see the interpolant, not the exact curve.
+    """
+    _, W = checks._loop_data(model, cert)
+    flows = checks._flows(model, _increasing(nodes, "clock nodes"))
+    return ClockFamily(nodes, [linalg.sym(np.swapaxes(E, -1, -2) @ linalg.sym(Wi) @ E)
+                               for E, Wi in zip(flows, W)])
 
 
 def _clock_value(clock, mode, tau):

@@ -21,10 +21,8 @@ from minjump import (
     MinJumpCertificate,
     ModeWeights,
     augment_impulsive,
-    check_clock,
     check_impulsive,
     check_switched,
-    exact_clock_family,
     gen_sequence,
     sdp,
     select_impulsive,
@@ -43,6 +41,7 @@ from conftest import (
     EX3_PI,
     random_contractive_impulsive,
 )
+from oracles import check_clock, exact_clock_family
 
 ROUNDING_BAND = 1e-3  # absorbs the 4-decimal rounding of reference values
 

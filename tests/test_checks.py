@@ -21,10 +21,8 @@ from minjump import (
     augment_impulsive,
     augment_switched,
     check,
-    check_clock,
     check_impulsive,
     check_switched,
-    exact_clock_family,
 )
 from minjump import NumericError, checks, linalg
 from minjump.checks import DwellGrid
@@ -32,6 +30,7 @@ from minjump.synth import clock_node_grid
 
 import oracles
 from conftest import EX2_WORST_MARGIN, random_contractive_impulsive
+from oracles import check_clock, exact_clock_family
 
 
 def _scalar_model(a, j=1.0):
@@ -332,10 +331,10 @@ def test_max_search_matches_dense_on_planted_stacks():
         _assert_search_matches_dense(zeros)
         got = checks._max_search(zeros)
         assert json.dumps(float(got[got.argmax()])) == "-0.0"
-    # a small stack takes one dense call: 56 * 3^2 < 512 <= 57 * 3^2, and
+    # a small stack takes one dense call: 31 * 3^2 < 288 <= 32 * 3^2, and
     # 1 x 1 members never pay a search
-    assert not _assert_search_matches_dense(between[:56])
-    assert _assert_search_matches_dense(between[:57])
+    assert not _assert_search_matches_dense(between[:31])
+    assert _assert_search_matches_dense(between[:32])
     assert not _assert_search_matches_dense(between[:1000, :1, :1])
 
 
@@ -547,7 +546,7 @@ def test_clock_check_matches_record_oracle(
     cases.append((ex1_reference_model, clock, ex1_reference_cert, 0.0, ex1_dwell,
                   checks.SLACK_TOL))
     d, modes = ex3_reference_model.dim, ex3_reference_model.modes
-    cases.append((ex3_reference_model, checks.ClockFamily((0.0, 1.0), [[np.eye(d)] * 2] * modes),
+    cases.append((ex3_reference_model, oracles.ClockFamily((0.0, 1.0), [[np.eye(d)] * 2] * modes),
                   MinJumpCertificate([2.0 * np.eye(d)] * modes, ModeWeights([[0.5, 0.5]] * 2)),
                   0.5, DwellRange(0.5, 1.0), checks.SLACK_TOL))
     for case in cases:
@@ -583,7 +582,7 @@ def test_clock_check_flags_nonpositive_eps(
 def test_clock_check_needs_positive_eps_where_every_margin_clears():
     # xdot = 0, J = 0.5, P = W = S = 1: flow 0, jump -0.75 + eps, coupling 0
     model, cert, dwell = _scalar_model(0.0, j=0.5), _scalar_cert(), DwellRange(0.5, 1.0)
-    clock = checks.ClockFamily((0.0, 1.0), [[np.eye(1)] * 2])
+    clock = oracles.ClockFamily((0.0, 1.0), [[np.eye(1)] * 2])
     assert check_clock(model, clock, cert, 0.1, dwell).passed
     report = check_clock(model, clock, cert, 0.0, dwell)
     assert report.worst_margin <= checks.SLACK_TOL
@@ -605,13 +604,12 @@ def test_clock_short_of_t_max_is_named_by_one_rule(ex1_reference_model, ex1_refe
 
 def test_clock_check_switched_identity_case(ex3_reference_model):
     """Degenerate data where every block is exactly -I or -eps-shifted."""
-    from minjump.checks import ClockFamily
     model = ex3_reference_model
     d = model.dim
     # P_i = 2I, S_i == I: jump block is I - 2I + eps I < 0 for small eps;
     # flow slope is zero and A'S + SA must stay below tol, so shrink A
     nodes = (0.0, 1.0)
-    clock = ClockFamily(nodes, [[np.eye(d)] * 2 for _ in range(model.modes)])
+    clock = oracles.ClockFamily(nodes, [[np.eye(d)] * 2 for _ in range(model.modes)])
     cert = MinJumpCertificate(
         [2.0 * np.eye(d)] * model.modes,
         ModeWeights([[0.5, 0.5], [0.5, 0.5]]))
@@ -661,25 +659,25 @@ def test_clock_check_rejects_non_finite_eps_before_eigenvalues(monkeypatch):
 
 
 def test_clock_values_must_form_one_stack():
-    assert checks.ClockFamily((0.0, 1.0), [[np.eye(2)] * 2] * 3).values.shape == (3, 2, 2, 2)
+    assert oracles.ClockFamily((0.0, 1.0), [[np.eye(2)] * 2] * 3).values.shape == (3, 2, 2, 2)
     for values in ([[np.eye(2)] * 3], [[np.eye(2)] * 2, [np.eye(2)]], [[np.ones((2, 3))] * 2],
                    [[np.eye(2)] * 2, [np.eye(3)] * 2], [[["a"]] * 2], []):
         with pytest.raises(ConfigError, match="clock values"):
-            checks.ClockFamily((0.0, 1.0), values)
+            oracles.ClockFamily((0.0, 1.0), values)
 
 
 def test_clock_nodes_must_be_finite_numbers():
     # a nan or inf node would reach the eigensolver; a string is not parsed
     for nodes in ((0.0, np.nan), (0.0, np.inf), (0.0, "x")):
         with pytest.raises(ConfigError, match="clock nodes"):
-            checks.ClockFamily(nodes, [[np.eye(2)] * 2])
+            oracles.ClockFamily(nodes, [[np.eye(2)] * 2])
     # one node spans nothing, a family starts at tau = 0, and ends at its last node
     with pytest.raises(ConfigError, match="at least two nodes"):
-        checks.ClockFamily((0.0,), [[np.eye(2)]])
+        oracles.ClockFamily((0.0,), [[np.eye(2)]])
     with pytest.raises(ConfigError, match="must start at 0"):
-        checks.ClockFamily((0.5, 1.0), [[np.eye(2)] * 2])
+        oracles.ClockFamily((0.5, 1.0), [[np.eye(2)] * 2])
     with pytest.raises(ConfigError, match="tau = 1.5 outside clock node span"):
-        checks.ClockFamily((0.0, 1.0), [[np.eye(2)] * 2]).at(np.array([0.5, 1.5]))
+        oracles.ClockFamily((0.0, 1.0), [[np.eye(2)] * 2]).at(np.array([0.5, 1.5]))
 
 
 def test_dwell_grid_validation():

@@ -197,6 +197,35 @@ def test_expm_squares_nothing_up_to_theta_and_once_just_above(monkeypatch):
     np.testing.assert_array_equal(squared[others], stack[others])
 
 
+def test_expm_fast_path_at_its_boundary_is_the_squaring_path():
+    """A stack whose largest |t| ||M||_1 is at most theta takes the path
+    without squaring.  At exactly theta, at 1-norms 1 and 3/2, each member
+    must equal its scalar call and the same member of a stack that one
+    squared member sends down the squaring path; at the next float above
+    theta that member alone is squared.  M = 0 takes the fast path at any
+    finite time."""
+    theta = linalg._TAYLOR12_THETA
+    base = np.array([[-3.0, 1.0, 2.0], [2.0, -1.0, -4.0], [-3.0, 0.0, 1.0]]) / 8.0  # 1-norm 1
+    for M in (base, 1.5 * base):
+        norm = np.abs(M).sum(axis=0).max()
+        edge = theta / norm
+        assert edge * norm == theta  # the largest product is theta exactly
+        ts = np.array([0.0, -0.5 * edge, edge, 0.25 * edge, -edge, np.nextafter(edge, 0.0)])
+        with np.errstate(all="raise"):  # the fast path sets no floating-point flag
+            fast = _assert_members_are_their_scalar_calls(M, ts)
+        above = np.nextafter(edge, 1.0)
+        assert above * norm > theta
+        mixed = _assert_members_are_their_scalar_calls(M, np.r_[ts, above, 4.0 * edge])
+        np.testing.assert_array_equal(mixed[:len(ts)], fast)
+        half = linalg.expm(M, above / 2)
+        np.testing.assert_array_equal(mixed[len(ts)], half @ half)
+    zero = np.zeros((2, 2))
+    ts = np.array([0.0, -1e308, 1e308, 5e-324])
+    with np.errstate(all="raise"):
+        stack = _assert_members_are_their_scalar_calls(zero, ts)
+    np.testing.assert_array_equal(stack, np.broadcast_to(np.eye(2), (4, 2, 2)))
+
+
 def test_expm_zero_and_one_by_one_arguments():
     ts = np.array([0.0, 1.0, -1e300, 1e300, 2.5])
     with np.errstate(over="raise", invalid="raise"):
@@ -242,6 +271,29 @@ def test_expm_rejects_bad_times():
         with pytest.raises(NumericError):
             linalg.expm(np.array(M), t)
     assert linalg.expm(np.array([[-1e308]]))[0, 0] == 0.0
+
+
+def test_sym_eig_max_one_by_one_is_lapacks_eigenvalue_bitwise():
+    """A 1 x 1 member's eigenvalue is its entry, as LAPACK returns it: the
+    same bits as np.linalg.eigvalsh on signed zeros, subnormals, +-1e308
+    and random magnitudes, as a stack and one matrix at a time."""
+    rng = np.random.default_rng(41)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308,
+               np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0]
+    vals = np.r_[special, rng.standard_normal(4000) * 10.0 ** rng.uniform(-320, 300, 4000)]
+    S = vals.reshape(-1, 1, 1)
+    want = np.linalg.eigvalsh(S)[:, -1]
+    got = linalg.sym_eig_max(S)
+    assert got.tobytes() == want.tobytes() == vals.tobytes()
+    for v in special:
+        one = linalg.sym_eig_max(np.array([[v]]))
+        assert type(one) is float and math.copysign(1.0, one) == math.copysign(1.0, v) and one == v
+    # the shortcut returns a copy, not a view of its argument
+    got[0] = 7.0
+    assert S[0, 0, 0] == 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            linalg.sym_eig_max(np.array([[[1.0]], [[bad]]]))
 
 
 def test_sym_eig_max_stack_matches_oracles():
@@ -370,6 +422,34 @@ def test_proven_below_agrees_with_lapack_cholesky_away_from_the_boundary(d):
     # each verdict is the member's own, whatever the stack around it
     assert [bool(linalg.proven_below(M[k:k + 1], t[k:k + 1])[0])
             for k in np.flatnonzero(away)[:20]] == want[:20]
+
+
+@pytest.mark.parametrize("n", [3, 40, 2000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_proven_below_small_d_refuses_at_and_within_tau_above_t_on_any_stack_size(d, n):
+    """At d = 1..3, where the first column update is one product, on a
+    stack of 3, 40 and 2000 members: a top planted at t, or within tau
+    above it, is never cleared, whatever its neighbours; one well below is."""
+    rng = np.random.default_rng(300 + 10 * d + n % 7)
+    t = rng.uniform(-50.0, 50.0, n)
+    at_t = _rotated(rng, t, d)
+    within = _rotated(rng, t + rng.uniform(0.0, 1.0, n) * _tau(at_t, t), d)
+    below = _rotated(rng, t - 1e-6 * np.maximum(1.0, np.abs(t)), d)
+    assert not linalg.proven_below(at_t, t).any()
+    assert not linalg.proven_below(within, t).any()
+    assert linalg.proven_below(below, t).all()
+    # planted members among cleared ones keep their own verdict
+    mixed, plant = below.copy(), rng.permutation(n)[:max(1, n // 4)]
+    mixed[plant] = within[plant]
+    want = np.ones(n, dtype=bool)
+    want[plant] = False
+    assert linalg.proven_below(mixed, t).tolist() == want.tolist()
+    diag = np.zeros((n, d, d))
+    diag[:, 0, 0] = t
+    for k in range(1, d):
+        diag[:, k, k] = t - k
+    assert not linalg.proven_below(diag, t).any()
+    assert linalg.proven_below(diag, t + 1e-6 * np.maximum(1.0, np.abs(t))).all()
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 12])

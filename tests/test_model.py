@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from minjump import (
-    ClockFamily,
     DwellGrid,
     DwellRange,
     ImpulsiveSpec,
@@ -16,8 +15,6 @@ from minjump import (
     augment_impulsive,
     augment_switched,
     check,
-    check_clock,
-    exact_clock_family,
     gen_sequence,
 )
 from minjump.checks import _covering
@@ -26,6 +23,7 @@ from minjump.sim import simulate
 from minjump.synth import clock_node_grid
 
 from conftest import EX1_A, EX1_B, EX1_J, EX3_A, EX3_B, EX3_J, EX3_UPDATES
+from oracles import ClockFamily, check_clock, exact_clock_family
 
 
 def test_impulsive_lift_layout():

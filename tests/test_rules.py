@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from minjump import (
-    ClockFamily,
     ImpulsiveSpec,
     MinJumpCertificate,
     ModeWeights,
@@ -14,10 +13,8 @@ from minjump import (
     augment_impulsive,
     augment_switched,
     check,
-    check_clock,
     check_impulsive,
     check_switched,
-    exact_clock_family,
     gen_sequence,
     select_impulsive,
     select_switched,
@@ -30,6 +27,7 @@ from minjump.synth import assemble_impulsive, assemble_switched
 
 import oracles
 from conftest import EX1_PI, EX3_A, EX3_B, EX3_J, EX3_K, EX3_UPDATES, EX3_PI
+from oracles import ClockFamily, check_clock, exact_clock_family
 
 
 def _cert(P_list, N=None):
