@@ -21,8 +21,8 @@ symmetric eigensolver through linalg.sym_eig_max, a code path separate
 from the interior-point solver that produced the data.  On a large dwell
 grid the eigensolver runs only where a mode's maximum can be (_max_search):
 at each mode's two dwell ends, then where linalg.proven_below cannot prove
-a point below its mode's best so far; every report field is a maximum, so
-the report is a full eigensolve's, bit for bit.  A stack times one fixed
+a point below the better of them; every report field is a maximum, so the
+report is a full eigensolve's, bit for bit.  A stack times one fixed
 matrix is one 2-D GEMM (_times), bitwise the stacked per-member products
 on the BLAS in use, which the oracle tests hold.
 
@@ -34,7 +34,6 @@ mode count or dimension a CertificateError.  The report reduces a
 exact tie goes to the lowest mode.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,12 +166,10 @@ def _max_search(M):
     where its (G, d, d) stack's maximum can be; -inf where proven below it.
 
     Each stack's first largest value and its index are those of
-    sym_eig_max(M) bit for bit.  Each round is one call over every stack.
-    Round 1 eigensolves the two ends; linalg.proven_below clears members
-    strictly below their stack's best end.  If the most any stack left, c,
-    pays a search, round 2 eigensolves every s-th member left, s =
-    floor(sqrt(c / 2)), and, if that raised a best, proves the rest again.
-    A last eigensolve takes what is open.  A cleared member never ties.
+    sym_eig_max(M) bit for bit.  One eigensolve takes every stack's two
+    ends; one linalg.proven_below call clears the members strictly below
+    their stack's best end; one last eigensolve takes what the proof left,
+    if anything.  A cleared member never ties.
     """
     G, d = M.shape[-3], M.shape[-1]
     if not _searched(G, d):
@@ -180,17 +177,9 @@ def _max_search(M):
     shape, M = M.shape[:-2], M.reshape(-1, G, d, d)
     out = np.full(M.shape[:2], -np.inf)
     out[:, ::G - 1] = linalg.sym_eig_max(M[:, ::G - 1])
-    flat, best = M.reshape(-1, d, d), out.max(axis=1)
-    left = ~linalg.proven_below(flat, np.repeat(best, G)).reshape(out.shape)
+    best = out.max(axis=1)
+    left = ~linalg.proven_below(M.reshape(-1, d, d), np.repeat(best, G)).reshape(out.shape)
     left[:, ::G - 1] = False
-    most = int(left.sum(axis=1).max())
-    if _searched(most, d):
-        idx = np.flatnonzero(left)[::math.isqrt(most // 2)]
-        out.reshape(-1)[idx] = linalg.sym_eig_max(flat[idx])
-        left.reshape(-1)[idx] = False
-        top = out.max(axis=1)
-        if (top > best).any():  # else the proof would clear nothing new
-            left[left] = ~linalg.proven_below(M[left], np.repeat(top, left.sum(axis=1)))
     if left.any():
         out[left] = linalg.sym_eig_max(M[left])
     return out.reshape(shape)
@@ -271,8 +260,3 @@ def check(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):
     """
     kind_check = check_impulsive if model.kind == "impulsive" else check_switched
     return kind_check(model, cert, dwell, grid, strict_tol)
-
-
-def _covering(nodes, dwell):
-    """Indices of the clock nodes in the dwell range, where its conditions are imposed."""
-    return np.flatnonzero(~dwell.outside(nodes)).tolist()

@@ -61,18 +61,14 @@ def _fit(model, cert=None, kind=None, mode=None, what="this call"):
     """The one rule, for every entry point, on whether its inputs fit model.
 
     The wrong kind, or a mode that is not an integer index, is a ModelError;
-    a certificate, or a clock's (modes, nodes, d, d) values, of another mode
-    count or dimension d is a CertificateError naming both shapes.
+    a certificate of another mode count or dimension d is a CertificateError
+    naming both shapes.
     """
     if kind is not None and model.kind != kind:
         raise ModelError(f"{what} requires a model of kind {kind}, got {model.kind}")
-    if cert is not None:
-        clock = isinstance(cert, np.ndarray)
-        have = (cert if clock else cert.P).shape
-        want = (model.modes, *have[1:-2], model.dim, model.dim)
-        if have != want:
-            raise CertificateError(f"{'clock' if clock else 'certificate'} of shape {have}"
-                                   f" does not fit the model's {want}")
+    if cert is not None and cert.P.shape != (want := (model.modes, model.dim, model.dim)):
+        raise CertificateError(f"certificate of shape {cert.P.shape}"
+                               f" does not fit the model's {want}")
     if mode is not None and not (isinstance(mode, numbers.Integral) and 0 <= mode < model.modes):
         raise ModelError(f"mode {mode!r} out of range for a {model.modes}-mode model")
 

@@ -196,7 +196,6 @@ class SdpSolution:
     status: str
     values: dict
     eps: float
-    residuals: tuple
     iterations: int
     gap: float
     primal_infeas: float
@@ -461,13 +460,11 @@ def solve(problem):
         iters, gap, pinf, dinf, history = 0, np.inf, np.inf, np.inf, ()
     values = _unflatten(problem, y)
     eps = float(y[sc.eps_index])
-    res = residuals(problem, values)
     log.info("solve: status=%s eps=%.3e iters=%d gap=%.2e", status, eps, iters, gap)
     return SdpSolution(
         status=status,
         values=values,
         eps=eps,
-        residuals=tuple(res),
         iterations=iters,
         gap=gap,
         primal_infeas=pinf,

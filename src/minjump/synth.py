@@ -40,7 +40,7 @@ import numpy as np
 
 from . import sdp
 # check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
-from .checks import DwellGrid, _covering, check, check_impulsive  # noqa: F401
+from .checks import DwellGrid, check, check_impulsive  # noqa: F401
 from .errors import CapacityError, ConfigError, RecoveryError
 from .linalg import inv_spd
 from .model import ModeWeights, _num
@@ -100,6 +100,11 @@ def clock_node_grid(dwell, count):
     if not (abs(nodes - dwell.t_min) <= dwell.tol).any():
         nodes = np.sort(np.append(nodes, dwell.t_min))
     return tuple(nodes.tolist())
+
+
+def _covering(nodes, dwell):
+    """Indices of the clock nodes in the dwell range, where its conditions are imposed."""
+    return np.flatnonzero(~dwell.outside(nodes)).tolist()
 
 
 def _weights(model, weights):

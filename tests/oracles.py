@@ -38,9 +38,8 @@ import numpy as np
 
 from minjump import checks, linalg, sdp
 from minjump.checks import SLACK_TOL, STRICT_TOL, VerificationReport
-from minjump.errors import ConfigError, DivergenceError
+from minjump.errors import CertificateError, ConfigError, DivergenceError
 from minjump.model import _increasing, _num, _numeric
-from minjump.rules import _fit
 from minjump.sim import DIVERGENCE_LIMIT
 
 _JACOBI_OFF_TOL = 1e-12
@@ -328,8 +327,8 @@ def segment_verdict(margins, segments, thetas, passed, grid, strict_tol, slack_t
 def _theta_nodes(clock, dwell):
     if clock.outside(dwell.t_max):
         raise ConfigError(f"clock nodes end at {clock.nodes[-1]}, short of t_max = {dwell.t_max}")
-    inside = (min(max(clock.nodes[k], dwell.t_min), dwell.t_max)
-              for k in checks._covering(clock.nodes, dwell))
+    inside = (min(max(t, dwell.t_min), dwell.t_max)
+              for t, out in zip(clock.nodes, dwell.outside(clock.nodes)) if not out)
     return sorted({dwell.t_min, dwell.t_max, *inside})
 
 
@@ -350,7 +349,9 @@ def check_clock(model, clock, cert, eps, dwell, tol=SLACK_TOL):
     if not math.isfinite(eps):
         raise ConfigError(f"eps must be finite, got {eps}")
     F0, W = checks._loop_data(model, cert)
-    _fit(model, clock.values)
+    have = clock.values.shape
+    if have != (want := (model.modes, have[1], model.dim, model.dim)):
+        raise CertificateError(f"clock of shape {have} does not fit the model's {want}")
     thetas = _theta_nodes(clock, dwell)
     taus = np.repeat(clock.nodes, 2)[1:-1]
     A = np.stack([model.drift(i) for i in range(model.modes)])[:, None]

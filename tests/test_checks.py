@@ -286,44 +286,45 @@ def _assert_search_matches_dense(M):
     return not kept.all()
 
 
-# A 1000-member hump stack: round 1 clears 1..20, below end 999 (member 21
-# ties it), so round 2 samples every s-th of the 978 left, s = 22
-_SAMPLES = set(range(21, 999, 22))
+# A 1000-member hump stack: the proof clears 1..20, below end 999 (member
+# 21 ties it), and the last eigensolve takes 21..998
+_HILL = {0} | set(range(21, 1000))
 
 
-def _crest(M):
-    """The members the search eigensolves besides the ends and _SAMPLES."""
-    solved = checks._max_search(M) > -np.inf
-    return set(np.flatnonzero(solved).tolist()) - _SAMPLES - {0, 999}
+def _solved(M):
+    """The members the search eigensolves: the ends and what the proof left."""
+    return set(np.flatnonzero(checks._max_search(M) > -np.inf).tolist())
 
 
 def test_max_search_matches_dense_on_planted_stacks():
-    between = _hump_stack([(510, 100.0)])  # 505 and 527 are the nearest samples
+    between = _hump_stack([(510, 100.0)])
     assert _assert_search_matches_dense(between)
-    # round 2 eigensolves _SAMPLES; then the crest above sample 505, up to
-    # 515 where the hump is back at its value
-    assert set(np.flatnonzero(checks._max_search(between) > -np.inf)) >= _SAMPLES
-    crest = set(range(506, 516))
-    assert _crest(between) == crest
-    # one ulp above the stack's maximum: only that member joins the crest
+    assert _solved(between) == _HILL
+    # one ulp above the stack's maximum, left by the proof: it is the maximum
     above = between.copy()
-    above[900] = np.diag([np.nextafter(linalg.sym_eig_max(between).max(), np.inf), -1.0, -2.0])
+    top = np.nextafter(linalg.sym_eig_max(between).max(), np.inf)
+    above[900] = np.diag([top, -1.0, -2.0])
     assert _assert_search_matches_dense(above)
-    assert _crest(above) == crest | {900}
+    assert _solved(above) == _HILL
     assert int(linalg.sym_eig_max(above).argmax()) == 900
-    # equal humps: the samples see only the wide one, the narrow one comes first
+    # the same among the members the proof clears: only that member joins
+    above = between.copy()
+    above[10] = np.diag([top, -1.0, -2.0])
+    assert _assert_search_matches_dense(above)
+    assert _solved(above) == _HILL | {10}
+    assert int(linalg.sym_eig_max(above).argmax()) == 10
+    # equal humps: the narrow one comes first and wins the tie
     humps = _hump_stack([(115, 2.0), (510, 100.0)])
     humps[115] = humps[510]
     assert _assert_search_matches_dense(humps)
-    assert _crest(humps) == crest | {115}
+    assert _solved(humps) == _HILL
     assert int(checks._max_search(humps).argmax()) == 115
     # every member ties: the first one wins
     assert not _assert_search_matches_dense(np.broadcast_to(between[3], between.shape).copy())
     # M = 0, where the certificate has nothing to spare
     assert not _assert_search_matches_dense(np.zeros((1000, 3, 3)))
-    # signed zeros on a flat -1: round 1 clears nothing, round 2 samples
-    # 1, 23, 45, ...  -0.0 at 7 (a neighbour) ties 0.0 at 23 (a sample) and
-    # is kept; then at 100 and 500, off the samples
+    # signed zeros on a flat -1, which the proof cannot clear: -0.0 at 7
+    # ties 0.0 at 23 and is kept; then at 100 and 500
     for first, second in ((7, 23), (100, 500)):
         zeros = np.broadcast_to(np.diag([-1.0, -2.0, -3.0]), (1000, 3, 3)).copy()
         zeros[first], zeros[second] = np.diag([-1.0, -0.0, -2.0]), np.diag([0.0, -1.0, -2.0])
@@ -407,10 +408,10 @@ def _spied_calls(monkeypatch, run):
 
 
 def test_search_rounds_take_every_mode_in_one_call(monkeypatch):
-    """Each round takes every mode in one call.  On a random system's
-    1500-point grid, two slices of 1024 and 476 points, round 1 settles
-    every slice: one eigensolve of each mode's two ends, one proof over
-    the slice.  A planted two-mode hump stack runs every round."""
+    """Each call takes every mode.  On a random system's 1500-point grid,
+    two slices of 1024 and 476 points, the proof settles every slice: one
+    eigensolve of each mode's two ends, one proof over the slice.  A
+    planted two-mode hump stack also takes the last eigensolve."""
     model, cert = _random_system("switched", 4, modes=3)
     dwell = DwellRange(0.01, 0.3)
     grid = DwellGrid.uniform(dwell, 1500)
@@ -418,27 +419,42 @@ def test_search_rounds_take_every_mode_in_one_call(monkeypatch):
     assert calls == [("eig", (3, 2, 4, 4)), ("proof", (3 * 1024, 4, 4)),
                      ("eig", (3, 2, 4, 4)), ("proof", (3 * 476, 4, 4))]
     _assert_same_report(report, _dense_report(model, cert, grid))
-    # mode 1 is mode 0 less 10 I: each leaves 21..998 after round 1; round 2
-    # takes every 22nd of the 1956 left in mode-major order, 45 in mode 0
-    # (21, 43, ..., 989) and 44 in mode 1 (33, 55, ..., 979); each mode's
-    # crest lies between its best sample (505, 517) and the hump's mirror
+    # mode 1 is mode 0 less 10 I: the proof clears 1..20 of each against
+    # its own best end, and the last eigensolve takes 21..998 of both
     hump = _hump_stack([(510, 100.0)])
     M = np.stack([hump, hump - 10.0 * np.eye(3)])
     calls, got = _spied_calls(monkeypatch, lambda: checks._max_search(M))
-    assert calls == [("eig", (2, 2, 3, 3)), ("proof", (2000, 3, 3)), ("eig", (89, 3, 3)),
-                     ("proof", (1956 - 89, 3, 3)), ("eig", (10 + 14, 3, 3))]
+    assert calls == [("eig", (2, 2, 3, 3)), ("proof", (2000, 3, 3)), ("eig", (2 * 978, 3, 3))]
     solved = [set(np.flatnonzero(row > -np.inf).tolist()) for row in got]
-    assert solved[0] == {0, 999} | _SAMPLES | set(range(506, 516))
-    assert solved[1] == {0, 999} | set(range(33, 999, 22)) | set(range(503, 517))
+    assert solved == [_HILL, _HILL]
     want, kept = linalg.sym_eig_max(M), got > -np.inf
     assert got[kept].tobytes() == want[kept].tobytes()
     assert got.argmax(axis=1).tolist() == want.argmax(axis=1).tolist() == [510, 510]
 
 
+@pytest.mark.parametrize("points", [200, 1000, 20_000])
+@pytest.mark.parametrize("example", ["ex1", "ex3"])
+def test_search_settles_each_reference_slice_with_its_ends_and_one_proof(
+        monkeypatch, request, example, points):
+    """On the reference certificates of examples 1 and 3 the proof clears
+    every point between each slice's ends: per slice one eigensolve of
+    each mode's two ends and one proof, nothing more.  A weaker proof, or
+    a larger tau, leaves points near the ends and adds an eigensolve."""
+    model, cert, dwell = (request.getfixturevalue(f"{example}_{name}")
+                          for name in ("reference_model", "reference_cert", "dwell"))
+    grid = DwellGrid.uniform(dwell, points)
+    calls, report = _spied_calls(monkeypatch, lambda: check(model, cert, dwell, grid=grid))
+    d, slices = model.dim, range(0, points, checks._THETA_SLICE)
+    assert calls == [call for lo in slices for call in (
+        ("eig", (model.modes, 2, d, d)),
+        ("proof", (model.modes * min(checks._THETA_SLICE, points - lo), d, d)))]
+    _assert_same_report(report, _dense_report(model, cert, grid))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_max_search_raises_on_a_non_finite_member(bad):
     M = _hump_stack([(510, 100.0)])
-    M[777, 1, 1] = bad  # neither a sample nor near the best one
+    M[777, 1, 1] = bad  # not cleared, so the last eigensolve meets it
     with pytest.raises(NumericError):
         checks._max_search(M)
 

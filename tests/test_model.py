@@ -17,10 +17,9 @@ from minjump import (
     check,
     gen_sequence,
 )
-from minjump.checks import _covering
 from minjump.errors import CertificateError, ConfigError, ModelError
 from minjump.sim import simulate
-from minjump.synth import clock_node_grid
+from minjump.synth import _covering, clock_node_grid
 
 from conftest import EX1_A, EX1_B, EX1_J, EX3_A, EX3_B, EX3_J, EX3_UPDATES
 from oracles import ClockFamily, check_clock, exact_clock_family

@@ -321,11 +321,12 @@ def test_nonfinite_iterate_ends_the_solve(monkeypatch):
         return out
 
     monkeypatch.setattr(sdp, "_steps", planted)
-    sol = sdp.solve(_oscillator())
+    problem = _oscillator()
+    sol = sdp.solve(problem)
     assert (sol.status, sol.iterations, len(calls)) == ("numerical_failure", 2, 4)
     assert np.isfinite(sol.eps)
     assert all(np.isfinite(v).all() for v in sol.values.values())
-    assert np.isfinite(sol.residuals).all()
+    assert np.isfinite(sdp.residuals(problem, sol.values)).all()
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))

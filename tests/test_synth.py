@@ -19,11 +19,12 @@ from minjump import (
     synthesize,
 )
 from minjump import sdp
-from minjump.checks import DwellGrid, _covering
+from minjump.checks import DwellGrid
 from minjump.linalg import inv_spd
 from minjump.synth import (
     FLOOR,
     SynthesisOptions,
+    _covering,
     assemble_impulsive,
     assemble_switched,
     clock_node_grid,
