@@ -47,7 +47,6 @@ from .sim import (
     SamplingSequence,
     Trajectory,
     gen_sequence,
-    lyapunov_trace,
     simulate_impulsive,
     simulate_switched,
     write_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "check_impulsive",
     "check_switched",
     "gen_sequence",
-    "lyapunov_trace",
     "scan_weights",
     "select_impulsive",
     "select_switched",

@@ -28,13 +28,14 @@ on the BLAS in use, which the oracle tests hold.
 
 Every entry point first asks rules._fit whether its model and certificate
 fit together: the wrong kind is a ModelError, a certificate of another
-mode count or dimension a CertificateError.  The report reduces a
-(modes, len(grid)) margin array in the one record order, mode-major
-(_grid_verdict): every maximum is the first largest in that order, so an
-exact tie goes to the lowest mode.
+mode count or dimension a CertificateError.  The report holds what this one
+condition gives: its largest margin, where it falls, each mode's largest
+and the grid.  It reduces a (modes, len(grid)) margin array in the one
+record order, mode-major (_grid_verdict): every maximum is the first
+largest in that order, so an exact tie goes to the lowest mode.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .model import _increasing, _num
 from .rules import _fit
 
 STRICT_TOL = 1e-7
-SLACK_TOL = 1e-9
 DEFAULT_GRID_POINTS = 200
 
 # Below this many points or stacked entries (G d^2), or at d = 1, one
@@ -89,34 +89,24 @@ class DwellGrid:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Outcome of a certificate check: worst_margin is the largest eigenvalue
-    margin found anywhere; it passes when every strict condition clears
-    -strict_tol, every non-strict one stays within slack_tol of zero and
-    every required positivity flag holds."""
+    """Outcome of a dwell-grid check: worst_margin is the largest contraction
+    margin on the grid, at worst_mode and worst_theta, and mode_margins each
+    mode's largest; it passes when worst_margin clears -strict_tol."""
 
     passed: bool
     worst_margin: float
-    worst_condition: str
     worst_mode: int
     worst_theta: float
-    per_condition: dict
     mode_margins: tuple
     grid: tuple
     strict_tol: float
-    slack_tol: float
-    flags: dict = field(default_factory=dict)
 
     def to_dict(self):
         """JSON-ready form; mode indices are reported 1-based."""
         return {
             "pass": bool(self.passed),
             "worst_margin": self.worst_margin,
-            "worst_point": {
-                "condition": self.worst_condition,
-                "mode": self.worst_mode + 1,
-                "theta": self.worst_theta,
-            },
-            "per_condition": dict(self.per_condition),
+            "worst_point": {"mode": self.worst_mode + 1, "theta": self.worst_theta},
             "per_mode": list(self.mode_margins),
             "grid": {
                 "points": len(self.grid),
@@ -124,8 +114,6 @@ class VerificationReport:
                 "last": self.grid[-1] if self.grid else None,
             },
             "strict_tol": self.strict_tol,
-            "slack_tol": self.slack_tol,
-            "flags": dict(self.flags),
         }
 
 
@@ -223,21 +211,19 @@ def _contraction_report(model, cert, dwell, grid, strict_tol):
 
 
 def _grid_verdict(margins, points, strict_tol):
-    """Report of a (modes, len(points)) contraction-margin array: every
-    margin is strict.  Records run mode-major, so an exact tie for the
-    worst point goes to the first mode, then the first theta.  Every
-    maximum is taken by argmax, the first largest in record order, as a
-    record-by-record scan would keep it (np.max may return either zero of
-    a -0.0/0.0 tie)."""
+    """Report of a (modes, len(points)) contraction-margin array.  Records
+    run mode-major, so an exact tie for the worst point goes to the first
+    mode, then the first theta.  Every maximum is taken by argmax, the
+    first largest in record order, as a record-by-record scan would keep
+    it (np.max may return either zero of a -0.0/0.0 tie)."""
     ks = margins.argmax(axis=1)
     tops = margins[np.arange(len(margins)), ks]  # each mode's first largest
     mode = int(tops.argmax())  # the first mode holding the first largest record
     worst = float(tops[mode])
     return VerificationReport(
-        passed=worst < -strict_tol, worst_margin=worst, worst_condition="contraction",
-        worst_mode=mode, worst_theta=float(points[ks[mode]]), per_condition={"contraction": worst},
-        mode_margins=tuple(tops.tolist()), grid=tuple(points), strict_tol=strict_tol,
-        slack_tol=SLACK_TOL)
+        passed=worst < -strict_tol, worst_margin=worst, worst_mode=mode,
+        worst_theta=float(points[ks[mode]]), mode_margins=tuple(tops.tolist()),
+        grid=tuple(points), strict_tol=strict_tol)
 
 
 def check_impulsive(model, cert, dwell, grid=None, strict_tol=STRICT_TOL):

@@ -302,8 +302,10 @@ def _trajectory(cfg, args, model, cert, dwell):
 def _summary(traj, model):
     """Simulation summary; V is monotone when its normal values fall.
 
-    A subnormal V has lost its precision: it repeats or rises by rounding."""
+    A subnormal V has lost its precision: it repeats or rises by rounding.
+    value_decay is null where V reaches 0 or the ratio passes the float range."""
     v = traj.lyapunov
+    decay = float(v[0]) / float(v[-1]) if v[-1] > 0 else math.inf
     nz = v >= np.finfo(float).tiny
     x = traj.post_states[-1]
     e = np.frexp(np.abs(x).max())[1]  # |x| = 2^e |x 2^-e|: sqrt(x'x) underflows below 1.5e-154
@@ -314,7 +316,7 @@ def _summary(traj, model):
         "final_state_norm": float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)),
         "value_first": float(v[0]),
         "value_last": float(v[-1]),
-        "value_decay": float(v[0] / v[-1]) if v[-1] > 0 else None,
+        "value_decay": decay if math.isfinite(decay) else None,
         "value_monotone": bool(np.all(np.diff(v[nz]) < 0)) if nz.any() else True,
         "mode_counts": np.bincount(traj.modes, minlength=model.modes),
     }
@@ -406,7 +408,6 @@ def cmd_example(args):
     _print_table("reference design", [
         ("check", "pass" if report.passed else "FAIL"),
         ("worst margin", f"{report.worst_margin:.6e}"),
-        ("worst condition", report.worst_condition),
     ])
     failures += not report.passed
 

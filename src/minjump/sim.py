@@ -96,7 +96,6 @@ class Trajectory:
     included (the endpoint equals the next pre-jump state).
     """
 
-    kind: str
     n: int
     times: np.ndarray
     modes: np.ndarray
@@ -248,7 +247,7 @@ def _march(model, cert, seq, x0, u0, substeps, kind, current=0, carry=True):
               dense_t.ravel(), dense, np.repeat(modes[:-1], substeps))
     for a in arrays:
         a.setflags(write=False)
-    return Trajectory(kind, model.n, *arrays, substeps)
+    return Trajectory(model.n, *arrays, substeps)
 
 
 def simulate_impulsive(model, cert, seq, x0, u0=None, substeps=1):
@@ -276,12 +275,6 @@ def simulate(model, cert, seq, x0, u0=None, initial_mode=0, substeps=1):
     if model.kind == "impulsive":
         return simulate_impulsive(model, cert, seq, x0, u0, substeps)
     return simulate_switched(model, cert, seq, x0, u0, initial_mode, substeps)
-
-
-def lyapunov_trace(traj, cert):
-    """Recompute V(k) from the recorded states and selected modes."""
-    states = traj.pre_states if traj.kind == "impulsive" else traj.post_states
-    return _forms(states, cert.P[traj.modes])
 
 
 def write_csv(traj, path):

@@ -41,7 +41,7 @@ import numpy as np
 from . import sdp
 # check_impulsive stays importable from synth: perfbench/tracing.py wraps it here
 from .checks import DwellGrid, check, check_impulsive  # noqa: F401
-from .errors import CapacityError, ConfigError, RecoveryError
+from .errors import CapacityError, ConfigError, DimensionError, NumericError, RecoveryError
 from .linalg import inv_spd
 from .model import ModeWeights, _num
 from .rules import MinJumpCertificate, _fit
@@ -278,7 +278,7 @@ def recover_design(model, weights, dwell, solution):
         P = [inv_spd(vals[f"Pt{i}"]) for i in range(model.modes)]
         gains = [vals[_gain_name(*idx)] @ inv_spd(vals[_anchor(model, idx[-1])])
                  if _free(model, *idx) else model.gain(*idx) for idx in model.gain_slots]
-    except Exception as exc:
+    except (DimensionError, NumericError) as exc:  # what inv_spd raises
         raise RecoveryError(
             f"recovery inverse failed ({exc}); the solve lost the definiteness floor"
         ) from exc

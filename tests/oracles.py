@@ -18,11 +18,14 @@ of one term at a time, where the package forms each term over a stacked
 basis; loop_simulate, the per-sample simulator that scores one mode and
 assembles one jump map at a time; record_report, the record-by-record
 reduction of a check's margins into its verdict, fed the records in the
-package's one record order (mode-major); the clock-function form of the
-certificate conditions, which the package does not check (the co-design
-imposes it through its own blocks): ClockFamily, check_clock, stacked
-over every mode, and exact_clock_family, the closed-form family a valid
-certificate gives; loop_check_clock, the same check one matrix at a time;
+package's one record order (mode-major), as a ConditionReport: the
+package's report fields (grid_report gives those alone) plus what several
+conditions need and the package's one does not, each condition's
+maximum, the non-strict slack SLACK_TOL and flags; the clock-function
+form of the certificate conditions, which the package does not check
+(the co-design imposes it through its own blocks): ClockFamily,
+check_clock, stacked over every mode, and exact_clock_family, the
+closed-form family a valid certificate gives; loop_check_clock, the same check one matrix at a time;
 and dense_contraction_margins, the dwell-grid margins from stacked per-member
 products and one eigensolve at every (mode, theta), where the package forms
 products with a fixed matrix as single 2-D GEMMs and solves only where a
@@ -37,11 +40,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from minjump import checks, linalg, sdp
-from minjump.checks import SLACK_TOL, STRICT_TOL, VerificationReport
+from minjump.checks import STRICT_TOL, VerificationReport
 from minjump.errors import CertificateError, ConfigError, DivergenceError
 from minjump.model import _increasing, _num, _numeric
 from minjump.sim import DIVERGENCE_LIMIT
 
+SLACK_TOL = 1e-9  # how far above zero a non-strict clock condition may reach
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
@@ -216,8 +220,39 @@ def dense_contraction_margins(model, cert, F0, W, thetas):
     return margins
 
 
+@dataclass(frozen=True, eq=False)
+class ConditionReport:
+    """A verdict over several conditions: the package's report fields, plus
+    the condition holding the worst point, each condition's largest margin,
+    the slack of the non-strict ones and the flags that must hold."""
+
+    passed: bool
+    worst_margin: float
+    worst_condition: str
+    worst_mode: int
+    worst_theta: float
+    per_condition: dict
+    mode_margins: tuple
+    grid: tuple
+    strict_tol: float
+    slack_tol: float
+    flags: dict
+
+    def report(self):
+        """The package's VerificationReport of the fields the two share."""
+        return VerificationReport(self.passed, self.worst_margin, self.worst_mode,
+                                  self.worst_theta, self.mode_margins, self.grid,
+                                  self.strict_tol)
+
+    def to_dict(self):
+        out = self.report().to_dict()
+        out["worst_point"]["condition"] = self.worst_condition
+        return dict(out, per_condition=dict(self.per_condition), slack_tol=self.slack_tol,
+                    flags=dict(self.flags))
+
+
 def record_report(records, modes, strict_tol, slack_tol, grid, flags=None):
-    """The check verdict from (condition, mode, theta, margin, strict) records,
+    """The ConditionReport of (condition, mode, theta, margin, strict) records,
     scanned one record at a time.
 
     This is the per-record reduction the package used before it reduced
@@ -240,7 +275,7 @@ def record_report(records, modes, strict_tol, slack_tol, grid, flags=None):
             mode_worst[mode] = margin
         if worst is None or margin > worst[3]:
             worst = (condition, mode, theta, margin)
-    return VerificationReport(
+    return ConditionReport(
         passed=ok, worst_margin=worst[3], worst_condition=worst[0],
         worst_mode=worst[1], worst_theta=worst[2], per_condition=per_condition,
         mode_margins=tuple(mode_worst), grid=tuple(grid), strict_tol=strict_tol,
@@ -252,6 +287,12 @@ def grid_records(margins, points):
     package's one record order, mode-major."""
     return [("contraction", i, points[k], margins[i, k], True)
             for i in range(len(margins)) for k in range(len(points))]
+
+
+def grid_report(margins, points, strict_tol=STRICT_TOL):
+    """The package's report of a contraction-margin array, by record_report."""
+    return record_report(grid_records(margins, points), len(margins), strict_tol,
+                         SLACK_TOL, points).report()
 
 
 _COVER_TOL = 1e-12  # a clock family's own slack: first node to 0, a tau to the node span
@@ -317,7 +358,7 @@ def segment_verdict(margins, segments, thetas, passed, grid, strict_tol, slack_t
         if lo <= k:  # the last segment starting at or before k holds it
             worst_condition = condition
         lo += n
-    return VerificationReport(
+    return ConditionReport(
         passed=bool(passed), worst_margin=float(margins[mode, k]), worst_condition=worst_condition,
         worst_mode=mode, worst_theta=float(thetas[k]), per_condition=per_condition,
         mode_margins=tuple(float(row[row.argmax()]) for row in margins),

@@ -89,9 +89,7 @@ def _dense_report(model, cert, grid):
     """The record-by-record verdict over margins eigensolved at every point."""
     F0, W = checks._loop_data(model, cert)
     margins = oracles.dense_contraction_margins(model, cert, F0, W, np.asarray(grid.points))
-    records = oracles.grid_records(margins, grid.points)
-    return oracles.record_report(records, model.modes, checks.STRICT_TOL, checks.SLACK_TOL,
-                                 grid.points)
+    return oracles.grid_report(margins, grid.points)
 
 
 def _assert_grid_check_matches_oracle(model, cert, dwell, monkeypatch):
@@ -140,7 +138,6 @@ def test_grid_check_matches_oracle_on_random_systems(monkeypatch):
 def _assert_same_report(got, want):
     """Bitwise: json.dumps spells every float exactly, -0.0 included."""
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
-    assert got.worst_condition == want.worst_condition
 
 
 def test_array_reducer_matches_record_oracle(request):
@@ -221,9 +218,7 @@ def _fabricated_verdicts(margins, points, strict_tol=checks.STRICT_TOL):
     """Array reducer and record oracle on one fabricated margin array, in
     the one record order (mode-major)."""
     got = checks._grid_verdict(margins, points, strict_tol)
-    want = oracles.record_report(oracles.grid_records(margins, points),
-                                 len(margins), strict_tol, checks.SLACK_TOL, points)
-    _assert_same_report(got, want)
+    _assert_same_report(got, oracles.grid_report(margins, points, strict_tol))
     return [got]
 
 
@@ -239,7 +234,7 @@ def test_array_reducer_ties_follow_record_order():
     assert json.dumps(by_mode.mode_margins) == "[-0.0, 0.0]"
     assert json.dumps(by_mode.worst_margin) == "-0.0"
     for report in _fabricated_verdicts(np.array([[0.0, -0.0]]), (0.1, 0.2)):
-        assert json.dumps(report.per_condition) == '{"contraction": 0.0}'
+        assert json.dumps(report.worst_margin) == "0.0"
     # many exact ties on random shapes
     rng = np.random.default_rng(8)
     for modes, points in ((1, 1), (1, 5), (3, 1), (3, 7), (4, 40)):
@@ -364,9 +359,7 @@ def test_planted_search_report_matches_dense_oracle(top, d):
         M[0, zeros[0]] = np.diag(np.r_[-0.0, rest])
     points = tuple(np.linspace(0.01, 0.3, 1000))
     got = checks._grid_verdict(checks._max_search(M), points, checks.STRICT_TOL)
-    want = oracles.record_report(oracles.grid_records(linalg.sym_eig_max(M), points),
-                                 2, checks.STRICT_TOL, checks.SLACK_TOL, points)
-    _assert_same_report(got, want)
+    _assert_same_report(got, oracles.grid_report(linalg.sym_eig_max(M), points))
     if signed:
         assert json.dumps([got.worst_margin, *got.mode_margins]) == "[-0.0, -0.0, 0.0]"
 
@@ -499,7 +492,8 @@ def test_report_dict_shape(ex2_model, ex2_cert, ex2_dwell):
     d = check_impulsive(ex2_model, ex2_cert, ex2_dwell).to_dict()
     assert d["pass"] is True
     assert d["worst_point"]["mode"] == 1  # reported 1-based
-    assert set(d) >= {"worst_margin", "per_condition", "per_mode", "grid"}
+    assert set(d) == {"pass", "worst_margin", "worst_point", "per_mode", "grid", "strict_tol"}
+    assert set(d["worst_point"]) == {"mode", "theta"}
 
 
 def test_exact_clock_family_matches_grid_margins(contractive_factory):
@@ -556,15 +550,15 @@ def test_clock_check_matches_record_oracle(
     clock = exact_clock_family(ex3_reference_cert, ex3_reference_model,
                                clock_node_grid(ex3_dwell, 1024))
     cases.append((ex3_reference_model, clock, ex3_reference_cert, 1e-3, ex3_dwell,
-                  checks.SLACK_TOL))
+                  oracles.SLACK_TOL))
     clock = exact_clock_family(ex1_reference_cert, ex1_reference_model,
                                tuple(np.linspace(0.0, ex1_dwell.t_max, 16)))
     cases.append((ex1_reference_model, clock, ex1_reference_cert, 0.0, ex1_dwell,
-                  checks.SLACK_TOL))
+                  oracles.SLACK_TOL))
     d, modes = ex3_reference_model.dim, ex3_reference_model.modes
     cases.append((ex3_reference_model, oracles.ClockFamily((0.0, 1.0), [[np.eye(d)] * 2] * modes),
                   MinJumpCertificate([2.0 * np.eye(d)] * modes, ModeWeights([[0.5, 0.5]] * 2)),
-                  0.5, DwellRange(0.5, 1.0), checks.SLACK_TOL))
+                  0.5, DwellRange(0.5, 1.0), oracles.SLACK_TOL))
     for case in cases:
         _assert_same_report(check_clock(*case), oracles.loop_check_clock(*case))
 
@@ -601,7 +595,7 @@ def test_clock_check_needs_positive_eps_where_every_margin_clears():
     clock = oracles.ClockFamily((0.0, 1.0), [[np.eye(1)] * 2])
     assert check_clock(model, clock, cert, 0.1, dwell).passed
     report = check_clock(model, clock, cert, 0.0, dwell)
-    assert report.worst_margin <= checks.SLACK_TOL
+    assert report.worst_margin <= oracles.SLACK_TOL
     assert not report.passed
 
 

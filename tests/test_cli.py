@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minjump import DwellRange, checks, gen_sequence, sim, synth
+from minjump import DwellRange, checks, cli, gen_sequence, sim, synth
 from minjump.cli import main
 
 from conftest import EX1_A, EX1_B, EX1_J, EX1_PI, EX1_P, EX2_A, EX2_J, EX2_PI, EX2_P
@@ -300,6 +300,63 @@ def test_long_decaying_run_is_monotone(tmp_path, capsys):
     assert np.linalg.norm(x) == 0.0
     assert 0.0 < summary["final_state_norm"] == np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
     assert summary["final_state_norm"] == pytest.approx(math.hypot(*x), rel=1e-15)
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON cannot spell."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _reference_config(tmp_path, n):
+    """example n's published design as a plain config, its run block kept:
+    the rule, and its gains in every slot, from cli._reference_design."""
+    cfg = cli._fixture(f"example{n}")
+    model, cert = cli._reference_design(cfg, cli.build_weights(cfg))
+    cfg = {k: v for k, v in cfg.items() if k != "reference"}
+    cfg["gains"] = {"K": model.nest([model.gain(*idx) for idx in model.gain_slots])}
+    cfg["rule"] = {"P": cert.P}
+    path = tmp_path / f"reference{n}.json"
+    path.write_text(json.dumps(cfg, default=cli._plain))
+    return str(path)
+
+
+def test_value_decay_past_the_float_range_is_null(tmp_path, capsys):
+    """example 1's reference loop ends a 2000-step run with V near 1e-312,
+    so V's first value over its last passes the float range: value_decay
+    is null, with no RuntimeWarning (an error in this suite)."""
+    assert main(["simulate", _reference_config(tmp_path, 1), "--steps", "2000"]) == 0
+    summary = _strict_json(capsys.readouterr().out)
+    assert summary["value_decay"] is None
+    assert summary["value_last"] > 0.0
+    assert summary["value_first"] / summary["value_last"] == math.inf
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "unstabilizable"])
+def test_every_report_is_strict_json(tmp_path, capsys, name):
+    """verify, synth (to stdout and to --out) and simulate on a bundled
+    fixture, simulate on a successful design, and verify and simulate on
+    a reference design write strict JSON, or nothing when the input is
+    unusable (exit 2)."""
+    fixture, design = _fixture_path(name), tmp_path / "design.json"
+    jobs = [["verify", fixture], ["synth", fixture], ["simulate", fixture]]
+    if name != "unstabilizable":
+        reference = _reference_config(tmp_path, int(name[-1]))
+        jobs += [["verify", reference], ["simulate", reference, "--steps", "2000"]]
+    if main(["synth", fixture, "--out", str(design)]) == 0:
+        cfg = json.loads(Path(fixture).read_text())
+        cfg["run"]["result"] = str(design)
+        jobs.append(["simulate", _write(tmp_path, "replay.json", cfg)])
+    assert isinstance(_strict_json(design.read_text()), dict)
+    for argv in jobs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        if code == 2:
+            assert out == ""
+        else:
+            assert isinstance(_strict_json(out), dict)
 
 
 def _table(text):

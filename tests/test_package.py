@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import minjump
+from minjump import checks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,13 +83,18 @@ print(json.dumps(seen))
 LAZY_NAMES = ("SynthesisOptions", "SynthesisResult", "scan_weights", "sdp", "synth", "synthesize")
 
 
-def test_the_solver_loads_on_first_use():
-    env = dict(os.environ)
+def _fresh(code, *args, **env):
+    """python -c code args in a fresh process, src/ first on its path."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    config = ROOT / "src" / "minjump" / "fixtures" / "example2.json"
-    done = subprocess.run([sys.executable, "-c", _FIRST_USE, str(config), *LAZY_NAMES],
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_the_solver_loads_on_first_use():
+    config = ROOT / "src" / "minjump" / "fixtures" / "example2.json"
+    done = _fresh(_FIRST_USE, config, *LAZY_NAMES)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == {
@@ -101,3 +107,16 @@ def test_the_solver_loads_on_first_use():
     # a name the package does not have reads as on any module
     with pytest.raises(AttributeError, match="^module 'minjump' has no attribute 'nonexistent'$"):
         minjump.nonexistent  # noqa: B018
+
+
+def test_readme_library_example_runs():
+    """The README's Library example runs as printed, on one BLAS thread with
+    a RuntimeWarning an error, and prints a passing margin and a decay."""
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    before, block = section.split("```python\n", 1)
+    assert "\n## " not in before  # the block is the section's own
+    done = _fresh(block.split("\n```", 1)[0], OPENBLAS_NUM_THREADS="1",
+                  PYTHONWARNINGS="error::RuntimeWarning")
+    assert done.returncode == 0, done.stderr
+    worst, decay = map(float, done.stdout.split())
+    assert worst < -checks.STRICT_TOL and decay > 1.0

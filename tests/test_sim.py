@@ -16,7 +16,6 @@ from minjump import (
     augment_impulsive,
     augment_switched,
     gen_sequence,
-    lyapunov_trace,
     select_impulsive,
     select_switched,
     simulate_impulsive,
@@ -101,12 +100,6 @@ def test_lyapunov_strictly_decreases(ex2_loop):
     v = traj.lyapunov
     assert (np.diff(v) < 0.0).all()
     assert v[0] / v[-1] > 1e3
-
-
-def test_lyapunov_trace_matches_stored(ex2_loop):
-    model, cert, seq = ex2_loop
-    traj = simulate_impulsive(model, cert, seq, [1.0, 1.0])
-    assert np.array_equal(lyapunov_trace(traj, cert), traj.lyapunov)
 
 
 def test_zero_state_stays_zero(ex2_loop):

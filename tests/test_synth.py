@@ -11,6 +11,7 @@ from minjump import (
     DwellRange,
     ModelError,
     ImpulsiveSpec,
+    RecoveryError,
     ModeWeights,
     augment_impulsive,
     check_impulsive,
@@ -18,7 +19,7 @@ from minjump import (
     scan_weights,
     synthesize,
 )
-from minjump import sdp
+from minjump import sdp, synth
 from minjump.checks import DwellGrid
 from minjump.linalg import inv_spd
 from minjump.synth import (
@@ -28,6 +29,7 @@ from minjump.synth import (
     assemble_impulsive,
     assemble_switched,
     clock_node_grid,
+    recover_design,
 )
 
 from conftest import EX1_PI, EX3_PI
@@ -127,6 +129,28 @@ def test_switched_gain_recovery_consistency(ex3_open_model, ex3_dwell):
         for i in range(2):
             K = vals[f"U{j}_{i}"] @ inv_spd(vals[f"S{i}n0"])
             assert np.array_equal(K, result.gains[j][i])
+
+
+def _optimal(model, **values):
+    """An optimal, eps > 0 solution whose Pt_i are I unless given."""
+    vals = {f"Pt{i}": np.eye(model.dim) for i in range(model.modes)}
+    return sdp.SdpSolution("optimal", {**vals, **values}, 0.1, 1, 0.0, 0.0, 0.0)
+
+
+def test_recovery_from_a_singular_pt_raises_recovery_error(ex1_open_model, ex1_dwell):
+    solution = _optimal(ex1_open_model, Pt0=np.zeros((ex1_open_model.dim,) * 2))
+    with pytest.raises(RecoveryError, match="recovery inverse failed"):
+        recover_design(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell, solution)
+
+
+def test_recovery_lets_an_error_of_another_kind_through(ex1_open_model, ex1_dwell, monkeypatch):
+    """Only inv_spd's own errors mean a lost definiteness floor; a bug is a bug."""
+    def broken(S):
+        raise TypeError("not a recovery failure")
+
+    monkeypatch.setattr(synth, "inv_spd", broken)
+    with pytest.raises(TypeError, match="not a recovery failure"):
+        recover_design(ex1_open_model, ModeWeights(EX1_PI), ex1_dwell, _optimal(ex1_open_model))
 
 
 def test_assemblers_refuse_the_other_kind(ex1_open_model, ex1_dwell,
