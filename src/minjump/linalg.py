@@ -234,13 +234,16 @@ def is_pd(S):
 
 
 def inv_spd(S):
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
+    """Inverse of a symmetric positive definite matrix via Cholesky; one
+    past the float range (a subnormal factor, say) raises NumericError."""
     S = _as_symmetric(S, "inv_spd argument")
-    n = S.shape[0]
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("matrix is not positive definite") from exc
-    Z = np.linalg.solve(L, np.eye(n))
-    X = np.linalg.solve(L.T, Z)
-    return 0.5 * (X + X.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        X = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(len(S))))
+        X = 0.5 * (X + X.T)
+    if not np.isfinite(X).all():
+        raise NumericError("matrix is too near singular for a finite inverse")
+    return X

@@ -13,19 +13,26 @@ The algorithm is a standard infeasible-start primal-dual interior-point
 method with the HKM search direction and a Mehrotra predictor-corrector
 step.  Problem sizes here are tiny (blocks up to ~12x12, a few hundred
 scalar unknowns), so iterates are dense and the Schur complement is formed
-explicitly.  Inverses, Cholesky factors, step-length eigenvalues and updates
-run once per block dimension, on stacked arrays; contractions with the
-constraint matrices run per stack of equal dimension and number of active
-unknowns, X G_k S^-1 over G_k's nonzero entries only, in the dense einsum's
-order.  One helper forms every Cholesky factor, of the Schur complement or
-of a stack of X and S members, jittering only a member that fails (b*1e-12*I,
-then tenfold, b = max(tr/d, 1)), and inverts it once per iteration; solves
-with it are products with that inverse.  Stacked LAPACK and matmul calls
-compute member by member, and sums and scatters over blocks run in block
-order, so this reproduces a loop over single blocks bit for bit; the test
-suite keeps that loop as its reference.  Each iteration's mu, residuals,
-gap, eps, step lengths, centering parameter and Schur-complement jitter are
-kept in SdpSolution.history, which the stop rules read.
+explicitly.  Work runs once per block dimension, on stacked arrays;
+contractions with the constraint matrices run per stack of equal dimension
+and number of active unknowns, X G_k S^-1 over G_k's nonzero entries only,
+in the dense einsum's order.  One helper forms every Cholesky factor,
+jittering only a member that fails (b*1e-12*I, then tenfold, b = max(tr/d,
+1)), and inverts it once per iteration; solves with it are products with
+that inverse.  A 1 x 1 member (the margin cap below is one) makes no LAPACK
+call: its inverse factor is 1/sqrt(x), its S^-1 is 1/s and its eigenvalue
+is its entry, LAPACK's answers bit for bit.  The step search solves one
+eigenproblem per dimension, over X and S together, and divides once per
+step length.  _sym runs where rounding can leave a result asymmetric
+(products, inverses, sums with sum_k y_k G_k), and before the X and S
+factors: X and S are exactly symmetric, but an entry past half the float
+range makes X + X' overflow there, a breakdown that skipping it would hide.
+Stacked calls compute member by member, and sums and scatters over blocks
+run in block order, so this reproduces a loop over single blocks bit for
+bit; the test suite keeps that loop as its reference.  Each iteration's
+mu, residuals, gap, eps, step lengths, centering parameter and
+Schur-complement jitter are kept in SdpSolution.history, which the stop
+rules read.
 
 eps is always bounded above by EPS_CAP through an internally added 1x1
 block; without it the margin objective is unbounded whenever the remaining
@@ -34,6 +41,7 @@ constraints are homogeneous.
 
 import logging
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -122,7 +130,7 @@ class BlockTerm:
         """The term at V, or at every member of a (n, rows, cols) stack V."""
         M = self.left @ np.atleast_2d(V) @ self.right
         if self.sym_pair:
-            M = M + np.swapaxes(M, -1, -2)
+            M = M + M.swapaxes(-1, -2)
         return M
 
 
@@ -239,8 +247,10 @@ class _Stack:
         self.Chat = -np.array(C)
         k, d = self.G.shape[1:3]
         m, j, b, c = np.nonzero(self.G)
-        self._nonzero, self._g, r = (m, b, c), self.G[m, j, b, c], np.arange(d)
-        # the flat (member, unknown, a, d) position of every (entry, a, d) term
+        self._g, r = self.G[m, j, b, c], np.arange(d)
+        # per entry, the flat positions of X[m, :, b] and the row Sinv[m, c];
+        # per (entry, a, d) term, its flat (member, unknown, a, d) position
+        self._x_at, self._s_row = ((m * d)[:, None] + r) * d + b[:, None], m * d + c
         self._at = ((((m * k + j) * d)[:, None, None] + r[:, None]) * d + r).ravel()
 
     def left(self, X, Sinv):
@@ -248,8 +258,8 @@ class _Stack:
         "nab,nkbc,ncd->nkad": it sums (X_ab G_kbc) Sinv_cd from +0 in b-major
         order, and bincount adds in input order from 0.  For finite X and
         Sinv a term with G_kbc = 0 is +-0 and changes no sum, so it is skipped."""
-        m, b, c = self._nonzero
-        terms = (X[m, :, b] * self._g[:, None])[:, :, None] * Sinv[m, c][:, None, :]
+        rows = Sinv.reshape(-1, Sinv.shape[-1]).take(self._s_row, axis=0)
+        terms = (X.reshape(-1).take(self._x_at) * self._g[:, None])[:, :, None] * rows[:, None, :]
         sums = np.bincount(self._at, terms.ravel(), minlength=self.G.size)  # int if empty
         return sums.astype(float, copy=False).reshape(self.G.shape)
 
@@ -275,46 +285,50 @@ class _Scalarized:
     """
 
     def __init__(self, problem):
-        self.var_offset = {}
-        at = 0
-        for v in problem.variables:
-            self.var_offset[v.name] = at
-            at += v.size
-        self.K = at
+        sizes = [v.size for v in problem.variables]
+        self.var_offset = dict(zip([v.name for v in problem.variables],
+                                   np.cumsum([0] + sizes).tolist()))
+        self.K = sum(sizes)
         if self.K > SCALAR_CAP:
             raise CapacityError(f"{self.K} scalar unknowns exceed the cap {SCALAR_CAP}")
         self.eps_index = self.var_offset[EPS_NAME]
         basis = {v.name: v.basis() for v in problem.variables}
 
         blocks = list(problem.blocks) + [_CAP_BLOCK]
-        shapes = {}        # (dim, active unknowns) -> members (position, G, idx, C)
+        shapes = {}        # (dim, active unknowns) -> members (position, stack, idx, C)
         for l, blk in enumerate(blocks):
-            # (unknowns, contributions) per term, the strict margin last
-            terms = [(self.var_offset[t.var] + np.arange(len(basis[t.var])), t.value(basis[t.var]))
-                     for t in blk.terms]
+            # every component of each variable the block names, and of the
+            # margin when strict, in offset order; terms add in order, the margin last
+            names = sorted({t.var for t in blk.terms} | ({EPS_NAME} if blk.strict else set()),
+                           key=self.var_offset.get)
+            idx = [self.var_offset[n] + k for n in names for k in range(len(basis[n]))]
+            stack = np.zeros((len(idx), blk.dim, blk.dim))
+            for t in blk.terms:
+                at = idx.index(self.var_offset[t.var])
+                stack[at:at + len(basis[t.var])] += t.value(basis[t.var])
             if blk.strict:
-                terms.append(([self.eps_index], np.eye(blk.dim)[None]))
-            active = np.bincount(np.concatenate([np.zeros(0, int)] + [k for k, _ in terms]))
-            idxs = np.flatnonzero(active)  # sorted; np.unique would import numpy.ma, ~1 MB
-            stack = np.zeros((len(idxs), blk.dim, blk.dim))
-            for keys, G in terms:
-                np.add.at(stack, np.searchsorted(idxs, keys), G)
-            skew = np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2))
-            bad = np.flatnonzero(skew > 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2))))
-            if len(bad):
-                raise ConfigError(
-                    f"block {blk.label!r}: asymmetric contribution for scalar {idxs[bad[0]]}")
-            stack = 0.5 * (stack + np.swapaxes(stack, 1, 2))
-            scale = 1.0 / max(1.0, float(np.linalg.norm(blk.constant)),
-                              float(np.abs(stack).max(initial=0.0)))
-            shapes.setdefault((blk.dim, len(idxs)), []).append(
-                (l, scale * stack, idxs, scale * 0.5 * (blk.constant + blk.constant.T)))
+                stack[idx.index(self.eps_index)] += np.eye(blk.dim)
+            shapes.setdefault((blk.dim, len(idx)), []).append((l, stack, idx, blk.constant))
+        # per shape from here on; the first asymmetric block in block order is named
+        shapes = [[np.array(f) for f in zip(*members)] for members in shapes.values()]
+        bad = [(l[m], idx[m, j]) for l, G, idx, _ in shapes for m, j in zip(*np.nonzero(
+            np.abs(G - G.swapaxes(2, 3)).max(axis=(2, 3))
+            > 1e-10 * np.maximum(1.0, np.abs(G).max(axis=(2, 3)))))]
+        if bad:
+            l, k = min(bad)
+            raise ConfigError(f"block {blocks[l].label!r}: asymmetric contribution for scalar {k}")
         groups = {}        # dim -> its stacks
-        for (dim, _), members in shapes.items():
-            stacks = groups.setdefault(dim, [])
+        for l, G, idx, C in shapes:
+            G = 0.5 * (G + G.swapaxes(2, 3))
+            # 1 / max(1, |C|, max |G|) per block, the norm in its own call;
+            # fmax skips a nan as Python's max does
+            scale = 1.0 / np.fmax(np.fmax(1.0, [float(np.linalg.norm(c)) for c in C]),
+                                  np.abs(G).max(axis=(1, 2, 3), initial=0.0))
+            stacks = groups.setdefault(G.shape[-1], [])
             at = stacks[-1].rows.stop if stacks else 0
-            stacks.append(_Stack(list(groups).index(dim), slice(at, at + len(members)),
-                                 *zip(*members)))
+            stacks.append(_Stack(list(groups).index(G.shape[-1]), slice(at, at + len(l)), l,
+                                 scale[:, None, None, None] * G, idx,
+                                 (scale * 0.5)[:, None, None] * (C + C.swapaxes(1, 2))))
         self.stacks = [s for stacks in groups.values() for s in stacks]
         self.Chat = [np.concatenate([s.Chat for s in stacks]) for stacks in groups.values()]
         self.total_dim = sum(blk.dim for blk in blocks)
@@ -335,7 +349,7 @@ class _Scalarized:
 
     @staticmethod
     def _ordered(parts, order):
-        return np.concatenate([np.ravel(p) for p in parts])[order]
+        return np.concatenate(parts, axis=None)[order]
 
     def split(self, arrays):
         """Each stack's rows of per-dimension (N, d, d) arrays, in stack order."""
@@ -351,8 +365,9 @@ class _Scalarized:
                 for g in range(len(self.Chat))]
 
     def block_sum(self, parts):
-        """Sum of per-member scalars (one (N,) array per dimension) in block order."""
-        return sum(self._ordered(parts, self._block_order))
+        """Sum of per-member scalars (one (N,) array per dimension) in block
+        order, left to right from 0.0 (sum() compensates from Python 3.12)."""
+        return reduce(float.__add__, self._ordered(parts, self._block_order).tolist(), 0.0)
 
     def scatter(self, ufunc, out, parts):
         """ufunc.at per-member (n, k) vectors into out (K,), or (n, k, k)
@@ -366,9 +381,7 @@ class _Scalarized:
         return out
 
     def b(self):
-        out = np.zeros(self.K)
-        out[self.eps_index] = 1.0
-        return out
+        return np.eye(1, self.K, self.eps_index)[0]
 
 
 _CAP_BLOCK = AffineBlock([[-EPS_CAP]], [BlockTerm(EPS_NAME, [[1.0]], [[1.0]])],
@@ -381,8 +394,11 @@ def _inv_chol(A):
 
     A is factored as it is.  A member that fails is refactored alone, at
     jitter b*1e-12*I and ten times more on each failure, b = max(tr/d, 1):
-    nine factorizations in all, then LinAlgError.
+    nine factorizations in all, then LinAlgError.  1 x 1 members that are
+    all positive and finite give 1/sqrt(x) with no LAPACK call.
     """
+    if A.shape[-1] == 1 and all(0.0 < x < np.inf for x in A.ravel().tolist()):
+        return 1.0 / np.sqrt(A), 0.0
     try:
         return np.linalg.inv(np.linalg.cholesky(A)), 0.0
     except np.linalg.LinAlgError:
@@ -404,32 +420,28 @@ def _schur_solve(Li, M, rhs):
     return dy + Li.T @ (Li @ (rhs - M @ dy))  # M gets badly conditioned
 
 
-def _max_step(Li, D):
-    """Per member, the largest alpha with X + alpha*D >= 0, given Li = L^-1, X = L L'."""
-    Y = Li @ D @ np.swapaxes(Li, -1, -2)
-    lam = np.linalg.eigvalsh(_sym(Y)).min(axis=-1)
-    steps = np.full(len(lam), np.inf)
-    neg = lam < -1e-16
-    steps[neg] = -1.0 / lam[neg]
-    return steps
-
-
 def _steps(Lxs, dX, dS):
     """Largest primal and dual steps keeping every member semidefinite.
 
-    Lxs[g] holds the inverse Cholesky factors of dimension g's X members,
-    then its S members.
+    Lxs[g] holds the inverse Cholesky factors Li of dimension g's X
+    members, then its S members.  X + alpha*D >= 0 up to -1/lam, lam the
+    least eigenvalue of Li D Li', or for every alpha if lam >= -1e-16.
+    Rounded division is monotone, so the least -1/lam is -1/(least lam);
+    fmin skips a nan lam, whose member-wise bound would be inf.
     """
-    steps = [_max_step(L, np.concatenate([dx, ds])) for L, dx, ds in zip(Lxs, dX, dS)]
-    return (min(st[:len(dx)].min() for st, dx in zip(steps, dX)),
-            min(st[len(dx):].min() for st, dx in zip(steps, dX)))
+    lows = []
+    for L, dx, ds in zip(Lxs, dX, dS):
+        Y = _sym(L @ np.concatenate([dx, ds]) @ L.swapaxes(-1, -2))
+        lam = Y[:, 0, 0] if Y.shape[-1] == 1 else np.linalg.eigvalsh(Y).min(axis=-1)
+        lows.append((np.fmin.reduce(lam[:len(dx)]), np.fmin.reduce(lam[len(dx):])))
+    return [-1.0 / low if low < -1e-16 else np.inf for low in np.fmin.reduce(lows)]
 
 
 def _sym(A):
     # linalg.sym's arithmetic, kept private: the loop calls it dozens of
     # times an iteration, and linalg's public functions are what a trace
     # of the package records.
-    S = A + np.swapaxes(A, -1, -2)
+    S = A + A.swapaxes(-1, -2)
     S *= 0.5
     return S
 
@@ -461,25 +473,12 @@ def solve(problem):
     values = _unflatten(problem, y)
     eps = float(y[sc.eps_index])
     log.info("solve: status=%s eps=%.3e iters=%d gap=%.2e", status, eps, iters, gap)
-    return SdpSolution(
-        status=status,
-        values=values,
-        eps=eps,
-        iterations=iters,
-        gap=gap,
-        primal_infeas=pinf,
-        dual_infeas=dinf,
-        history=history,
-    )
+    return SdpSolution(status, values, eps, iters, gap, pinf, dinf, history)
 
 
 def _unflatten(problem, y):
-    values = {}
-    at = 0
-    for v in problem.variables:
-        values[v.name] = v.assemble(y[at:at + v.size])
-        at += v.size
-    return values
+    at = np.cumsum([0] + [v.size for v in problem.variables]).tolist()
+    return {v.name: v.assemble(y[a:a + v.size]) for v, a in zip(problem.variables, at)}
 
 
 def _iterate(sc):
@@ -494,12 +493,9 @@ def _iterate(sc):
 
     bnorm = 1.0 + np.linalg.norm(b)
     cnorm = 1.0 + max(nrm.max() for nrm in norms)
-    status = "max_iterations"
-    it = 0
-    history = []
-    gap = pinf = dinf = np.inf
+    status, it, history, worst = "max_iterations", 0, [], []  # worst: max(pinf, dinf, gap)
+    gap = pinf = dinf = best_worst = np.inf
     best = None
-    best_worst = np.inf
 
     for it in range(1, MAX_ITER + 1):
         # residuals of the stationarity system
@@ -515,7 +511,7 @@ def _iterate(sc):
         if pinf <= TOL and dinf <= TOL and gap <= TOL:
             status = "converged"
             break
-        worst = [max(r.pinf, r.dinf, r.gap) for r in history]
+        worst.append(max(pinf, dinf, gap))
         if worst[-1] < best_worst:
             best_worst, best = worst[-1], (y.copy(), gap, pinf, dinf)
         # rounding floor: already acceptably accurate, and the last 8 sweeps
@@ -524,7 +520,7 @@ def _iterate(sc):
             break
 
         try:
-            Sinv = [_sym(np.linalg.inv(Sl)) for Sl in S]
+            Sinv = [1.0 / Sl if Sl.shape[-1] == 1 else _sym(np.linalg.inv(Sl)) for Sl in S]
             M = sc.scatter(np.add, np.zeros((sc.K, sc.K)), [
                 np.einsum("nkab,njab->nkj", s.left(x, Si), s.G)
                 for s, x, Si in zip(sc.stacks, sc.split(X), sc.split(Sinv))])

@@ -241,6 +241,23 @@ def test_synth_stopped_by_the_iteration_cap_exits_three(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "max_iterations"
 
 
+def test_synth_recovery_from_a_subnormal_pt_exits_three(monkeypatch, capsys):
+    """A hand-built optimal solution, eps 0.1, on example 1's open model
+    whose Pt0 is 1e-320 I (every other unknown 0, Pt1 the identity):
+    inv_spd refuses Pt0's inverse, so synth exits 3 with a message, with
+    no RuntimeWarning from the gain product and no LinAlgError."""
+    def solve(problem):
+        values = synth.sdp._unflatten(problem, np.zeros(problem.scalar_count))
+        values.update(Pt0=1e-320 * np.eye(len(values["Pt0"])), Pt1=np.eye(len(values["Pt1"])))
+        return synth.sdp.SdpSolution("optimal", values, 0.1, 1, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(synth.sdp, "solve", solve)
+    assert main(["synth", _fixture_path("example1")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: recovery inverse failed (matrix is too near singular")
+
+
 def test_simulate_without_x0_exits_two(tmp_path, capsys):
     cfg = _ex2_config()
     cfg["run"] = {"kind": "periodic", "period": 0.02, "steps": 10}

@@ -481,6 +481,16 @@ def test_inv_spd_rejects_indefinite():
         linalg.inv_spd(np.diag([1.0, -1.0]))
 
 
+def test_inv_spd_refuses_an_inverse_past_the_float_range():
+    """1e-320 I factors (its Cholesky factor is 1e-160 I), but its inverse
+    1e320 I is past the float range: NumericError, not an inf matrix; a
+    factor at the bottom of the normal range still inverts."""
+    with pytest.raises(NumericError, match="too near singular"):
+        linalg.inv_spd(1e-320 * np.eye(3))
+    np.testing.assert_allclose(linalg.inv_spd(np.diag([1e-300, 1.0])), np.diag([1e300, 1.0]),
+                               rtol=1e-15)
+
+
 def test_sym_halves_the_gap():
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     S = linalg.sym(M)

@@ -357,31 +357,31 @@ def test_asymmetric_contribution_names_block_and_scalar(scalarize):
 
 def test_member_wise_steps_take_one_call_per_dimension(monkeypatch):
     """_distinct_shapes' five stacks span dimensions 1, 2 and 3 over K = 5
-    unknowns: every stepped iteration inverts S once per dimension, the
-    Schur complement's Cholesky factor once, and the stacked X and S
-    factors once per dimension, and searches each of its two step lengths
-    once per dimension, over that dimension's X and S."""
-    inv, max_step = np.linalg.inv, sdp._max_step
-    inverted, searched = [], []
+    unknowns: every stepped iteration inverts S once per dimension above 1,
+    factors and inverts the Schur complement once and the stacked X and S
+    once per dimension above 1, and takes one eigensolve per dimension above
+    1 for each of its two step lengths, over that dimension's X and S.  The
+    dimension-1 members make no LAPACK call."""
+    calls = []
 
-    def inv_spy(A):
-        inverted.append(A.shape)
-        return inv(A)
+    def spy(name, f):
+        def wrapped(A):
+            calls.append((name, A.shape))
+            return f(A)
+        monkeypatch.setattr(np.linalg, name, wrapped)
 
-    def step_spy(L, D):
-        searched.append(D.shape)
-        return max_step(L, D)
-
-    monkeypatch.setattr(np.linalg, "inv", inv_spy)
-    monkeypatch.setattr(sdp, "_max_step", step_spy)
+    for name in ("inv", "cholesky", "eigvalsh"):
+        spy(name, getattr(np.linalg, name))
     sol = sdp.solve(_distinct_shapes())
     assert sol.status == "optimal"
     stepped = sol.iterations - 1
     assert [np.isnan(r.alpha_p) for r in sol.history] == [False] * stepped + [True]
-    per_dimension = [(2, 1, 1), (2, 2, 2), (1, 3, 3)]
-    factors = [(4, 1, 1), (4, 2, 2), (2, 3, 3)]
-    assert inverted == (per_dimension + [(5, 5)] + factors) * stepped
-    assert searched == factors * (2 * stepped)
+    s_inverses = [("inv", (2, 2, 2)), ("inv", (1, 3, 3))]
+    schur = [("cholesky", (5, 5)), ("inv", (5, 5))]
+    factors = [("cholesky", (4, 2, 2)), ("inv", (4, 2, 2)),
+               ("cholesky", (2, 3, 3)), ("inv", (2, 3, 3))]
+    search = [("eigvalsh", (4, 2, 2)), ("eigvalsh", (2, 3, 3))]
+    assert calls == (s_inverses + schur + factors + search * 2) * stepped
 
 
 def test_solve_makes_no_linear_solve(monkeypatch):
@@ -428,7 +428,7 @@ def test_inverse_factor_schur_solve_is_as_accurate_as_two_lu_solves(n, decades, 
 
 
 def _solved_steps(L, D):
-    """_max_step's answer computed from two LU solves per member."""
+    """Each member's step computed from two LU solves."""
     Y = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, D), -1, -2))
     lam = np.linalg.eigvalsh(sdp._sym(Y))
     low = lam.min(axis=-1)
@@ -437,14 +437,19 @@ def _solved_steps(L, D):
     return steps, np.abs(lam).max(axis=-1)
 
 
+def _member_steps(Li, D):
+    """Each member's step from _steps, the member as both X and S."""
+    return np.array([sdp._steps([Li[[m, m]]], [D[[m]]], [D[[m]]])[0] for m in range(len(D))])
+
+
 @pytest.mark.parametrize("d", [1, 2, 4, 12])
 def test_inverse_factor_step_matches_solved_step(d):
-    """_max_step on stacked inverse factors against the LU-solve form, on
-    random stacks with a member that factors only after jitter (member 2,
-    an eigenvalue at -1e-13) and one with no negative direction (member 4,
-    step inf).  Steps agree within 1e-12 relative on the factored members.
-    The jittered member has condition about 1e13, so both forms carry
-    rounding of order 1e-16 times the spectral radius of L^-1 D L^-T:
+    """The step search on stacked inverse factors against the LU-solve form,
+    on random stacks with a member that factors only after jitter (member
+    2, an eigenvalue at -1e-13) and one with no negative direction (member
+    4, step inf).  Steps agree within 1e-12 relative on the factored
+    members.  The jittered member has condition about 1e13, so both forms
+    carry rounding of order 1e-16 times the spectral radius of L^-1 D L^-T:
     there its eigenvalue -1/step agrees within 1e-12 of that radius, and
     within 1e-12 relative when D points into its nearly singular
     direction, where its step is the one that binds."""
@@ -467,7 +472,7 @@ def test_inverse_factor_step_matches_solved_step(d):
         if binding:
             D[2] = -np.outer(v, v) - 1e-3 * np.eye(d)
         D[4] = np.eye(d)
-        got = sdp._max_step(Li, D)
+        got = _member_steps(Li, D)
         want, radius = _solved_steps(L, D)
         assert np.array_equal(np.isinf(got), np.isinf(want)) and np.isinf(got[4])
         factored = [0, 1, 3, 5]
@@ -475,6 +480,108 @@ def test_inverse_factor_step_matches_solved_step(d):
         assert abs(1.0 / got[2] - 1.0 / want[2]) <= 1e-12 * radius[2]
         if binding:
             np.testing.assert_allclose(got[2], want[2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex3", "unstabilizable"])
+def test_step_search_matches_blockwise_oracle_bitwise(case, monkeypatch):
+    """On every iterate of a fixture's solve, each step length equals the
+    least of oracles._blockwise_max_step over the blocks' X (primal) or S
+    (dual) members, each its own 2-D eigensolve and division, bit for bit."""
+    steps = sdp._steps
+    seen = []
+
+    def spy(Lxs, dX, dS):
+        out = steps(Lxs, dX, dS)
+        seen.append((Lxs, dX, dS, out))
+        return out
+
+    monkeypatch.setattr(sdp, "_steps", spy)
+    sol = sdp.solve(_ORACLE_CASES[case]())
+    assert len(seen) == 2 * sum(not np.isnan(r.alpha_p) for r in sol.history) > 0
+    for Lxs, dX, dS, (primal, dual) in seen:
+        assert primal == min(oracles._blockwise_max_step(L[m], dx[m])
+                             for L, dx in zip(Lxs, dX) for m in range(len(dx)))
+        assert dual == min(oracles._blockwise_max_step(L[len(dx) + m], ds[m])
+                           for L, dx, ds in zip(Lxs, dX, dS) for m in range(len(ds)))
+    assert sum(np.isfinite([p for *_, out in seen for p in out])) > len(seen) // 2
+
+
+def test_step_search_bounds_match_the_member_wise_rule_bitwise():
+    """Each step is the least member-wise bound -1/lam, inf where lam >=
+    -1e-16 or lam is nan: values at and around the threshold, signed
+    zeros, -inf (step 0) and nan as 1 x 1 entries, and finite values as
+    the least eigenvalue of diagonal 2 x 2 members, on identity factors."""
+    def bound(lam):
+        return -1.0 / lam if lam < -1e-16 else np.inf
+
+    pool = [-2e-16, -1.5e-16, -1e-16, -1e-14, -0.0, 0.0, -3.0, 2.0]
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        ones = rng.choice(pool + [np.nan, -np.inf], size=(2, 3))
+        twos = rng.choice(pool, size=(2, 2))
+        D1 = ones.reshape(2, 3, 1, 1)
+        D2 = np.zeros((2, 2, 2, 2))
+        D2[..., 0, 0], D2[..., 1, 1] = twos, 1.0
+        Lxs = [np.ones((6, 1, 1)), np.broadcast_to(np.eye(2), (4, 2, 2))]
+        got = sdp._steps(Lxs, [D1[0], D2[0]], [D1[1], D2[1]])
+        want = [min(map(bound, np.concatenate([ones[i], np.minimum(twos[i], 1.0)])))
+                for i in range(2)]
+        assert [np.float64(g).tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
+
+
+def _one_by_one_values():
+    """Positive 1 x 1 entries over the whole float range: random decades,
+    subnormals down to the least one, 1e308 and the largest float."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([10.0 ** rng.uniform(-307.0, 308.0, 2000),
+                           rng.uniform(0.0, 1.0, 500) * 2.0 ** -1022,
+                           [5e-324, 1e-320, 2.0 ** -1022, 1.0, 1e308, np.finfo(float).max]])
+
+
+def test_one_by_one_inv_chol_and_inverse_match_lapack_bitwise(monkeypatch):
+    """A 1 x 1 member's inverse factor 1/sqrt(x) and its S^-1, 1/s, equal
+    LAPACK's inv(cholesky(x)) and inv(s) bit for bit, subnormals, 1e308
+    and the largest float included, with no LAPACK call.  Members that
+    are zero, negative, nan or inf send the stack to LAPACK and the jitter
+    ladder, which gives every positive member the same bits and climbs for
+    the others alone (nan and inf factor without jitter).  For a normal s
+    (an iterate's s stays above 1e-170) the solver's _sym(inv(s)) is also
+    1/s."""
+    A = _one_by_one_values().reshape(-1, 1, 1)
+    with np.errstate(over="ignore", divide="ignore"):  # 1/s past the float range is inf
+        want_inv = np.linalg.inv(A)
+        got_inv = 1.0 / A
+    assert got_inv.tobytes() == want_inv.tobytes()
+    normal = A[A[:, 0, 0] >= 2.0 ** -1022]
+    assert (1.0 / normal).tobytes() == sdp._sym(np.linalg.inv(normal)).tobytes()
+    want = np.linalg.inv(np.linalg.cholesky(A))
+    lapack = []
+    cholesky = np.linalg.cholesky
+
+    def spy(M):
+        lapack.append(M.shape)
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    for part in (slice(None), slice(0, 1), slice(-1, None)):
+        Li, jitter = sdp._inv_chol(A[part])
+        assert (Li.tobytes(), jitter) == (want[part].tobytes(), 0.0)
+    Li, jitter = sdp._inv_chol(A[3, :, :])  # one 2-D matrix
+    assert (Li.tobytes(), jitter) == (want[3].tobytes(), 0.0)
+    assert lapack == []
+
+    bad = np.array([0.0, -1e-13, np.nan, np.inf])
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for x in bad:  # the ladder's first rung factors 0 and -1e-13; LAPACK takes nan and inf
+        Li, jitter = sdp._inv_chol(np.array([[x]]))
+        rung = 1e-12 if x <= 0.0 else 0.0
+        assert jitter == rung
+        assert Li.tobytes() == np.linalg.inv(cholesky(np.array([[x + rung]]))).tobytes()
+    mixed = np.concatenate([A[:5, :, 0], bad[:, None]]).reshape(-1, 1, 1)
+    Li, jitter = sdp._inv_chol(mixed)
+    assert jitter == 1e-12
+    assert Li[:5].tobytes() == want[:5].tobytes()
+    assert Li.tobytes() == np.array([sdp._inv_chol(m)[0] for m in mixed]).tobytes()
 
 
 def test_edge_problems_stack_as_intended():
