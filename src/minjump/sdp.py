@@ -19,11 +19,11 @@ and number of active unknowns, X G_k S^-1 over G_k's nonzero entries only,
 in the dense einsum's order.  One helper forms every Cholesky factor,
 jittering only a member that fails (b*1e-12*I, then tenfold, b = max(tr/d,
 1)), and inverts it once per iteration; solves with it are products with
-that inverse.  A 1 x 1 member (the margin cap below is one) makes no LAPACK
-call: its inverse factor is 1/sqrt(x), its S^-1 is 1/s and its eigenvalue
-is its entry, LAPACK's answers bit for bit.  The step search solves one
-eigenproblem per dimension, over X and S together, and divides once per
-step length.  _sym runs where rounding can leave a result asymmetric
+that inverse; a factor whose diagonal is not finite has failed too (LAPACK
+passes a nan through).  A 1 x 1 member makes no LAPACK call: its inverse
+factor is 1/sqrt(x), its S^-1 is 1/s and its eigenvalue is its entry,
+LAPACK's answers bit for bit.  The step search solves one eigenproblem per
+dimension, over X and S together, and divides once per step length.  _sym runs where rounding can leave a result asymmetric
 (products, inverses, sums with sum_k y_k G_k), and before the X and S
 factors: X and S are exactly symmetric, but an entry past half the float
 range makes X + X' overflow there, a breakdown that skipping it would hide.
@@ -34,9 +34,12 @@ mu, residuals, gap, eps, step lengths, centering parameter and
 Schur-complement jitter are kept in SdpSolution.history, which the stop
 rules read.
 
-eps is always bounded above by EPS_CAP through an internally added 1x1
-block; without it the margin objective is unbounded whenever the remaining
-constraints are homogeneous.
+eps is always bounded above by EPS_CAP through an internally added scalar
+inequality, the margin cap; without it the margin objective is unbounded
+whenever the remaining constraints are homogeneous.  The cap is scaled as a
+1 x 1 block, then kept out of the stacks: its x and s are np.float64
+scalars whose every term rounds, and warns, as the 1 x 1 member's numpy
+call would, added after the stacked terms, where block order puts the cap.
 """
 
 import logging
@@ -281,7 +284,9 @@ class _Scalarized:
     and own consecutive rows of that dimension's (N, d, d) arrays, such as
     self.Chat.  Every sum or scatter over blocks goes through block_sum or
     scatter, which visit the members in the problem's block order, so the
-    iteration rounds exactly as a loop over single blocks would.
+    iteration rounds exactly as a loop over single blocks would.  The
+    margin cap, the last block, is scaled with the others and then kept
+    apart: self.cap holds its scaled coefficient and negated constant.
     """
 
     def __init__(self, problem):
@@ -324,13 +329,20 @@ class _Scalarized:
             # fmax skips a nan as Python's max does
             scale = 1.0 / np.fmax(np.fmax(1.0, [float(np.linalg.norm(c)) for c in C]),
                                   np.abs(G).max(axis=(1, 2, 3), initial=0.0))
+            G = scale[:, None, None, None] * G
+            C = (scale * 0.5)[:, None, None] * (C + C.swapaxes(1, 2))
+            if l[-1] == len(problem.blocks):  # the cap, its shape's last member
+                self.cap = (G[-1, 0, 0, 0], -C[-1, 0, 0])
+                l, G, idx, C = l[:-1], G[:-1], idx[:-1], C[:-1]
+                if not len(l):
+                    continue
             stacks = groups.setdefault(G.shape[-1], [])
             at = stacks[-1].rows.stop if stacks else 0
             stacks.append(_Stack(list(groups).index(G.shape[-1]), slice(at, at + len(l)), l,
-                                 scale[:, None, None, None] * G, idx,
-                                 (scale * 0.5)[:, None, None] * (C + C.swapaxes(1, 2))))
+                                 G, idx, C))
         self.stacks = [s for stacks in groups.values() for s in stacks]
         self.Chat = [np.concatenate([s.Chat for s in stacks]) for stacks in groups.values()]
+        self.one = list(groups).index(1) if 1 in groups else None  # dimension 1's group
         self.total_dim = sum(blk.dim for blk in blocks)
 
         # Where each block's outputs sit once the stacks' per-member outputs
@@ -364,10 +376,20 @@ class _Scalarized:
         return [np.concatenate([s.adjoint(v) for s in self.stacks if s.group == g])
                 for g in range(len(self.Chat))]
 
-    def block_sum(self, parts):
-        """Sum of per-member scalars (one (N,) array per dimension) in block
-        order, left to right from 0.0 (sum() compensates from Python 3.12)."""
-        return reduce(float.__add__, self._ordered(parts, self._block_order).tolist(), 0.0)
+    def block_sum(self, parts, cap):
+        """Sum of per-member scalars (one (N,) array per dimension), then the
+        cap's, in block order, left to right from 0.0 (sum() compensates from
+        Python 3.12)."""
+        parts = self._ordered(parts, self._block_order).tolist()
+        return reduce(float.__add__, parts, 0.0) + float(cap)
+
+    def top(self, maxima, cap):
+        """max() of per-dimension maxima and the cap's value, which sits in
+        dimension 1's maximum (np.max keeps a nan) or, with no such group, last."""
+        if self.one is None:
+            return max(maxima + [cap])
+        maxima[self.one] = np.maximum(maxima[self.one], cap)
+        return max(maxima)
 
     def scatter(self, ufunc, out, parts):
         """ufunc.at per-member (n, k) vectors into out (K,), or (n, k, k)
@@ -392,26 +414,52 @@ def _inv_chol(A):
     """L^-1 for the Cholesky factor L of A, or of each member of an (n, d,
     d) stack, and the largest jitter used (0.0 when none).
 
-    A is factored as it is.  A member that fails is refactored alone, at
-    jitter b*1e-12*I and ten times more on each failure, b = max(tr/d, 1):
-    nine factorizations in all, then LinAlgError.  1 x 1 members that are
-    all positive and finite give 1/sqrt(x) with no LAPACK call.
+    A is factored as it is.  A member that fails, or whose factor's diagonal
+    is not finite (LAPACK factors a nan, and a nan or inf in the lower
+    triangle it reads reaches the diagonal), is refactored alone, at jitter
+    b*1e-12*I and ten times more on each failure, b = max(tr/d, 1): nine
+    factorizations in all, then LinAlgError.  1 x 1 members that are all
+    positive and finite give 1/sqrt(x) with no LAPACK call.
     """
     if A.shape[-1] == 1 and all(0.0 < x < np.inf for x in A.ravel().tolist()):
         return 1.0 / np.sqrt(A), 0.0
+
+    def inv_factor(A):
+        L = np.linalg.cholesky(A)
+        # a factor's diagonal is positive, so its sum is finite unless an entry is not
+        if not L.diagonal(0, -2, -1).sum() < np.inf:
+            raise np.linalg.LinAlgError("factor is not finite")
+        return np.linalg.inv(L)
+
     try:
-        return np.linalg.inv(np.linalg.cholesky(A)), 0.0
+        return inv_factor(A), 0.0
     except np.linalg.LinAlgError:
         if A.ndim == 3:
             Li, jitters = zip(*map(_inv_chol, A))
             return np.array(Li), max(jitters)
-    jitter = max(np.trace(A) / len(A), 1.0) * 1e-12
-    for _ in range(8):
-        try:
-            return np.linalg.inv(np.linalg.cholesky(A + jitter * np.eye(len(A)))), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A fails every rung
+        jitter = max(np.trace(A) / len(A), 1.0) * 1e-12
+        for _ in range(8):
+            try:
+                return inv_factor(A + jitter * np.eye(len(A))), jitter
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
     raise np.linalg.LinAlgError("matrix not positive definite")
+
+
+def _inv_sqrt(v):
+    """_inv_chol's factor of the 1 x 1 matrix [[v]], as a scalar."""
+    return 1.0 / np.sqrt(v) if 0.0 < v < np.inf else _inv_chol(np.reshape(v, (1, 1)))[0][0, 0]
+
+
+def _dot(a, b):
+    """a*b summed from +0.0, as a 1 x 1 matmul, einsum or bincount sums it."""
+    return 0.0 + a * b
+
+
+def _half(v):
+    """_sym of a 1 x 1 member, (v + v)*0.5: past half the float range, inf."""
+    return (v + v) * 0.5
 
 
 def _schur_solve(Li, M, rhs):
@@ -420,12 +468,13 @@ def _schur_solve(Li, M, rhs):
     return dy + Li.T @ (Li @ (rhs - M @ dy))  # M gets badly conditioned
 
 
-def _steps(Lxs, dX, dS):
+def _steps(Lxs, dX, dS, cap):
     """Largest primal and dual steps keeping every member semidefinite.
 
     Lxs[g] holds the inverse Cholesky factors Li of dimension g's X
-    members, then its S members.  X + alpha*D >= 0 up to -1/lam, lam the
-    least eigenvalue of Li D Li', or for every alpha if lam >= -1e-16.
+    members, then its S members; cap holds the margin cap's factors of x
+    and s and its directions dx and ds.  X + alpha*D >= 0 up to -1/lam, lam
+    the least eigenvalue of Li D Li', or for every alpha if lam >= -1e-16.
     Rounded division is monotone, so the least -1/lam is -1/(least lam);
     fmin skips a nan lam, whose member-wise bound would be inf.
     """
@@ -434,6 +483,8 @@ def _steps(Lxs, dX, dS):
         Y = _sym(L @ np.concatenate([dx, ds]) @ L.swapaxes(-1, -2))
         lam = Y[:, 0, 0] if Y.shape[-1] == 1 else np.linalg.eigvalsh(Y).min(axis=-1)
         lows.append((np.fmin.reduce(lam[:len(dx)]), np.fmin.reduce(lam[len(dx):])))
+    lx, ls, dx, ds = cap
+    lows.append((_half(_dot(_dot(lx, dx), lx)), _half(_dot(_dot(ls, ds), ls))))
     return [-1.0 / low if low < -1e-16 else np.inf for low in np.fmin.reduce(lows)]
 
 
@@ -482,17 +533,22 @@ def _unflatten(problem, y):
 
 
 def _iterate(sc):
-    # X, S, Chat and everything member-wise: one (N, d, d) array per dimension
-    b = sc.b()
+    # X, S, Chat and everything member-wise: one (N, d, d) array per
+    # dimension; the cap's x and s (xe, se) and its directions are scalars,
+    # each of its terms added after the stacked ones
+    b, e = sc.b(), sc.eps_index
+    g, c = sc.cap
     Chat = sc.Chat
     norms = [np.sqrt(_inner(Ch, Ch)) for Ch in Chat]
+    nrm_e = np.sqrt(_dot(c, c))
 
     X = [np.eye(Ch.shape[-1]) * (1.0 + nrm)[:, None, None] for Ch, nrm in zip(Chat, norms)]
     S = [x.copy() for x in X]
+    xe = se = 1.0 + nrm_e
     y = np.zeros(sc.K)
 
     bnorm = 1.0 + np.linalg.norm(b)
-    cnorm = 1.0 + max(nrm.max() for nrm in norms)
+    cnorm = 1.0 + sc.top([nrm.max() for nrm in norms], nrm_e)
     status, it, history, worst = "max_iterations", 0, [], []  # worst: max(pinf, dinf, gap)
     gap = pinf = dinf = best_worst = np.inf
     best = None
@@ -500,13 +556,16 @@ def _iterate(sc):
     for it in range(1, MAX_ITER + 1):
         # residuals of the stationarity system
         rp = sc.scatter(np.subtract, b.copy(), sc.apply(X))
+        rp[e] -= _dot(g, xe)
         Rd = [_sym(Ch - Sl - A) for Ch, Sl, A in zip(Chat, S, sc.adjoint(y))]
-        mu = sc.block_sum([_inner(x, Sl) for x, Sl in zip(X, S)]) / sc.total_dim
+        re = _half(c - se - _dot(y[e], g))
+        mu = sc.block_sum([_inner(x, Sl) for x, Sl in zip(X, S)], _dot(xe, se)) / sc.total_dim
         pinf = float(np.linalg.norm(rp)) / bnorm
-        dinf = max(float(np.sqrt(_inner(R, R)).max()) for R in Rd) / cnorm
-        ip_cx = sc.block_sum([_inner(Ch, x) for Ch, x in zip(Chat, X)])
+        dinf = sc.top([float(np.sqrt(_inner(R, R)).max()) for R in Rd],
+                      np.sqrt(_dot(re, re))) / cnorm
+        ip_cx = sc.block_sum([_inner(Ch, x) for Ch, x in zip(Chat, X)], _dot(c, xe))
         gap = abs(mu * sc.total_dim) / (1.0 + abs(b @ y) + abs(ip_cx))
-        history.append(IterationRecord(*map(float, (mu, pinf, dinf, gap, y[sc.eps_index]))))
+        history.append(IterationRecord(*map(float, (mu, pinf, dinf, gap, y[e]))))
         log.debug("it %d mu=%.3e pinf=%.3e dinf=%.3e gap=%.3e eps=%.6e", it, *history[-1][:5])
         if pinf <= TOL and dinf <= TOL and gap <= TOL:
             status = "converged"
@@ -521,45 +580,56 @@ def _iterate(sc):
 
         try:
             Sinv = [1.0 / Sl if Sl.shape[-1] == 1 else _sym(np.linalg.inv(Sl)) for Sl in S]
+            sie = 1.0 / se
             M = sc.scatter(np.add, np.zeros((sc.K, sc.K)), [
                 np.einsum("nkab,njab->nkj", s.left(x, Si), s.G)
                 for s, x, Si in zip(sc.stacks, sc.split(X), sc.split(Sinv))])
+            M[e, e] += _dot(_dot(xe * g, sie), g)
             M = 0.5 * (M + M.T)
             Li, jitter = _inv_chol(M)  # factored once; every solve below is a product
 
             t1 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(Sinv))
+            t1[e] += _dot(g, sie)
             t3 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(
                 [_sym(Si @ R @ x) for Si, R, x in zip(Sinv, Rd, X)]))
+            t3[e] += _dot(g, _half(_dot(_dot(sie, re), xe)))
 
             def directions(dy, sigmu, corr=None):
                 dS = [_sym(R - A) for R, A in zip(Rd, sc.adjoint(dy))]
+                dse = _half(re - _dot(dy[e], g))
                 dX = []
                 for l, (Si, dSl, x) in enumerate(zip(Sinv, dS, X)):
                     A = sigmu * Si - x - Si @ dSl @ x
                     if corr is not None:
                         A = A - Si @ corr[1][l] @ corr[0][l]
                     dX.append(_sym(A))
-                return dX, dS
+                A = sigmu * sie - xe - _dot(_dot(sie, dse), xe)
+                if corr is not None:
+                    A = A - _dot(_dot(sie, corr[3]), corr[2])
+                return dX, dS, _half(A), dse
 
             # predictor (affine scaling)
             dy_aff = _schur_solve(Li, M, b + t3)
-            dX_aff, dS_aff = directions(dy_aff, 0.0)
+            aff = dX_aff, dS_aff, dxe_aff, dse_aff = directions(dy_aff, 0.0)
 
             # Iterates can round to marginally indefinite near the boundary.
             Lxs = [_inv_chol(_sym(np.concatenate([x, Sl])))[0] for x, Sl in zip(X, S)]
-            ap, ad = (min(1.0, a) for a in _steps(Lxs, dX_aff, dS_aff))
+            Le = _inv_sqrt(_half(xe)), _inv_sqrt(_half(se))
+            ap, ad = (min(1.0, a) for a in _steps(Lxs, dX_aff, dS_aff, (*Le, dxe_aff, dse_aff)))
             mu_aff = sc.block_sum([
                 _inner(x + ap * dx, Sl + ad * ds)
-                for x, dx, Sl, ds in zip(X, dX_aff, S, dS_aff)]) / sc.total_dim
+                for x, dx, Sl, ds in zip(X, dX_aff, S, dS_aff)],
+                _dot(xe + ap * dxe_aff, se + ad * dse_aff)) / sc.total_dim
             sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
 
             # corrector
             t4 = sc.scatter(np.add, np.zeros(sc.K), sc.apply(
                 [_sym(Si @ ds @ dx) for Si, ds, dx in zip(Sinv, dS_aff, dX_aff)]))
+            t4[e] += _dot(g, _half(_dot(_dot(sie, dse_aff), dxe_aff)))
             dy = _schur_solve(Li, M, b - sigma * mu * t1 + t3 + t4)
-            dX, dS = directions(dy, sigma * mu, corr=(dX_aff, dS_aff))
+            dX, dS, dxe, dse = directions(dy, sigma * mu, corr=aff)
 
-            ap, ad = (min(1.0, STEP_FRAC * a) for a in _steps(Lxs, dX, dS))
+            ap, ad = (min(1.0, STEP_FRAC * a) for a in _steps(Lxs, dX, dS, (*Le, dxe, dse)))
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
@@ -570,15 +640,17 @@ def _iterate(sc):
             break  # three steps in a row that barely moved
         X = [x + ap * dx for x, dx in zip(X, dX)]
         S = [Sl + ad * ds for Sl, ds in zip(S, dS)]
+        xe, se = xe + ap * dxe, se + ad * dse
         y = y + ad * dy
-        if not (np.isfinite(y).all() and all(np.isfinite(a).all() for a in X + S)):
+        if not (np.isfinite(y).all() and abs(xe) < np.inf and abs(se) < np.inf
+                and all(np.isfinite(a).all() for a in X + S)):
             status = "breakdown"
             y = best[0] if best is not None else np.zeros(sc.K)
             break
 
     if status != "converged" and best is not None and best_worst < max(pinf, dinf, gap):
         y, gap, pinf, dinf = best
-    eps = float(y[sc.eps_index])
+    eps = float(y[e])
     loose = 1e-7
     if status == "converged" or (pinf <= loose and dinf <= loose and gap <= loose):
         status = "infeasible" if eps < -TOL else "optimal"

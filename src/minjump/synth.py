@@ -13,9 +13,9 @@ family.
 Beyond the printed conditions the assembler adds:
 - floors Ptilde_i >= FLOOR*I and S_i(tau_k) >= FLOOR*I so the recovery
   inverses exist,
-- box bounds S_i(tau_k) <= BOUND*I plus a cap on the margin variable
-  (sdp.EPS_CAP), keeping the maximization bounded (the printed conditions
-  are homogeneous),
+- box bounds S_i(tau_k) <= BOUND*I, keeping the maximization bounded
+  together with the solver's own scalar cap eps <= sdp.EPS_CAP (the
+  printed conditions are homogeneous),
 - a tighter box Ptilde_i <= PTILDE_CAP*I.  The margin variable lives in
   the inverse coordinates; converting it to a guaranteed margin on the
   recovered rule matrices divides by the square of Ptilde's top

@@ -613,12 +613,14 @@ def loop_scalarize(problem):
 
 
 def _blockwise_view(sc):
-    """Per-block dims, negated constants, active indices and G stacks."""
+    """Per-block dims, negated constants, active indices and G stacks, the
+    margin cap, which the solver keeps apart as scalars, last as a 1 x 1
+    block."""
     members = sorted((l, s, j) for s in sc.stacks for j, l in enumerate(s.blocks))
-    dims = [s.G.shape[-1] for _, s, _ in members]
-    Chat = [s.Chat[j] for _, s, j in members]
-    idxs = [s.idx[j] for _, s, j in members]
-    G = [s.G[j] for _, s, j in members]
+    dims = [s.G.shape[-1] for _, s, _ in members] + [1]
+    Chat = [s.Chat[j] for _, s, j in members] + [np.full((1, 1), sc.cap[1])]
+    idxs = [s.idx[j] for _, s, j in members] + [np.array([sc.eps_index])]
+    G = [s.G[j] for _, s, j in members] + [np.full((1, 1, 1), sc.cap[0])]
     return dims, Chat, idxs, G
 
 
@@ -636,8 +638,10 @@ def blockwise_iterate(sc):
 
     sc is the solver's scalarized problem; its shape stacks are split back
     into per-block lists in the problem's block order.  Returns (status, y,
-    iterations, gap, pinf, dinf).  The stacked solver must reproduce every
-    one of these bit for bit.
+    iterations, gap, pinf, dinf, history), history one sdp.IterationRecord
+    per iteration (mu, residuals, gap, eps, then the step lengths, centering
+    and Schur-complement jitter of a step taken).  The stacked solver must
+    reproduce every one of these bit for bit.
     """
     dims, Chat, idxs, G = _blockwise_view(sc)
     total_dim = sum(dims)
@@ -654,6 +658,7 @@ def blockwise_iterate(sc):
     it = 0
     slow = 0
     hist = []
+    records = []
     gap = pinf = dinf = np.inf
     best = None
     best_worst = np.inf
@@ -672,6 +677,7 @@ def blockwise_iterate(sc):
         dinf = max(float(np.linalg.norm(R)) for R in Rd) / cnorm
         ip_cx = sum(np.tensordot(Chat[l], X[l]) for l in range(nblk))
         gap = abs(mu * total_dim) / (1.0 + abs(b @ y) + abs(ip_cx))
+        records.append(sdp.IterationRecord(*map(float, (mu, pinf, dinf, gap, y[sc.eps_index]))))
         if pinf <= sdp.TOL and dinf <= sdp.TOL and gap <= sdp.TOL:
             status = "converged"
             break
@@ -693,7 +699,7 @@ def blockwise_iterate(sc):
                 T2 = np.einsum("ab,kbc,cd->kad", X[l], G[l], Sinv[l])
                 M[np.ix_(idxs[l], idxs[l])] += np.einsum("kab,jab->kj", T2, G[l])
             M = 0.5 * (M + M.T)
-            Li = sdp._inv_chol(M)[0]
+            Li, jitter = sdp._inv_chol(M)
 
             t1 = np.zeros(sc.K)
             t3 = np.zeros(sc.K)
@@ -748,6 +754,8 @@ def blockwise_iterate(sc):
         except np.linalg.LinAlgError:
             status = "breakdown"
             break
+        records[-1] = records[-1]._replace(
+            alpha_p=float(ap), alpha_d=float(ad), sigma=float(sigma), jitter=float(jitter))
         if ap < 1e-10 and ad < 1e-10:
             slow += 1
             if slow >= 3:
@@ -773,4 +781,4 @@ def blockwise_iterate(sc):
         status = "numerical_failure"
     else:
         status = "max_iterations"
-    return status, y, it, gap, pinf, dinf
+    return status, y, it, gap, pinf, dinf, tuple(records)

@@ -4,6 +4,7 @@ Every reference problem here has a margin optimum computable by hand, so
 the solver is tested for the value it returns, not just for status flags.
 """
 
+import itertools
 from importlib import resources
 
 import numpy as np
@@ -235,14 +236,20 @@ _ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_stacked_solver_matches_blockwise_oracle_bitwise(case):
+    """Status, iterations, values, residuals and every field of every
+    iteration record (mu, pinf, dinf, gap, eps, both step lengths, sigma and
+    the Schur jitter) equal the blockwise loop's, which takes the margin cap
+    as a 1 x 1 block, bit for bit."""
     problem = _ORACLE_CASES[case]()
     sol = sdp.solve(problem)
-    status, y, iters, gap, pinf, dinf = oracles.blockwise_iterate(sdp._Scalarized(problem))
+    status, y, iters, gap, pinf, dinf, history = oracles.blockwise_iterate(sdp._Scalarized(problem))
     assert (sol.status, sol.iterations) == (status, iters)
     expected = sdp._unflatten(problem, y)
     for name, value in sol.values.items():
         assert np.asarray(value).tobytes() == np.asarray(expected[name]).tobytes(), name
     assert (sol.gap, sol.primal_infeas, sol.dual_infeas) == (gap, pinf, dinf)
+    assert len(sol.history) == len(history) == iters
+    assert np.array(sol.history).tobytes() == np.array(history).tobytes()
 
 
 def _planted(rng, shape):
@@ -313,8 +320,8 @@ def test_nonfinite_iterate_ends_the_solve(monkeypatch):
     steps = sdp._steps
     calls = []
 
-    def planted(Lxs, dX, dS):
-        out = steps(Lxs, dX, dS)
+    def planted(Lxs, dX, dS, cap):
+        out = steps(Lxs, dX, dS, cap)
         calls.append(dX[0].shape)
         if len(calls) == 4:  # the second iteration's corrector step
             dX[0][0, 0, 0] = np.inf
@@ -329,17 +336,50 @@ def test_nonfinite_iterate_ends_the_solve(monkeypatch):
     assert np.isfinite(sdp.residuals(problem, sol.values)).all()
 
 
+def _without_cap(problem, expected):
+    """loop_scalarize's shapes less the margin cap, the last member of its
+    (1, 1) shape (dropped when it is alone there), and the cap's scaled
+    coefficient, negated constant and unknown."""
+    blocks, G, idx, Chat = expected.pop((1, 1))
+    assert blocks[-1] == len(problem.blocks)
+    if len(blocks) > 1:
+        expected[1, 1] = (blocks[:-1], G[:-1], idx[:-1], Chat[:-1])
+    return expected, (G[-1, 0, 0, 0], Chat[-1, 0, 0], idx[-1, 0])
+
+
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_scalarization_matches_loop_oracle_bytewise(case):
+    """Every stack's fields, and the margin cap's two scalars, held apart
+    from the stacks, equal the loop oracle's bytes."""
     problem = _ORACLE_CASES[case]()
-    expected = oracles.loop_scalarize(problem)
-    stacks = sdp._Scalarized(problem).stacks
+    expected, cap = _without_cap(problem, oracles.loop_scalarize(problem))
+    sc = sdp._Scalarized(problem)
+    stacks = sc.stacks
     assert sorted((s.G.shape[-1], s.G.shape[1]) for s in stacks) == sorted(expected)
     for s in stacks:
         want_fields = expected[s.G.shape[-1], s.G.shape[1]]
         for got, want in zip((s.blocks, s.G, s.idx, s.Chat), want_fields):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
+    assert [type(v) for v in sc.cap] == [np.float64] * 2
+    assert np.array(sc.cap).tobytes() == np.array(cap[:2]).tobytes()
+    assert sc.eps_index == cap[2]
+
+
+@pytest.mark.parametrize("fixture", ["example1", "example2", "example3", "unstabilizable"])
+def test_fixture_scalarization_holds_the_cap_once_outside_the_stacks(fixture):
+    """No fixture declares a 1 x 1 block: with the cap held apart, no stack
+    has dimension 1, no stack holds the cap's block position, and the cap's
+    scalars are the loop oracle's 1e-3 and 1.0."""
+    problem = _design(fixture)
+    sc = sdp._Scalarized(problem)
+    assert all(s.G.shape[-1] > 1 for s in sc.stacks) and sc.one is None
+    assert all(len(problem.blocks) not in s.blocks for s in sc.stacks)
+    assert sorted(l for s in sc.stacks for l in s.blocks) == list(range(len(problem.blocks)))
+    assert sc.total_dim == sum(blk.dim for blk in problem.blocks) + 1
+    _, cap = _without_cap(problem, oracles.loop_scalarize(problem))
+    assert np.array(sc.cap).tobytes() == np.array(cap[:2]).tobytes()
+    assert np.array(sc.cap).tobytes() == np.array([1e-3, 1.0]).tobytes()
 
 
 @pytest.mark.parametrize("scalarize", [sdp._Scalarized, oracles.loop_scalarize])
@@ -356,8 +396,9 @@ def test_asymmetric_contribution_names_block_and_scalar(scalarize):
 
 
 def test_member_wise_steps_take_one_call_per_dimension(monkeypatch):
-    """_distinct_shapes' five stacks span dimensions 1, 2 and 3 over K = 5
-    unknowns: every stepped iteration inverts S once per dimension above 1,
+    """_distinct_shapes' four stacks span dimensions 1, 2 and 3 over K = 5
+    unknowns, the margin cap apart: every stepped iteration inverts S once
+    per dimension above 1,
     factors and inverts the Schur complement once and the stacked X and S
     once per dimension above 1, and takes one eigensolve per dimension above
     1 for each of its two step lengths, over that dimension's X and S.  The
@@ -437,9 +478,14 @@ def _solved_steps(L, D):
     return steps, np.abs(lam).max(axis=-1)
 
 
+# a margin cap whose steps are inf: factors 1, directions 0
+_FREE_CAP = (1.0, 1.0, 0.0, 0.0)
+
+
 def _member_steps(Li, D):
     """Each member's step from _steps, the member as both X and S."""
-    return np.array([sdp._steps([Li[[m, m]]], [D[[m]]], [D[[m]]])[0] for m in range(len(D))])
+    return np.array([sdp._steps([Li[[m, m]]], [D[[m]]], [D[[m]]], _FREE_CAP)[0]
+                     for m in range(len(D))])
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 12])
@@ -486,44 +532,49 @@ def test_inverse_factor_step_matches_solved_step(d):
 def test_step_search_matches_blockwise_oracle_bitwise(case, monkeypatch):
     """On every iterate of a fixture's solve, each step length equals the
     least of oracles._blockwise_max_step over the blocks' X (primal) or S
-    (dual) members, each its own 2-D eigensolve and division, bit for bit."""
+    (dual) members and the margin cap's x (or s), each its own 2-D
+    eigensolve and division, bit for bit."""
     steps = sdp._steps
     seen = []
 
-    def spy(Lxs, dX, dS):
-        out = steps(Lxs, dX, dS)
-        seen.append((Lxs, dX, dS, out))
+    def spy(Lxs, dX, dS, cap):
+        out = steps(Lxs, dX, dS, cap)
+        seen.append((Lxs, dX, dS, cap, out))
         return out
 
     monkeypatch.setattr(sdp, "_steps", spy)
     sol = sdp.solve(_ORACLE_CASES[case]())
     assert len(seen) == 2 * sum(not np.isnan(r.alpha_p) for r in sol.history) > 0
-    for Lxs, dX, dS, (primal, dual) in seen:
-        assert primal == min(oracles._blockwise_max_step(L[m], dx[m])
-                             for L, dx in zip(Lxs, dX) for m in range(len(dx)))
-        assert dual == min(oracles._blockwise_max_step(L[len(dx) + m], ds[m])
-                           for L, dx, ds in zip(Lxs, dX, dS) for m in range(len(ds)))
+    for Lxs, dX, dS, (lx, ls, dxe, dse), (primal, dual) in seen:
+        cap_x, cap_s = ([oracles._blockwise_max_step(np.full((1, 1), l), np.full((1, 1), d))]
+                        for l, d in ((lx, dxe), (ls, dse)))
+        assert primal == min([oracles._blockwise_max_step(L[m], dx[m])
+                              for L, dx in zip(Lxs, dX) for m in range(len(dx))] + cap_x)
+        assert dual == min([oracles._blockwise_max_step(L[len(dx) + m], ds[m])
+                            for L, dx, ds in zip(Lxs, dX, dS) for m in range(len(ds))] + cap_s)
     assert sum(np.isfinite([p for *_, out in seen for p in out])) > len(seen) // 2
 
 
 def test_step_search_bounds_match_the_member_wise_rule_bitwise():
     """Each step is the least member-wise bound -1/lam, inf where lam >=
     -1e-16 or lam is nan: values at and around the threshold, signed
-    zeros, -inf (step 0) and nan as 1 x 1 entries, and finite values as
-    the least eigenvalue of diagonal 2 x 2 members, on identity factors."""
+    zeros, -inf (step 0) and nan as 1 x 1 entries, the margin cap's
+    included, and finite values as the least eigenvalue of diagonal 2 x 2
+    members, on identity factors."""
     def bound(lam):
         return -1.0 / lam if lam < -1e-16 else np.inf
 
     pool = [-2e-16, -1.5e-16, -1e-16, -1e-14, -0.0, 0.0, -3.0, 2.0]
     rng = np.random.default_rng(3)
     for _ in range(200):
-        ones = rng.choice(pool + [np.nan, -np.inf], size=(2, 3))
+        ones = rng.choice(pool + [np.nan, -np.inf], size=(2, 4))  # the last is the cap's
         twos = rng.choice(pool, size=(2, 2))
-        D1 = ones.reshape(2, 3, 1, 1)
+        D1 = ones[:, :3].reshape(2, 3, 1, 1)
         D2 = np.zeros((2, 2, 2, 2))
         D2[..., 0, 0], D2[..., 1, 1] = twos, 1.0
         Lxs = [np.ones((6, 1, 1)), np.broadcast_to(np.eye(2), (4, 2, 2))]
-        got = sdp._steps(Lxs, [D1[0], D2[0]], [D1[1], D2[1]])
+        cap = (np.float64(1.0), np.float64(1.0), ones[0, 3], ones[1, 3])
+        got = sdp._steps(Lxs, [D1[0], D2[0]], [D1[1], D2[1]], cap)
         want = [min(map(bound, np.concatenate([ones[i], np.minimum(twos[i], 1.0)])))
                 for i in range(2)]
         assert [np.float64(g).tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
@@ -544,7 +595,8 @@ def test_one_by_one_inv_chol_and_inverse_match_lapack_bitwise(monkeypatch):
     and the largest float included, with no LAPACK call.  Members that
     are zero, negative, nan or inf send the stack to LAPACK and the jitter
     ladder, which gives every positive member the same bits and climbs for
-    the others alone (nan and inf factor without jitter).  For a normal s
+    the others alone; nan and inf, whose factors LAPACK returns unfinite,
+    fail every rung.  For a normal s
     (an iterate's s stays above 1e-170) the solver's _sym(inv(s)) is also
     1/s."""
     A = _one_by_one_values().reshape(-1, 1, 1)
@@ -570,24 +622,126 @@ def test_one_by_one_inv_chol_and_inverse_match_lapack_bitwise(monkeypatch):
     assert (Li.tobytes(), jitter) == (want[3].tobytes(), 0.0)
     assert lapack == []
 
-    bad = np.array([0.0, -1e-13, np.nan, np.inf])
+    bad = np.array([0.0, -1e-13])
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    for x in bad:  # the ladder's first rung factors 0 and -1e-13; LAPACK takes nan and inf
+    for x in bad:  # the ladder's first rung factors 0 and -1e-13
         Li, jitter = sdp._inv_chol(np.array([[x]]))
-        rung = 1e-12 if x <= 0.0 else 0.0
-        assert jitter == rung
-        assert Li.tobytes() == np.linalg.inv(cholesky(np.array([[x + rung]]))).tobytes()
+        assert jitter == 1e-12
+        assert Li.tobytes() == np.linalg.inv(cholesky(np.array([[x + 1e-12]]))).tobytes()
     mixed = np.concatenate([A[:5, :, 0], bad[:, None]]).reshape(-1, 1, 1)
     Li, jitter = sdp._inv_chol(mixed)
     assert jitter == 1e-12
     assert Li[:5].tobytes() == want[:5].tobytes()
     assert Li.tobytes() == np.array([sdp._inv_chol(m)[0] for m in mixed]).tobytes()
+    for x in (np.nan, np.inf):
+        for M in (np.array([[x]]), np.concatenate([mixed, [[[x]]]])):
+            with pytest.raises(np.linalg.LinAlgError):
+                sdp._inv_chol(M)
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e-3, -1.5, 1e308, -1e308,
+          np.inf, -np.inf, np.nan]
+
+
+def test_cap_scalar_arithmetic_matches_one_by_one_stacks_bitwise():
+    """Every formula _iterate applies to the margin cap's scalars equals the
+    numpy call it stands for on a one-member 1 x 1 stack with the cap's
+    coefficient, on every combination of signed zeros, subnormals, +-1e308,
+    +-inf and nan: the same bits (signed zeros included) and the same
+    overflow, invalid and divide flags, so the same RuntimeWarnings.  Where
+    two nans meet, numpy's scalar and array loops keep different ones, so
+    there both results must be nan: IEEE 754 gives a nan's sign no meaning."""
+    g, c = sdp._Scalarized(_oscillator()).cap
+    stack = sdp._Stack(0, slice(0, 1), [0], [[[[g]]]], [[0]], [[[-c]]])
+
+    def one(v):
+        return np.full((1, 1, 1), v)
+
+    formulas = {  # arity, the cap's formula, the 1 x 1 stack's
+        "rp": (1, lambda x: sdp._dot(g, x), lambda x: stack.apply(one(x))[0, 0]),
+        "sum_k y_k G_k": (1, lambda v: sdp._dot(v, g),
+                          lambda v: stack.adjoint(np.array([v]))[0, 0, 0]),
+        "Rd": (3, lambda c, s, v: sdp._half(c - s - sdp._dot(v, g)),
+               lambda c, s, v: sdp._sym(one(c) - one(s) - stack.adjoint(np.array([v])))[0, 0, 0]),
+        "mu": (2, sdp._dot, lambda x, s: sdp._inner(one(x), one(s))[0]),
+        "dinf": (1, lambda r: np.sqrt(sdp._dot(r, r)),
+                 lambda r: np.sqrt(sdp._inner(one(r), one(r)))[0]),
+        "S^-1": (1, lambda s: 1.0 / s, lambda s: (1.0 / one(s))[0, 0, 0]),
+        "M": (2, lambda x, si: sdp._dot(sdp._dot(x * g, si), g),
+              lambda x, si: np.einsum("nkab,njab->nkj", stack.left(one(x), one(si)),
+                                      stack.G)[0, 0, 0]),
+        "t3, t4": (3, lambda si, r, x: sdp._dot(g, sdp._half(sdp._dot(sdp._dot(si, r), x))),
+                   lambda si, r, x: stack.apply(sdp._sym(one(si) @ one(r) @ one(x)))[0, 0]),
+        "dX": (4, lambda m, si, x, ds: sdp._half(m * si - x - sdp._dot(sdp._dot(si, ds), x)),
+               lambda m, si, x, ds: sdp._sym(m * one(si) - one(x)
+                                             - one(si) @ one(ds) @ one(x))[0, 0, 0]),
+        "corrector": (3, lambda a, si, ds: a - sdp._dot(sdp._dot(si, ds), si),
+                      lambda a, si, ds: (one(a) - one(si) @ one(ds) @ one(si))[0, 0, 0]),
+        "factor": (1, lambda v: sdp._inv_sqrt(sdp._half(v)),
+                   lambda v: sdp._inv_chol(sdp._sym(one(v)))[0][0, 0, 0]),
+        "steps": (2, lambda l, d: sdp._steps([], [], [], (l, l, d, d)),
+                  lambda l, d: sdp._steps([np.full((2, 1, 1), l)], [one(d)], [one(d)], _FREE_CAP)),
+        "update": (3, lambda x, a, d: x + a * d, lambda x, a, d: (one(x) + a * one(d))[0, 0, 0]),
+    }
+
+    def run(f, args):
+        flags = []
+        with np.errstate(all="call", under="ignore", call=lambda kind, flag: flags.append(kind)):
+            try:
+                out = np.asarray(f(*map(np.float64, args)), dtype=float)
+            except np.linalg.LinAlgError:
+                out = None
+        return out, sorted(set(flags))
+
+    for name, (arity, scalar, stacked) in formulas.items():
+        for args in itertools.product(_EDGES, repeat=arity):
+            (got, got_flags), (want, want_flags) = run(scalar, args), run(stacked, args)
+            assert got_flags == want_flags, (name, args)
+            if want is None or got is None:  # LinAlgError
+                assert got is want, (name, args)
+            elif np.isnan(want).all():
+                assert np.isnan(got).all(), (name, args)
+            else:
+                assert got.tobytes() == want.tobytes(), (name, args)
+
+
+@pytest.mark.parametrize("case", ["distinct_shapes", "one_shape", "oscillator"])
+def test_cap_maximum_matches_its_one_by_one_member_bitwise(case):
+    """_Scalarized.top, the largest of per-dimension maxima with the cap's
+    value, equals max() over np.max of each dimension's members with the
+    cap appended to dimension 1's (a new last dimension when there is
+    none), on members that hold nan, inf and signed zeros: a nan in
+    dimension 1 hides the cap's value there, and only there."""
+    sc = sdp._Scalarized(_ORACLE_CASES[case]())
+    dims = [Ch.shape[-1] for Ch in sc.Chat]
+    rng = np.random.default_rng(21)
+    pool = np.array([0.0, 0.5, 2.0, 1e308, np.inf, np.nan])
+    for _ in range(300):
+        members = [rng.choice(pool, size=len(Ch)) for Ch in sc.Chat]
+        cap = np.float64(rng.choice(pool))
+        got = sc.top([m.max() for m in members], cap)
+        if 1 in dims:
+            members[dims.index(1)] = np.append(members[dims.index(1)], cap)
+        else:
+            members.append(np.array([cap]))
+        want = max(m.max() for m in members)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_edge_problems_stack_as_intended():
+    """Shapes as (dimension, unknowns, members), the margin cap counted as
+    the (1, 1) member it is scaled as: with a (1, 1) stack it would join
+    it, so it is one more member there, else a shape of its own."""
     def shapes(problem):
-        stacks = sdp._Scalarized(problem).stacks
-        return sorted((s.G.shape[-1], s.G.shape[1], len(s.blocks)) for s in stacks)
+        sc = sdp._Scalarized(problem)
+        assert sc.cap == (1e-3, 1.0)
+        out = [[s.G.shape[-1], s.G.shape[1], len(s.blocks)] for s in sc.stacks]
+        ones = [shape for shape in out if shape[:2] == [1, 1]]
+        if ones:
+            ones[0][2] += 1
+        else:
+            out.append([1, 1, 1])
+        return sorted(map(tuple, out))
 
     assert shapes(_one_shape()) == [(1, 1, 4)]
     assert shapes(_distinct_shapes()) == [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 4, 1)]
@@ -663,6 +817,45 @@ def test_inv_chol_climbs_the_jitter_ladder_once(monkeypatch):
     assert [A.tobytes() for A in calls] == [A.tobytes() for A in want]
     assert [A.shape for A in calls] == [(3, 2, 2)] + [(2, 2)] * 7
     assert stacked_jitter == jitter and distinct(calls)
+
+
+def test_inv_chol_refuses_a_nan_that_lapack_factors(monkeypatch):
+    """LAPACK factors a nan without failing, and a nan it reads reaches the
+    factor's diagonal.  A stack member with a nan, or a K x K matrix with a
+    nan entry, counts as failed: it climbs the whole jitter ladder alone,
+    nine factorizations, and ends in LinAlgError.  So does an inf on the
+    diagonal, whose jitter is inf, without a RuntimeWarning.  A solve whose
+    data hold a nan ends at its first Schur factorization, before taking a
+    step."""
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def spy(A):
+        calls.append(A.shape)
+        return cholesky(A)
+
+    good = np.array([[4.0, 1.0], [1.0, 3.0]])
+    member = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    B = np.random.default_rng(9).standard_normal((6, 6))
+    K = B @ B.T + np.eye(6)
+    K[4, 1] = K[1, 4] = np.nan
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._inv_chol(np.array([good, member, 2.0 * good]))
+    assert calls == [(3, 2, 2), (2, 2), (2, 2)] + [(2, 2)] * 8
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._inv_chol(K)
+    assert calls == [(6, 6)] * 9
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._inv_chol(np.diag([np.inf, 1.0]))
+    assert calls == [(2, 2)] * 9
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
+    sol = sdp.solve(_scalar_problem(np.nan))
+    assert (sol.status, sol.iterations, len(sol.history)) == ("numerical_failure", 1, 1)
+    assert np.isnan(sol.history[0][5:]).all()
 
 
 def test_history_keeps_every_iteration():
